@@ -89,6 +89,8 @@ type Port struct {
 	Name string
 	link *par.Link
 	prop sim.Time
+	// obs is the port's fabric handle on the owning switch's pipeline.
+	obs *obs.Stage
 
 	hi, lo []queued
 	busy   bool
@@ -172,7 +174,7 @@ func newSwitch(g *par.Group, name string, seed uint64, latency sim.Time, cfg Fab
 
 // addPort attaches an egress link to the switch.
 func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
-	p := &Port{Name: name, link: link, prop: prop, cap: s.cfg.QueueCap}
+	p := &Port{Name: name, link: link, prop: prop, cap: s.cfg.QueueCap, obs: s.Pipe.Bind(name, obs.StageFabric)}
 	s.Ports = append(s.Ports, p)
 	return p
 }
@@ -267,7 +269,7 @@ func (s *Switch) finishTx(done sim.Time, p *Port, q queued) {
 	if q.hi {
 		prio = 1
 	}
-	s.Pipe.Fabric(p.Name, s.seq, prio, q.arrived, done)
+	p.obs.Fabric(s.seq, prio, q.arrived, done)
 	s.seq++
 	p.link.Send(done, p.prop, q.frame)
 	p.Forwarded++

@@ -184,6 +184,8 @@ func chaosPoint(p Params, v PolicyVariant, rate float64) ChaosRow {
 	for _, rx := range r.Host.Rxs {
 		row.Shed += rx.Stats().Shed
 	}
+	// Not obs.Digests: that re-sorts the stream by MergeEvents, and the
+	// committed digest hashes this single stream in recording order.
 	row.MetricsSHA = digest([]byte(obs.PrometheusText(pipe.M)))
 	spans, err := json.Marshal(pipe.T.Events())
 	mustNoErr(err)

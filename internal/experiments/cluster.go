@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -176,17 +175,8 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 	// Digest the full observability surface at the measured horizon, in
 	// shard order: the determinism gates compare these across worker
 	// counts.
-	pipes := c.Pipes()
-	regs := make([]*obs.Registry, len(pipes))
-	streams := make([][]obs.Event, len(pipes))
-	for i, pipe := range pipes {
-		regs[i] = pipe.M
-		streams[i] = pipe.T.Events()
-	}
-	row.MetricsSHA = digest([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-	spans, err := json.Marshal(obs.MergeEvents(streams...))
+	row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...)
 	mustNoErr(err)
-	row.SpansSHA = digest(spans)
 
 	// Stop observing before Settle extends the clocks past the measured
 	// horizon: the final checkpoint (flushed at the horizon inside Run)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -250,17 +249,8 @@ func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (Failover
 	row.EpochDrops = c.EpochDrops()
 	row.AdmitRetries = c.RecoveryRetries()
 
-	pipes := c.Pipes()
-	regs := make([]*obs.Registry, len(pipes))
-	streams := make([][]obs.Event, len(pipes))
-	for i, pipe := range pipes {
-		regs[i] = pipe.M
-		streams[i] = pipe.T.Events()
-	}
-	row.MetricsSHA = digest([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-	spans, err := json.Marshal(obs.MergeEvents(streams...))
+	row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...)
 	mustNoErr(err)
-	row.SpansSHA = digest(spans)
 
 	// Stop observing before Settle extends the clocks past the measured
 	// horizon, as the cluster grid does.

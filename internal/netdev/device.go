@@ -3,9 +3,14 @@ package netdev
 import (
 	"fmt"
 
+	"prism/internal/obs"
 	"prism/internal/pkt"
 	"prism/internal/sim"
 )
+
+// The obs stage handles pre-bind one metric slot per priority level; this
+// constant fails to compile unless the two level bounds agree.
+const _ = uint(MaxPriorityLevels-obs.MaxPriority) + uint(obs.MaxPriority-MaxPriorityLevels)
 
 // DriverKind identifies which poll implementation a device uses. The paper
 // distinguishes these in §II-A3: physical NICs have vendor NAPI drivers,
@@ -35,8 +40,7 @@ func (k DriverKind) String() string {
 
 // StageName maps the driver kind to the canonical pipeline-stage label
 // used by the observability subsystem (the values of internal/obs's
-// PipelineStages). It is defined here, as plain strings, so obs can stay
-// import-free of netdev while every engine labels spans consistently.
+// PipelineStages), so every engine labels spans consistently.
 func (k DriverKind) StageName() string {
 	switch k {
 	case DriverNIC:
@@ -136,6 +140,10 @@ type Device struct {
 	// processed through this device's handler.
 	Polls     uint64
 	Processed uint64
+
+	// Obs is the device's span handle on the observability pipeline of
+	// the engine polling it, bound on the first poll.
+	Obs *obs.Stage
 }
 
 // NewDevice returns a device with the given queue capacities.

@@ -68,8 +68,8 @@ type Config struct {
 	Shed bool
 	// FirstID is the base value for this NIC's SKB IDs. Topologies with
 	// several RX queues give each queue's NIC a distinct base so packet
-	// identities stay unique host-wide — the observability pipeline keys
-	// per-packet lifecycle state by SKB ID.
+	// identities stay unique host-wide — span streams and trace sampling
+	// identify packets by SKB ID.
 	FirstID uint64
 }
 
@@ -117,8 +117,10 @@ type NIC struct {
 
 	nextID uint64
 
-	// obs, when set, records frame DMA and interrupt instants.
-	obs *obs.Pipeline
+	// obs, when set, records frame DMA and interrupt instants through the
+	// dmaObs and irqObs handles bound by SetObs.
+	obs            *obs.Pipeline
+	dmaObs, irqObs *obs.Stage
 	// fault, when set, injects DMA overruns and interrupt loss; nil-safe
 	// hooks make the unfaulted path identical to a plane-less build.
 	fault *fault.Plane
@@ -161,7 +163,13 @@ func New(eng *sim.Engine, sched netdev.Scheduler, costs *netdev.Costs, db *prio.
 func (n *NIC) AttachBridge(br *netdev.Device) { n.bridge = br }
 
 // SetObs installs the observability pipeline (nil disables collection).
-func (n *NIC) SetObs(p *obs.Pipeline) { n.obs = p }
+func (n *NIC) SetObs(p *obs.Pipeline) {
+	n.obs, n.dmaObs, n.irqObs = p, nil, nil
+	if p != nil {
+		n.dmaObs = p.Bind(n.Dev.Name, obs.StageDMA)
+		n.irqObs = p.Bind(n.Dev.Name, obs.StageIRQ)
+	}
+}
 
 // SetFault installs the fault plane (nil disables injection).
 func (n *NIC) SetFault(p *fault.Plane) { n.fault = p }
@@ -214,7 +222,7 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 				if victim := n.Dev.LowQ.EvictLowPrio(); victim != nil {
 					n.ShedDrops++
 					if n.obs != nil {
-						n.obs.Drop(now, n.Dev.Name, obs.StageShed, victim.ID, victim.Priority)
+						n.obs.Drop(now, n.Dev.Name, obs.StageShed, victim.ID, victim.Priority, &victim.Wait)
 					}
 					victim.Free()
 				}
@@ -225,14 +233,14 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 	if !enqueued {
 		// Ring overrun; drop counted by the queue.
 		if n.obs != nil {
-			n.obs.Drop(now, n.Dev.Name, obs.StageDMA, skb.ID, skb.Priority)
+			n.obs.Drop(now, n.Dev.Name, obs.StageDMA, skb.ID, skb.Priority, &skb.Wait)
 		}
 		skb.Free()
 		return
 	}
 	n.DMAd++
 	if n.obs != nil {
-		n.obs.DMA(now, n.Dev.Name, skb.ID, skb.Priority)
+		n.dmaObs.DMA(now, skb.ID, skb.Priority, &skb.Wait)
 	}
 	if highRing && !n.Dev.InPollList {
 		// High-ring packets interrupt immediately, bypassing moderation.
@@ -336,7 +344,7 @@ func (n *NIC) raise(now sim.Time, high bool) {
 	n.IRQs++
 	n.lastIRQ = now
 	if n.obs != nil {
-		n.obs.IRQ(now, n.Dev.Name)
+		n.irqObs.IRQ(now)
 	}
 	n.sched.NotifyArrival(n.Dev, high)
 }

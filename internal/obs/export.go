@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -130,6 +132,29 @@ func PrometheusText(r *Registry) string {
 		panic(err) // strings.Builder never errors
 	}
 	return b.String()
+}
+
+// Digests fingerprints the observability output of pipes, passed in shard
+// order: the hex SHA-256 of the merged registries' Prometheus text, and of
+// the JSON encoding of the merged span stream. The determinism gates
+// compare them across worker counts.
+func Digests(pipes ...*Pipeline) (metrics, spans string, err error) {
+	regs := make([]*Registry, len(pipes))
+	streams := make([][]Event, len(pipes))
+	for i, p := range pipes {
+		regs[i] = p.M
+		streams[i] = p.T.Events()
+	}
+	b, err := json.Marshal(MergeEvents(streams...))
+	if err != nil {
+		return "", "", err
+	}
+	return hexSHA256([]byte(PrometheusText(MergeRegistries(regs...)))), hexSHA256(b), nil
+}
+
+func hexSHA256(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // ---------------------------------------------------------------------------

@@ -15,9 +15,15 @@
 // A Pipeline bundles one Tracer (bounded span stream) and one Registry
 // (labeled counters/gauges/histograms) for one collection domain — a
 // single engine instance: one host, one shard, or one mode run. All
-// instrumentation points (internal/nic, internal/napi, internal/core,
-// internal/bridge, internal/veth, internal/socket) hold an optional
-// *Pipeline and are zero-cost when it is nil.
+// instrumentation points (internal/nic, internal/softirq,
+// internal/socket, internal/cluster) hold an optional *Pipeline and are
+// zero-cost when it is nil.
+//
+// The per-packet calls go through Stage handles bound once per (device,
+// stage) pair: a handle caches its metrics per priority level, so
+// recording a packet indexes an array instead of hashing a label set.
+// The queue-wait cursor travels with the packet itself (pkt.WaitCursor on
+// the SKB), so no per-packet state lives in the pipeline.
 //
 // # Determinism under sharding
 //
@@ -35,6 +41,7 @@ package obs
 import (
 	"sort"
 
+	"prism/internal/pkt"
 	"prism/internal/sim"
 )
 
@@ -58,6 +65,11 @@ var PipelineStages = []string{StageNIC, StageBridge, StageVeth, StageSocket}
 
 // NoPacket marks device-level events (IRQs) that have no packet identity.
 const NoPacket = ^uint64(0)
+
+// MaxPriority is the highest priority level a Stage handle pre-binds; it
+// equals netdev.MaxPriorityLevels (netdev checks this at compile time).
+// Higher levels still record correctly, through registry lookups.
+const MaxPriority = 8
 
 // EventKind distinguishes point events from intervals.
 type EventKind uint8
@@ -91,8 +103,8 @@ func (e Event) Time() sim.Time { return e.Start }
 func (e Event) Duration() sim.Time { return e.End - e.Start }
 
 // Pipeline is the per-engine-instance observability bundle: a Tracer for
-// the span stream and a Registry for metrics, plus the per-packet cursor
-// that turns lifecycle events into stage wait/service decompositions.
+// the span stream and a Registry for metrics. The registry must not be
+// replaced once handles are bound: they hold pointers into it.
 type Pipeline struct {
 	// Shard labels every metric this pipeline records; it identifies the
 	// collection domain (RSS shard, mode run) in merged exports.
@@ -101,116 +113,202 @@ type Pipeline struct {
 	T *Tracer
 	M *Registry
 
-	// lastAt tracks, per in-flight packet, when its previous lifecycle
-	// event completed; the gap to the next stage's start is that stage's
-	// queue wait. Entries are removed at deliver/drop/absorb, so the map
-	// is bounded by the number of packets in flight (itself bounded by
-	// the device queue capacities).
-	lastAt map[uint64]sim.Time
+	// e2e records end-to-end latency: a handle with no device or stage,
+	// so its series carry only the priority and shard labels.
+	e2e *Stage
+	// opened and closed count packet lifecycles started and ended.
+	opened, closed uint64
 }
 
 // NewPipeline returns a pipeline labeled with the given shard name, with
 // a default-capacity tracer and an empty registry.
 func NewPipeline(shard string) *Pipeline {
-	return &Pipeline{
-		Shard:  shard,
-		T:      NewTracer(0),
-		M:      NewRegistry(),
-		lastAt: make(map[uint64]sim.Time),
+	p := &Pipeline{Shard: shard, T: NewTracer(0), M: NewRegistry()}
+	p.e2e = p.Bind("", "")
+	return p
+}
+
+// Stage is a recording handle bound to one (device, stage) pair of a
+// pipeline; each device, socket table or switch port resolves its handles
+// once, when it is wired to the pipeline. The handle caches its metrics in
+// one slot per priority level. A slot registers a series in the Registry
+// on first use, never at bind time, so a bound but idle handle adds
+// nothing to the exports.
+type Stage struct {
+	p          *Pipeline
+	dev, stage string
+	slots      [MaxPriority + 1]slot
+}
+
+// slot holds one priority level's metrics: the stage's packet counter,
+// its service (or fabric residency) histogram and its queue-wait
+// histogram.
+type slot struct {
+	count      *Counter
+	hist, wait *HistogramMetric
+}
+
+// Bind returns a handle recording as device dev at the given stage.
+func (p *Pipeline) Bind(dev, stage string) *Stage {
+	return &Stage{p: p, dev: dev, stage: stage}
+}
+
+// Bound returns the handle cached in *h, first binding (dev, stage) into
+// it when it is unset or bound to another pipeline. Components whose
+// pipeline is assigned after construction bind lazily through it.
+func (p *Pipeline) Bound(h **Stage, dev, stage string) *Stage {
+	if *h == nil || (*h).p != p {
+		*h = p.Bind(dev, stage)
+	}
+	return *h
+}
+
+func (s *Stage) labels(prio int) Labels {
+	return Labels{Device: s.dev, Stage: s.stage, Priority: prio, Shard: s.p.Shard}
+}
+
+// slot returns prio's slot. Levels beyond MaxPriority get a fresh slot per
+// call, so their series are looked up in the registry every time.
+func (s *Stage) slot(prio int) *slot {
+	if uint(prio) < uint(len(s.slots)) {
+		return &s.slots[prio]
+	}
+	return &slot{}
+}
+
+func (s *Stage) counter(c **Counter, name string, prio int) *Counter {
+	if *c == nil {
+		*c = s.p.M.Counter(name, s.labels(prio))
+	}
+	return *c
+}
+
+func (s *Stage) hist(h **HistogramMetric, name string, prio int) *HistogramMetric {
+	if *h == nil {
+		*h = s.p.M.Histogram(name, s.labels(prio))
+	}
+	return *h
+}
+
+// mark records t as the packet's latest lifecycle event, opening the
+// lifecycle if it is not open yet.
+func (p *Pipeline) mark(c *pkt.WaitCursor, t sim.Time) {
+	if !c.Open {
+		c.Open = true
+		p.opened++
+	}
+	c.At = t
+}
+
+// close ends the packet's lifecycle, if it is open.
+func (p *Pipeline) close(c *pkt.WaitCursor) {
+	if c.Open {
+		c.Open = false
+		p.closed++
 	}
 }
 
-// DMA records a frame entering the RX descriptor ring. It opens the
-// packet's lifecycle: the gap to the first stage span is the ring wait.
-func (p *Pipeline) DMA(now sim.Time, dev string, pkt uint64, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageDMA, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_dma_frames_total", Labels{Device: dev, Stage: StageDMA, Shard: p.Shard}).Add(1)
-	p.lastAt[pkt] = now
+// DMA records a frame entering the RX descriptor ring (the handle is
+// bound to StageDMA). It opens the packet's lifecycle: the gap to the
+// first stage span is the ring wait. The DMA counter is per device, not
+// per priority: the stage-1 limitation means the ring has not classified
+// the frame yet.
+func (s *Stage) DMA(now sim.Time, id uint64, prio int, c *pkt.WaitCursor) {
+	s.p.T.add(KindInstant, s.stage, s.dev, id, prio, now, now)
+	s.counter(&s.slots[0].count, "prism_dma_frames_total", 0).Add(1)
+	s.p.mark(c, now)
 }
 
-// IRQ records a hardware interrupt raised by a device.
-func (p *Pipeline) IRQ(now sim.Time, dev string) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageIRQ, Device: dev, Pkt: NoPacket, Start: now, End: now})
-	p.M.Counter("prism_irqs_total", Labels{Device: dev, Stage: StageIRQ, Shard: p.Shard}).Add(1)
+// IRQ records a hardware interrupt raised by the device (the handle is
+// bound to StageIRQ).
+func (s *Stage) IRQ(now sim.Time) {
+	s.p.T.add(KindInstant, s.stage, s.dev, NoPacket, 0, now, now)
+	s.counter(&s.slots[0].count, "prism_irqs_total", 0).Add(1)
 }
 
-// Span records one stage processing one packet over [start, end]. The
+// Span records the stage processing one packet over [start, end]. The
 // wait histogram receives the gap since the packet's previous lifecycle
 // event (its time queued before this stage); the service histogram
 // receives the span length.
-func (p *Pipeline) Span(dev, stage string, pkt uint64, prio int, start, end sim.Time) {
-	p.T.add(Event{Kind: KindSpan, Stage: stage, Device: dev, Pkt: pkt, Priority: prio, Start: start, End: end})
-	l := Labels{Device: dev, Stage: stage, Priority: prio, Shard: p.Shard}
-	p.M.Counter("prism_stage_packets_total", l).Add(1)
-	p.M.Histogram("prism_stage_service_ns", l).Observe(end - start)
-	if last, ok := p.lastAt[pkt]; ok {
-		p.M.Histogram("prism_stage_wait_ns", l).Observe(start - last)
+func (s *Stage) Span(id uint64, prio int, start, end sim.Time, c *pkt.WaitCursor) {
+	s.p.T.add(KindSpan, s.stage, s.dev, id, prio, start, end)
+	sl := s.slot(prio)
+	s.counter(&sl.count, "prism_stage_packets_total", prio).Add(1)
+	s.hist(&sl.hist, "prism_stage_service_ns", prio).Observe(end - start)
+	if c.Open {
+		s.hist(&sl.wait, "prism_stage_wait_ns", prio).Observe(start - c.At)
 	}
-	p.lastAt[pkt] = end
+	s.p.mark(c, end)
 }
 
-// Deliver records the payload reaching a socket buffer at time now, and
-// closes the packet's lifecycle. arrived is the packet's NIC-ring entry
-// time; the difference feeds the end-to-end latency histogram.
-func (p *Pipeline) Deliver(now sim.Time, dev string, pkt uint64, prio int, arrived sim.Time) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageSocket, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	l := Labels{Device: dev, Stage: StageSocket, Priority: prio, Shard: p.Shard}
-	p.M.Counter("prism_delivered_total", l).Add(1)
-	if last, ok := p.lastAt[pkt]; ok {
-		p.M.Histogram("prism_stage_wait_ns", l).Observe(now - last)
+// Deliver records the payload reaching a socket buffer at time now (the
+// handle is bound to StageSocket) and closes the packet's lifecycle.
+// arrived is the packet's NIC-ring entry time; the difference feeds the
+// end-to-end latency histogram.
+func (s *Stage) Deliver(now sim.Time, id uint64, prio int, arrived sim.Time, c *pkt.WaitCursor) {
+	p := s.p
+	p.T.add(KindInstant, s.stage, s.dev, id, prio, now, now)
+	sl := s.slot(prio)
+	s.counter(&sl.count, "prism_delivered_total", prio).Add(1)
+	if c.Open {
+		s.hist(&sl.wait, "prism_stage_wait_ns", prio).Observe(now - c.At)
 	}
-	p.M.Histogram("prism_e2e_latency_ns", Labels{Priority: prio, Shard: p.Shard}).Observe(now - arrived)
-	delete(p.lastAt, pkt)
+	p.close(c)
+	e2e := p.e2e.slot(prio)
+	p.e2e.hist(&e2e.hist, "prism_e2e_latency_ns", prio).Observe(now - arrived)
 }
-
-// Drop records a packet discarded at a stage (handler verdict, queue
-// overrun, rcvbuf overflow) and closes its lifecycle.
-func (p *Pipeline) Drop(now sim.Time, dev, stage string, pkt uint64, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageDrop, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_dropped_total", Labels{Device: dev, Stage: stage, Priority: prio, Shard: p.Shard}).Add(1)
-	delete(p.lastAt, pkt)
-}
-
-// Absorbed records a frame merged into an earlier SKB by GRO; the frame's
-// own lifecycle ends here (the super-SKB carries on).
-func (p *Pipeline) Absorbed(now sim.Time, dev string, pkt uint64, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageGRO, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_gro_absorbed_total", Labels{Device: dev, Stage: StageGRO, Shard: p.Shard}).Add(1)
-	delete(p.lastAt, pkt)
-}
-
-// InFlight reports how many packets have an open lifecycle (diagnostic).
-func (p *Pipeline) InFlight() int { return len(p.lastAt) }
 
 // StageFabric is the datacenter fabric forwarding stage: a ToR or spine
 // switch carrying a frame between hosts (internal/cluster).
 const StageFabric = "fabric"
 
-// Fabric records one switch forwarding a frame over [start, end] — egress
-// queue wait plus serialization onto the output link. Unlike Span it does
-// not touch the per-packet wait cursor: fabric packet IDs are switch-local
-// sequence numbers, not host SKB identities, and a fabric frame never
-// reaches Deliver on this pipeline, so threading it through lastAt would
-// leak an entry per frame.
-func (p *Pipeline) Fabric(dev string, pkt uint64, prio int, start, end sim.Time) {
-	p.T.add(Event{Kind: KindSpan, Stage: StageFabric, Device: dev, Pkt: pkt, Priority: prio, Start: start, End: end})
-	l := Labels{Device: dev, Stage: StageFabric, Priority: prio, Shard: p.Shard}
-	p.M.Counter("prism_fabric_frames_total", l).Add(1)
-	p.M.Histogram("prism_fabric_residency_ns", l).Observe(end - start)
+// Fabric records the switch port forwarding a frame over [start, end] —
+// egress queue wait plus serialization onto the output link (the handle
+// is bound to StageFabric). Unlike Span it has no wait cursor: fabric
+// packet IDs are switch-local sequence numbers, not host SKB identities,
+// and a fabric frame never reaches Deliver on this pipeline.
+func (s *Stage) Fabric(id uint64, prio int, start, end sim.Time) {
+	s.p.T.add(KindSpan, s.stage, s.dev, id, prio, start, end)
+	sl := s.slot(prio)
+	s.counter(&sl.count, "prism_fabric_frames_total", prio).Add(1)
+	s.hist(&sl.hist, "prism_fabric_residency_ns", prio).Observe(end - start)
 }
+
+// Drop records a packet discarded at a stage (handler verdict, queue
+// overrun, rcvbuf overflow) and closes its lifecycle.
+func (p *Pipeline) Drop(now sim.Time, dev, stage string, id uint64, prio int, c *pkt.WaitCursor) {
+	p.T.add(KindInstant, StageDrop, dev, id, prio, now, now)
+	p.M.Counter("prism_dropped_total", Labels{Device: dev, Stage: stage, Priority: prio, Shard: p.Shard}).Add(1)
+	p.close(c)
+}
+
+// Absorbed records a frame merged into an earlier SKB by GRO; the frame's
+// own lifecycle ends here (the super-SKB carries on).
+func (p *Pipeline) Absorbed(now sim.Time, dev string, id uint64, prio int, c *pkt.WaitCursor) {
+	p.T.add(KindInstant, StageGRO, dev, id, prio, now, now)
+	p.M.Counter("prism_gro_absorbed_total", Labels{Device: dev, Stage: StageGRO, Shard: p.Shard}).Add(1)
+	p.close(c)
+}
+
+// InFlight reports how many packet lifecycles are open: opened but not
+// yet delivered, dropped or absorbed (diagnostic).
+func (p *Pipeline) InFlight() int { return int(p.opened - p.closed) }
 
 // FabricDrop records a frame the fabric discarded — egress queue overflow,
 // a low-priority victim evicted for a high-priority frame, or no route in
 // the control-plane snapshot. reason becomes the stage label so drop
 // causes stay separable in merged exports.
 func (p *Pipeline) FabricDrop(now sim.Time, dev, reason string, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageDrop, Device: dev, Pkt: NoPacket, Priority: prio, Start: now, End: now})
+	p.T.add(KindInstant, StageDrop, dev, NoPacket, prio, now, now)
 	p.M.Counter("prism_fabric_dropped_total", Labels{Device: dev, Stage: reason, Priority: prio, Shard: p.Shard}).Add(1)
 }
 
 // DefaultTracerCap bounds the span ring buffer: 64 Ki events is a few MB
 // and several full softirq bursts of context.
 const DefaultTracerCap = 1 << 16
+
+// minTracerGrow is the ring's first allocation, in events.
+const minTracerGrow = 256
 
 // Tracer accumulates lifecycle events into a bounded ring buffer with
 // optional per-packet sampling. Memory is bounded by construction: once
@@ -253,23 +351,55 @@ func (t *Tracer) SetSampling(n int) {
 	t.sampleEvery = uint64(n)
 }
 
-func (t *Tracer) add(ev Event) {
+// add records one event, writing it straight into its ring slot.
+func (t *Tracer) add(kind EventKind, stage, dev string, id uint64, prio int, start, end sim.Time) {
 	if t == nil {
 		return
 	}
-	if t.sampleEvery > 1 && ev.Pkt != NoPacket && ev.Pkt%t.sampleEvery != 0 {
+	if t.sampleEvery > 1 && id != NoPacket && id%t.sampleEvery != 0 {
 		t.SampledOut++
 		return
 	}
-	ev.Seq = t.seq
-	t.seq++
-	if len(t.events) < t.capacity {
-		t.events = append(t.events, ev)
-		return
+	var ev *Event
+	if n := len(t.events); n < t.capacity {
+		if n == cap(t.events) {
+			t.grow()
+		}
+		t.events = t.events[:n+1]
+		ev = &t.events[n]
+	} else {
+		ev = &t.events[t.head]
+		if t.head++; t.head == t.capacity {
+			t.head = 0
+		}
+		t.Overwritten++
 	}
-	t.events[t.head] = ev
-	t.head = (t.head + 1) % t.capacity
-	t.Overwritten++
+	ev.Seq = t.seq
+	ev.Kind = kind
+	ev.Stage = stage
+	ev.Device = dev
+	ev.Pkt = id
+	ev.Priority = prio
+	ev.Start = start
+	ev.End = end
+	t.seq++
+}
+
+// grow doubles the ring's backing array, capped at the capacity: filling
+// a ring of power-of-two capacity, such as the default, allocates less
+// than twice its final size. The ring is not preallocated, because most
+// pipelines never fill it.
+func (t *Tracer) grow() {
+	n := 2 * cap(t.events)
+	if n < minTracerGrow {
+		n = minTracerGrow
+	}
+	if n > t.capacity {
+		n = t.capacity
+	}
+	events := make([]Event, len(t.events), n)
+	copy(events, t.events)
+	t.events = events
 }
 
 // Len returns the number of buffered events.

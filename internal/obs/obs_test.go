@@ -6,18 +6,25 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/pkt"
 	"prism/internal/sim"
 )
+
+// record adds ev to tr through the tracer's recording path.
+func record(tr *Tracer, ev Event) {
+	tr.add(ev.Kind, ev.Stage, ev.Device, ev.Pkt, ev.Priority, ev.Start, ev.End)
+}
 
 func TestPipelineLifecycle(t *testing.T) {
 	p := NewPipeline("s0")
 	// Packet 7: DMA at 100, NIC span [150, 180], bridge span [200, 220],
 	// delivered at 250.
-	p.DMA(100, "eth0", 7, 1)
-	p.IRQ(110, "eth0")
-	p.Span("eth0", StageNIC, 7, 1, 150, 180)
-	p.Span("br0", StageBridge, 7, 1, 200, 220)
-	p.Deliver(250, "c0", 7, 1, 100)
+	var c pkt.WaitCursor
+	p.Bind("eth0", StageDMA).DMA(100, 7, 1, &c)
+	p.Bind("eth0", StageIRQ).IRQ(110)
+	p.Bind("eth0", StageNIC).Span(7, 1, 150, 180, &c)
+	p.Bind("br0", StageBridge).Span(7, 1, 200, 220, &c)
+	p.Bind("c0", StageSocket).Deliver(250, 7, 1, 100, &c)
 
 	if got := p.M.CounterValue("prism_dma_frames_total", Labels{}); got != 1 {
 		t.Errorf("dma counter = %d, want 1", got)
@@ -42,8 +49,8 @@ func TestPipelineLifecycle(t *testing.T) {
 	if e2e.Hist().Count() != 1 || e2e.Hist().Max() != 150 {
 		t.Errorf("e2e = %v, want 150", e2e.Hist().Max())
 	}
-	// Lifecycle closed: the cursor map must not leak.
-	if p.InFlight() != 0 {
+	// Lifecycle closed.
+	if c.Open || p.InFlight() != 0 {
 		t.Errorf("in-flight = %d after deliver, want 0", p.InFlight())
 	}
 	// 5 events buffered.
@@ -54,10 +61,15 @@ func TestPipelineLifecycle(t *testing.T) {
 
 func TestPipelineDropAndAbsorb(t *testing.T) {
 	p := NewPipeline("")
-	p.DMA(10, "eth0", 1, 0)
-	p.Drop(20, "eth0", StageNIC, 1, 0)
-	p.DMA(30, "eth0", 2, 0)
-	p.Absorbed(40, "eth0", 2, 0)
+	dma := p.Bind("eth0", StageDMA)
+	var c1, c2 pkt.WaitCursor
+	dma.DMA(10, 1, 0, &c1)
+	dma.DMA(30, 2, 0, &c2)
+	if p.InFlight() != 2 {
+		t.Errorf("in-flight = %d, want 2", p.InFlight())
+	}
+	p.Drop(20, "eth0", StageNIC, 1, 0, &c1)
+	p.Absorbed(40, "eth0", 2, 0, &c2)
 	if p.InFlight() != 0 {
 		t.Errorf("in-flight = %d, want 0", p.InFlight())
 	}
@@ -72,7 +84,7 @@ func TestPipelineDropAndAbsorb(t *testing.T) {
 func TestTracerRingBounded(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.add(Event{Stage: StageDMA, Pkt: uint64(i), Start: sim.Time(i)})
+		record(tr, Event{Stage: StageDMA, Pkt: uint64(i), Start: sim.Time(i)})
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
@@ -96,9 +108,9 @@ func TestTracerSampling(t *testing.T) {
 	tr := NewTracer(0)
 	tr.SetSampling(4)
 	for i := 0; i < 16; i++ {
-		tr.add(Event{Stage: StageNIC, Pkt: uint64(i), Start: sim.Time(i)})
+		record(tr, Event{Stage: StageNIC, Pkt: uint64(i), Start: sim.Time(i)})
 	}
-	tr.add(Event{Stage: StageIRQ, Pkt: NoPacket, Start: 100}) // device events always kept
+	record(tr, Event{Stage: StageIRQ, Pkt: NoPacket, Start: 100}) // device events always kept
 	if tr.Len() != 5 {
 		t.Errorf("len = %d, want 5 (pkts 0,4,8,12 + IRQ)", tr.Len())
 	}
@@ -106,7 +118,7 @@ func TestTracerSampling(t *testing.T) {
 		t.Errorf("sampled out = %d, want 12", tr.SampledOut)
 	}
 	tr.SetSampling(0) // disable
-	tr.add(Event{Stage: StageNIC, Pkt: 3, Start: 200})
+	record(tr, Event{Stage: StageNIC, Pkt: 3, Start: 200})
 	if tr.Len() != 6 {
 		t.Errorf("len after disabling sampling = %d, want 6", tr.Len())
 	}
@@ -215,9 +227,10 @@ func TestMetricsJSONValid(t *testing.T) {
 
 func TestChromeTraceValid(t *testing.T) {
 	p := NewPipeline("vanilla")
-	p.DMA(1000, "eth0", 0, 1)
-	p.Span("eth0", StageNIC, 0, 1, 2000, 3500)
-	p.Deliver(5000, "c0", 0, 1, 1000)
+	var c pkt.WaitCursor
+	p.Bind("eth0", StageDMA).DMA(1000, 0, 1, &c)
+	p.Bind("eth0", StageNIC).Span(0, 1, 2000, 3500, &c)
+	p.Bind("c0", StageSocket).Deliver(5000, 0, 1, 1000, &c)
 	b, err := ChromeTrace(TraceProcess{Name: "vanilla", Events: p.T.Events()})
 	if err != nil {
 		t.Fatal(err)
@@ -250,13 +263,15 @@ func TestChromeTraceValid(t *testing.T) {
 
 func TestStageBreakdown(t *testing.T) {
 	p := NewPipeline("")
+	dma, nic, br, sock := p.Bind("eth0", StageDMA), p.Bind("eth0", StageNIC), p.Bind("br0", StageBridge), p.Bind("c0", StageSocket)
 	// Two packets through nic and bridge with known waits/services.
-	for pkt := uint64(0); pkt < 2; pkt++ {
-		base := sim.Time(pkt) * 1000
-		p.DMA(base, "eth0", pkt, 0)
-		p.Span("eth0", StageNIC, pkt, 0, base+100, base+150)   // wait 100, svc 50
-		p.Span("br0", StageBridge, pkt, 0, base+200, base+220) // wait 50, svc 20
-		p.Deliver(base+300, "c0", pkt, 0, base)
+	for id := uint64(0); id < 2; id++ {
+		base := sim.Time(id) * 1000
+		var c pkt.WaitCursor
+		dma.DMA(base, id, 0, &c)
+		nic.Span(id, 0, base+100, base+150, &c) // wait 100, svc 50
+		br.Span(id, 0, base+200, base+220, &c)  // wait 50, svc 20
+		sock.Deliver(base+300, id, 0, base, &c)
 	}
 	rows := StageBreakdown(p.M)
 	if len(rows) != 3 { // nic, bridge, socket (wait only)

@@ -10,8 +10,9 @@ import (
 // Labels is the fixed label schema of every metric: the dimensions the
 // paper's figures break results down by. Empty string / zero values are
 // omitted from exports. A fixed struct (rather than a map) keeps lookups
-// allocation-free on the hot path and makes label ordering deterministic
-// by construction.
+// allocation-free and makes label ordering deterministic by construction.
+// The per-packet path does no lookups at all: Stage handles cache the
+// metric pointers (see Pipeline.Bind).
 type Labels struct {
 	Device   string
 	Stage    string

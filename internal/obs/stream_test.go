@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/pkt"
 	"prism/internal/sim"
 )
 
@@ -146,7 +147,7 @@ func TestChromeTraceMergedShards(t *testing.T) {
 func TestEventsSinceCursor(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 3; i++ {
-		tr.add(span(0, "eth0", uint64(i), sim.Time(i), sim.Time(i)))
+		record(tr, span(0, "eth0", uint64(i), sim.Time(i), sim.Time(i)))
 	}
 	first := tr.EventsSince(0)
 	if len(first) != 3 {
@@ -157,8 +158,8 @@ func TestEventsSinceCursor(t *testing.T) {
 		t.Errorf("drain at cursor = %d events, want 0", len(got))
 	}
 	// Two more events; only they appear.
-	tr.add(span(0, "eth0", 10, 10, 10))
-	tr.add(span(0, "eth0", 11, 11, 11))
+	record(tr, span(0, "eth0", 10, 10, 10))
+	record(tr, span(0, "eth0", 11, 11, 11))
 	delta := tr.EventsSince(cursor)
 	if len(delta) != 2 || delta[0].Pkt != 10 || delta[1].Pkt != 11 {
 		t.Fatalf("delta = %+v, want pkts 10,11", delta)
@@ -167,7 +168,7 @@ func TestEventsSinceCursor(t *testing.T) {
 	// skipped, the surviving ones drain in order.
 	cursor = tr.Total() // 5
 	for i := 0; i < 6; i++ {
-		tr.add(span(0, "eth0", uint64(100+i), sim.Time(100+i), sim.Time(100+i)))
+		record(tr, span(0, "eth0", uint64(100+i), sim.Time(100+i), sim.Time(100+i)))
 	}
 	delta = tr.EventsSince(cursor)
 	if len(delta) != 4 { // ring only holds the last 4
@@ -199,11 +200,12 @@ func TestStreamerExactlyOnce(t *testing.T) {
 	sink := &recordingSink{}
 	st := NewStreamer(sink, p0, p1)
 
-	p0.DMA(10, "eth0", 1, 1)
-	p1.DMA(10, "eth1", 2, 0)
+	var c0, c1 pkt.WaitCursor
+	p0.Bind("eth0", StageDMA).DMA(10, 1, 1, &c0)
+	p1.Bind("eth1", StageDMA).DMA(10, 2, 0, &c1)
 	st.Checkpoint(20)
 
-	p0.Span("eth0", StageNIC, 1, 1, 30, 40)
+	p0.Bind("eth0", StageNIC).Span(1, 1, 30, 40, &c0)
 	st.Checkpoint(50)
 	st.Checkpoint(60) // no new events
 

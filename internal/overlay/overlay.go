@@ -235,8 +235,8 @@ func NewHost(eng *sim.Engine, cfg Config) *Host {
 		}
 		nicCfg.HostIP = ServerIP
 		// Each queue's SKB IDs live in a distinct range so packet
-		// identities are unique host-wide (the obs pipeline keys
-		// per-packet state by ID).
+		// identities are unique host-wide (obs span streams identify
+		// packets by ID).
 		nicCfg.FirstID = uint64(q) << 48
 		if polName == napi.PolicyName {
 			// Vanilla NAPI has a single input queue per device and cannot

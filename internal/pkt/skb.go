@@ -59,6 +59,10 @@ type SKB struct {
 	// frame is, cleared when the SKB is recycled.
 	Payload []byte
 
+	// Wait is the observability pipeline's lifecycle cursor for this
+	// packet; the pool reset on Free closes it.
+	Wait WaitCursor
+
 	// Pooling state (see pool.go). frame is the pooled buffer backing
 	// Data; owner is the SKBPool Free returns the SKB to; gen counts
 	// recycles; pooled guards against double-put.
@@ -66,6 +70,16 @@ type SKB struct {
 	owner  *SKBPool
 	gen    uint32
 	pooled bool
+}
+
+// WaitCursor records when a packet's previous lifecycle event completed
+// (DMA into the ring, or the end of a stage span), so the next stage can
+// report how long the packet queued before it. Open is set when the
+// lifecycle starts and cleared when delivery, a drop or GRO absorption
+// ends it.
+type WaitCursor struct {
+	At   sim.Time
+	Open bool
 }
 
 // Len returns the current frame length in bytes.

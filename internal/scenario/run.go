@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -480,22 +477,18 @@ func (p *Plan) runCustom() (*Result, error) {
 		m["conservation_ok"] = 1
 	}
 
-	var regs []*obs.Registry
-	var streams [][]obs.Event
+	var pipes []*obs.Pipeline
 	for _, pipe := range tb.Pipes {
-		if pipe == nil {
-			continue
+		if pipe != nil {
+			pipes = append(pipes, pipe)
 		}
-		regs = append(regs, pipe.M)
-		streams = append(streams, pipe.T.Events())
 	}
-	if len(regs) > 0 {
-		res.Digests["metrics"] = digestBytes([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-		spans, err := json.Marshal(obs.MergeEvents(streams...))
+	if len(pipes) > 0 {
+		var err error
+		res.Digests["metrics"], res.Digests["spans"], err = obs.Digests(pipes...)
 		if err != nil {
 			return nil, err
 		}
-		res.Digests["spans"] = digestBytes(spans)
 	}
 	return res, nil
 }
@@ -559,19 +552,10 @@ func (p *Plan) runCustomCluster() (*Result, error) {
 		m["faults_injected"] = float64(injected)
 	}
 
-	pipes := c.Pipes()
-	regs := make([]*obs.Registry, len(pipes))
-	streams := make([][]obs.Event, len(pipes))
-	for i, pipe := range pipes {
-		regs[i] = pipe.M
-		streams[i] = pipe.T.Events()
-	}
-	res.Digests["metrics"] = digestBytes([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-	spans, err := json.Marshal(obs.MergeEvents(streams...))
+	res.Digests["metrics"], res.Digests["spans"], err = obs.Digests(c.Pipes()...)
 	if err != nil {
 		return nil, err
 	}
-	res.Digests["spans"] = digestBytes(spans)
 
 	if err := c.Settle(0, pm.Workers); err != nil {
 		return nil, err
@@ -583,9 +567,4 @@ func (p *Plan) runCustomCluster() (*Result, error) {
 		m["conservation_ok"] = 1
 	}
 	return res, nil
-}
-
-func digestBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }

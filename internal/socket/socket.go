@@ -91,17 +91,19 @@ func (s *Socket) DeliverSKB(at sim.Time, skb *pkt.SKB) {
 		Delivered:    at,
 		HighPriority: skb.HighPriority,
 	}
-	id, prio := skb.ID, skb.Priority
+	// Free resets the SKB, wait cursor included: read it first.
+	id, prio, cur := skb.ID, skb.Priority, skb.Wait
 	f := skb.TakeFrame()
 	skb.Free()
 	ok := s.push(at, m, f)
-	if s.tbl == nil || s.tbl.Obs == nil {
+	t := s.tbl
+	if t == nil || t.Obs == nil {
 		return
 	}
 	if ok {
-		s.tbl.Obs.Deliver(at, s.tbl.Name, id, prio, m.Arrived)
+		t.Obs.Bound(&t.obsDeliver, t.Name, obs.StageSocket).Deliver(at, id, prio, m.Arrived, &cur)
 	} else {
-		s.tbl.Obs.Drop(at, s.tbl.Name, obs.StageSocket, id, prio)
+		t.Obs.Drop(at, t.Name, obs.StageSocket, id, prio, &cur)
 	}
 }
 
@@ -165,8 +167,10 @@ type Table struct {
 	socks []*Socket
 
 	// Obs, when set, records socket deliveries (closing each packet's
-	// lifecycle span stream) and rcvbuf-overflow drops.
-	Obs *obs.Pipeline
+	// lifecycle span stream) and rcvbuf-overflow drops. Deliveries go
+	// through obsDeliver, bound to Obs on the first one.
+	Obs        *obs.Pipeline
+	obsDeliver *obs.Stage
 }
 
 // NewTable returns an empty socket table.

@@ -330,7 +330,7 @@ func (e *Engine) pollDevice(dev *netdev.Device, start sim.Time) (int, sim.Time) 
 		e.stats.Packets++
 		dev.Processed++
 		if e.obs != nil {
-			e.obs.Span(dev.Name, dev.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
+			e.stage(dev).Span(skb.ID, skb.Priority, hStart, t, &skb.Wait)
 		}
 		t = e.applyTransition(dev, skb, res, t)
 	}
@@ -367,7 +367,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 				e.stats.Packets++
 				next.Processed++
 				if e.obs != nil {
-					e.obs.Span(next.Name, next.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
+					e.stage(next).Span(skb.ID, skb.Priority, hStart, t, &skb.Wait)
 				}
 				cur = next
 				continue
@@ -388,7 +388,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 						e.stats.Dropped++
 						e.stats.Shed++
 						if e.obs != nil {
-							e.obs.Drop(t, next.Name, obs.StageShed, victim.ID, victim.Priority)
+							e.obs.Drop(t, next.Name, obs.StageShed, victim.ID, victim.Priority, &victim.Wait)
 						}
 						victim.Free()
 					}
@@ -398,7 +398,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 			if !ok {
 				e.stats.Dropped++
 				if e.obs != nil {
-					e.obs.Drop(t, next.Name, next.Kind.StageName(), skb.ID, skb.Priority)
+					e.obs.Drop(t, next.Name, next.Kind.StageName(), skb.ID, skb.Priority, &skb.Wait)
 				}
 				skb.Free()
 				return t
@@ -428,14 +428,14 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 		case netdev.VerdictDrop:
 			e.stats.Dropped++
 			if e.obs != nil {
-				e.obs.Drop(t, cur.Name, cur.Kind.StageName(), skb.ID, skb.Priority)
+				e.obs.Drop(t, cur.Name, cur.Kind.StageName(), skb.ID, skb.Priority, &skb.Wait)
 			}
 			skb.Free()
 			return t
 		case netdev.VerdictAbsorbed:
 			// GRO merged the frame into an earlier SKB; nothing to route.
 			if e.obs != nil {
-				e.obs.Absorbed(t, cur.Name, skb.ID, skb.Priority)
+				e.obs.Absorbed(t, cur.Name, skb.ID, skb.Priority, &skb.Wait)
 			}
 			skb.Free()
 			return t
@@ -443,6 +443,12 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 			panic("softirq: handler returned invalid verdict")
 		}
 	}
+}
+
+// stage returns dev's span handle on the engine's pipeline, binding it
+// when the engine first polls the device.
+func (e *Engine) stage(dev *netdev.Device) *obs.Stage {
+	return e.obs.Bound(&dev.Obs, dev.Name, dev.Kind.StageName())
 }
 
 // runSink is the scheduled-delivery trampoline: a top-level function, so

@@ -19,6 +19,10 @@ import (
 // is split into subBuckets linear slots, giving a worst-case relative
 // quantile error of 1/subBuckets (~0.8% with the default 128). The zero
 // value is NOT ready to use; call NewHistogram.
+//
+// counts grows lazily, one exponent range at a time, up to the highest
+// range a recorded value needs: latency histograms rarely see more than a
+// few milliseconds, so most never grow past a fraction of the full table.
 type Histogram struct {
 	counts     []uint64
 	subBuckets int
@@ -31,15 +35,12 @@ type Histogram struct {
 
 const defaultSubBuckets = 128
 
-// NewHistogram returns an empty histogram able to record values in
-// [0, 2^62) nanoseconds.
+// NewHistogram returns an empty histogram able to record any non-negative
+// int64 nanosecond value. It allocates no buckets until the first Record.
 func NewHistogram() *Histogram {
 	sb := defaultSubBuckets
 	shift := uint(bits.Len64(uint64(sb)) - 1)
-	// 64 exponent ranges x subBuckets slots is more than enough for any
-	// latency this simulator can produce; ~64 KiB per histogram.
 	return &Histogram{
-		counts:     make([]uint64, 64*sb),
 		subBuckets: sb,
 		subShift:   shift,
 		min:        math.MaxInt64,
@@ -76,7 +77,11 @@ func (h *Histogram) Record(v sim.Time) {
 	if n < 0 {
 		n = 0
 	}
-	h.counts[h.bucketIndex(n)]++
+	i := h.bucketIndex(n)
+	if i >= len(h.counts) {
+		h.grow(i + 1)
+	}
+	h.counts[i]++
 	h.count++
 	h.sum += float64(n)
 	if n < h.min {
@@ -85,6 +90,15 @@ func (h *Histogram) Record(v sim.Time) {
 	if n > h.max {
 		h.max = n
 	}
+}
+
+// grow extends counts to at least n buckets, rounded up to a whole
+// exponent range.
+func (h *Histogram) grow(n int) {
+	n = (n + h.subBuckets - 1) / h.subBuckets * h.subBuckets
+	counts := make([]uint64, n)
+	copy(counts, h.counts)
+	h.counts = counts
 }
 
 // Count returns the number of recorded observations.
@@ -204,6 +218,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.subBuckets != h.subBuckets {
 		panic("stats: merging histograms with different geometry")
 	}
+	if len(other.counts) > len(h.counts) {
+		h.grow(len(other.counts))
+	}
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
@@ -232,9 +249,7 @@ func MergeHistograms(hs ...*Histogram) *Histogram {
 
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
+	clear(h.counts)
 	h.count = 0
 	h.sum = 0
 	h.min = math.MaxInt64

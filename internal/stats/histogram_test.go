@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -359,4 +360,80 @@ func TestRateCounterMerge(t *testing.T) {
 	if c.Count() != 300 {
 		t.Errorf("count after nil merge = %d", c.Count())
 	}
+}
+
+// eagerHistogram is the construction the lazy buckets replaced: every
+// exponent range allocated up front. It runs the same bucket math, so it is
+// the differential oracle for growth.
+func eagerHistogram() *Histogram {
+	h := NewHistogram()
+	h.counts = make([]uint64, 64*h.subBuckets)
+	return h
+}
+
+// sameHist reports the first observable difference between two histograms.
+func sameHist(t *testing.T, what string, got, want *Histogram) {
+	t.Helper()
+	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Min() != want.Min() || got.Max() != want.Max() {
+		t.Fatalf("%s: count/sum/min/max %d/%g/%v/%v, want %d/%g/%v/%v", what,
+			got.Count(), got.Sum(), got.Min(), got.Max(), want.Count(), want.Sum(), want.Min(), want.Max())
+	}
+	for q := 0.0; q <= 1; q += 0.0025 {
+		if g, w := got.Quantile(q), want.Quantile(q); g != w {
+			t.Fatalf("%s: Quantile(%v) = %v, want %v", what, q, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.CDF(), want.CDF()) {
+		t.Fatalf("%s: CDFs differ", what)
+	}
+}
+
+// Lazily grown buckets are observably identical to the eager table:
+// values spanning every exponent range, the linear-range boundary and the
+// largest recordable value, then merges of short into long and long into
+// short.
+func TestLazyHistogramMatchesEager(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	edges := []sim.Time{0, defaultSubBuckets - 1, defaultSubBuckets, defaultSubBuckets + 1, 1<<62 - 1}
+	fill := func(lazy, eager *Histogram, n int, maxExp int) {
+		for i := 0; i < n; i++ {
+			v := sim.Time(rng.Int63n(int64(1) << uint(1+rng.Intn(maxExp))))
+			if i < len(edges) && maxExp == 62 {
+				v = edges[i]
+			}
+			lazy.Record(v)
+			eager.Record(v)
+		}
+	}
+	short, shortRef := NewHistogram(), eagerHistogram()
+	fill(short, shortRef, 500, 12) // values below 4 µs
+	long, longRef := NewHistogram(), eagerHistogram()
+	fill(long, longRef, 5000, 62)
+	if len(short.counts) >= len(long.counts) {
+		t.Fatalf("short grew to %d buckets, long to %d", len(short.counts), len(long.counts))
+	}
+	sameHist(t, "short", short, shortRef)
+	sameHist(t, "long", long, longRef)
+
+	s2l, s2lRef := NewHistogram(), eagerHistogram()
+	for _, h := range []*Histogram{long, short} {
+		s2l.Merge(h)
+	}
+	for _, h := range []*Histogram{longRef, shortRef} {
+		s2lRef.Merge(h)
+	}
+	sameHist(t, "short into long", s2l, s2lRef)
+
+	l2s, l2sRef := NewHistogram(), eagerHistogram()
+	l2s.Merge(short)
+	l2s.Merge(long)
+	l2sRef.Merge(shortRef)
+	l2sRef.Merge(longRef)
+	sameHist(t, "long into short", l2s, l2sRef)
+	sameHist(t, "MergeHistograms", MergeHistograms(short, long), l2sRef)
+
+	short.Reset()
+	shortRef.Reset()
+	fill(short, shortRef, 300, 62)
+	sameHist(t, "after Reset", short, shortRef)
 }

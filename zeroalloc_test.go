@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"prism"
+	"prism/internal/obs"
 	"prism/internal/par"
+	"prism/internal/pkt"
 	"prism/internal/sim"
 )
 
@@ -36,6 +38,40 @@ func TestSteadyStateRxPathZeroAlloc(t *testing.T) {
 				t.Errorf("steady-state RX path allocates: %.1f allocs per 1ms of virtual time", avg)
 			}
 		})
+	}
+}
+
+// TestObsRecordZeroAlloc gates always-on observability: once a packet's
+// handles are bound, their series registered and the span ring full,
+// recording a packet's whole lifecycle — DMA, three stage spans, socket
+// delivery — must not touch the heap.
+func TestObsRecordZeroAlloc(t *testing.T) {
+	p := obs.NewPipeline("server")
+	dma := p.Bind("eth0", obs.StageDMA)
+	nic, br, veth := p.Bind("eth0", obs.StageNIC), p.Bind("br0", obs.StageBridge), p.Bind("veth0", obs.StageVeth)
+	sock := p.Bind("c0", obs.StageSocket)
+	var id uint64
+	var now sim.Time
+	lifecycle := func() {
+		var skb pkt.SKB
+		skb.ID, skb.Priority = id, int(id%2)
+		dma.DMA(now, skb.ID, skb.Priority, &skb.Wait)
+		nic.Span(skb.ID, skb.Priority, now+100, now+150, &skb.Wait)
+		br.Span(skb.ID, skb.Priority, now+200, now+220, &skb.Wait)
+		veth.Span(skb.ID, skb.Priority, now+300, now+340, &skb.Wait)
+		sock.Deliver(now+400, skb.ID, skb.Priority, now, &skb.Wait)
+		id++
+		now += 1000
+	}
+	// Fill the ring; every series of both priorities registers on the way.
+	for p.T.Len() < obs.DefaultTracerCap {
+		lifecycle()
+	}
+	if avg := testing.AllocsPerRun(1000, lifecycle); avg != 0 {
+		t.Errorf("obs lifecycle recording allocates: %.2f allocs per packet", avg)
+	}
+	if p.InFlight() != 0 {
+		t.Errorf("in-flight = %d after every lifecycle closed, want 0", p.InFlight())
 	}
 }
 
