@@ -321,11 +321,9 @@ func New(cfg Config) (*Cluster, error) {
 		n := n
 		r := c.rackOf(n.ID)
 		tor := c.Tors[r]
-		n.Up = c.connect(n.Shard, tor.Shard, fc.HostLink, func(at sim.Time, payload any) {
-			tor.Receive(at, payload.([]byte))
-		})
-		down := c.connect(tor.Shard, n.Shard, fc.HostLink, func(at sim.Time, payload any) {
-			c.deliverToNode(n, at, payload.([]byte))
+		n.Up = c.connect(n.Shard, tor.Shard, fc.HostLink, tor.Receive)
+		down := c.connect(tor.Shard, n.Shard, fc.HostLink, func(at sim.Time, frame []byte) {
+			c.deliverToNode(n, at, frame)
 		})
 		torDown[r][n.ID] = tor.addPort(fmt.Sprintf("%s->%s", tor.Name, n.Name), down, fc.HostLink)
 
@@ -346,14 +344,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.torUp = make([]*Port, fc.Racks)
 		for r, tor := range c.Tors {
 			r, tor := r, tor
-			upLink := c.connect(tor.Shard, c.Spine.Shard, fc.SpineLink, func(at sim.Time, payload any) {
-				c.Spine.Receive(at, payload.([]byte))
-			})
+			upLink := c.connect(tor.Shard, c.Spine.Shard, fc.SpineLink, c.Spine.Receive)
 			torUp := tor.addPort(fmt.Sprintf("%s->spine", tor.Name), upLink, fc.SpineLink)
 			c.torUp[r] = torUp
-			downLink := c.connect(c.Spine.Shard, tor.Shard, fc.SpineLink, func(at sim.Time, payload any) {
-				tor.Receive(at, payload.([]byte))
-			})
+			downLink := c.connect(c.Spine.Shard, tor.Shard, fc.SpineLink, tor.Receive)
 			spineDown[r] = c.Spine.addPort(fmt.Sprintf("spine->%s", tor.Name), downLink, fc.SpineLink)
 
 			down := torDown[r]
@@ -431,7 +425,7 @@ func admissionOrZero(a *Admission) Admission {
 
 // connect wraps Group.Connect, remembering the link for in-flight
 // accounting.
-func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(at sim.Time, payload any)) *par.Link {
+func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(at sim.Time, frame []byte)) *par.Link {
 	l := c.Group.Connect(src, dst, lookahead, deliver)
 	c.links = append(c.links, l)
 	return l

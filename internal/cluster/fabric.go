@@ -6,6 +6,7 @@ import (
 	"prism/internal/obs"
 	"prism/internal/par"
 	"prism/internal/pkt"
+	"prism/internal/ring"
 	"prism/internal/sim"
 )
 
@@ -92,9 +93,12 @@ type Port struct {
 	// obs is the port's fabric handle on the owning switch's pipeline.
 	obs *obs.Stage
 
-	hi, lo []queued
-	busy   bool
-	cap    int
+	hi, lo ring.FIFO[queued]
+	// tx is the frame being serialized while busy: a port clocks out one
+	// frame at a time, so the transmit-done event needs no other state.
+	tx   queued
+	busy bool
+	cap  int
 	// down marks the link severed (ToR-uplink failure): queued frames
 	// are flushed and arrivals drop until it restores. Mutated only from
 	// the owning switch's shard (exact-time events) or at barriers (the
@@ -116,7 +120,7 @@ type Port struct {
 	winStart sim.Time
 }
 
-func (p *Port) depth() int { return len(p.hi) + len(p.lo) }
+func (p *Port) depth() int { return p.hi.Len() + p.lo.Len() }
 
 // Queued reports frames currently waiting at the port (excluding the one
 // being serialized).
@@ -223,11 +227,11 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 		return
 	}
 	if p.depth() >= p.cap {
-		if q.hi && len(p.lo) > 0 {
+		if q.hi && p.lo.Len() > 0 {
 			// Evict the youngest best-effort frame: the oldest is
 			// closest to transmission and dropping it wastes the most
 			// queueing work.
-			p.lo = p.lo[:len(p.lo)-1]
+			p.lo.PopBack()
 			p.ShedLo++
 			p.Dropped++
 			s.Pipe.FabricDrop(now, p.Name, "shed", 0)
@@ -238,9 +242,9 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 		}
 	}
 	if q.hi {
-		p.hi = append(p.hi, q)
+		p.hi.Push(q)
 	} else {
-		p.lo = append(p.lo, q)
+		p.lo.Push(q)
 	}
 	if !p.busy {
 		s.startTx(now, p)
@@ -250,21 +254,28 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 // startTx dequeues strict-priority and occupies the port for the switch
 // latency plus the frame's serialization time.
 func (s *Switch) startTx(now sim.Time, p *Port) {
-	var q queued
-	if len(p.hi) > 0 {
-		q, p.hi = p.hi[0], p.hi[1:]
-	} else if len(p.lo) > 0 {
-		q, p.lo = p.lo[0], p.lo[1:]
-	} else {
+	switch {
+	case p.hi.Len() > 0:
+		p.tx = p.hi.Pop()
+	case p.lo.Len() > 0:
+		p.tx = p.lo.Pop()
+	default:
 		return
 	}
 	p.busy = true
-	done := now + s.latency + s.cfg.serialization(len(q.frame))
+	done := now + s.latency + s.cfg.serialization(len(p.tx.frame))
 	p.busyNs += done - now
-	s.Shard.Eng.At(done, func() { s.finishTx(done, p, q) })
+	s.Shard.Eng.CallAt(done, txDone, s, p)
 }
 
-func (s *Switch) finishTx(done sim.Time, p *Port, q queued) {
+// txDone is the top-level trampoline the transmit-done event dispatches
+// through (a1 the *Switch, a2 the *Port): pointer arguments and no
+// capturing closure, so forwarding a frame allocates nothing.
+func txDone(done sim.Time, sw, port any) { sw.(*Switch).finishTx(done, port.(*Port)) }
+
+func (s *Switch) finishTx(done sim.Time, p *Port) {
+	q := p.tx
+	p.tx = queued{}
 	prio := 0
 	if q.hi {
 		prio = 1
@@ -296,13 +307,14 @@ func (s *Switch) setPortDown(now sim.Time, p *Port, down bool) {
 		return
 	}
 	flushed := p.depth()
-	for i := 0; i < len(p.hi); i++ {
+	for i := 0; i < p.hi.Len(); i++ {
 		s.Pipe.FabricDrop(now, p.Name, "link-down", 1)
 	}
-	for i := 0; i < len(p.lo); i++ {
+	for i := 0; i < p.lo.Len(); i++ {
 		s.Pipe.FabricDrop(now, p.Name, "link-down", 0)
 	}
-	p.hi, p.lo = p.hi[:0], p.lo[:0]
+	p.hi.Clear()
+	p.lo.Clear()
 	p.Dropped += uint64(flushed)
 	p.DownDropped += uint64(flushed)
 }

@@ -149,8 +149,9 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 	// Attach the live operator surface, when one is listening: frame taps
 	// feed /capture (classified by the cluster's flow table), and a
 	// virtual-time checkpoint streams merged metric snapshots, trace
-	// deltas and per-port fabric load. All hooks are pure observation at
-	// quiescent points — the digests below stay bit-identical either way.
+	// deltas, per-port fabric load and the parallel runtime's window
+	// counters. All hooks are pure observation at quiescent points — the
+	// digests below stay bit-identical either way.
 	if lv := p.Live; lv != nil {
 		lv.SetRun("cluster/"+pol.String(), cfg.Warmup+p.Duration)
 		lv.SetClassifier(c.ClassifyFrame)
@@ -158,6 +159,7 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 		streamer := obs.NewStreamer(lv, c.Pipes()...)
 		c.SetCheckpoint(lv.Interval, func(at sim.Time) {
 			lv.PublishFabric(c.FabricPortUtil(at))
+			lv.PublishPar(c.Group.Stats())
 			streamer.Checkpoint(at)
 		})
 	}

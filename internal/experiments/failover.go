@@ -189,6 +189,7 @@ func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (Failover
 		streamer := obs.NewStreamer(lv, c.Pipes()...)
 		c.SetCheckpoint(lv.Interval, func(at sim.Time) {
 			lv.PublishFabric(c.FabricPortUtil(at))
+			lv.PublishPar(c.Group.Stats())
 			streamer.Checkpoint(at)
 		})
 	}

@@ -208,4 +208,9 @@ func TestLiveSurfaceEndToEndCluster(t *testing.T) {
 	if !st.Done || st.Run != "cluster/spread" || st.Checkpoints == 0 {
 		t.Errorf("terminal status = %+v", st)
 	}
+	// The last checkpoint carries the run's parallel-runtime counters.
+	if st.Par == nil || st.Par.Windows == 0 || st.Par.Windows > row.Windows ||
+		st.Par.ActiveShardWindows == 0 || st.Par.ActiveShardWindows > st.Par.ShardWindows {
+		t.Errorf("status par stats = %+v (run windows %d)", st.Par, row.Windows)
+	}
 }

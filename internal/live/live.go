@@ -16,7 +16,8 @@
 //	/metrics.json  the same snapshot as JSON
 //	/capture   streaming pcap; ?container=<name>&prio=<hi|lo>&host=<h>&dir=<rx|tx>&max=<n>
 //	/trace     Chrome trace events as NDJSON, backlog then live
-//	/status    SSE run progress (virtual time, pkts/sec, fabric utilization)
+//	/status    SSE run progress (virtual time, pkts/sec, fabric utilization,
+//	           parallel-runtime windows and barrier wait)
 package live
 
 import (
@@ -29,6 +30,7 @@ import (
 	"sync"
 
 	"prism/internal/obs"
+	"prism/internal/par"
 	"prism/internal/sim"
 )
 
@@ -61,6 +63,9 @@ type Status struct {
 	CaptureSubs []CaptureSub `json:"capture_subs,omitempty"`
 	// FabricUtil is per-port fabric transmit occupancy (cluster runs).
 	FabricUtil map[string]float64 `json:"fabric_util,omitempty"`
+	// Par is the parallel runtime's self-report for sharded runs: windows,
+	// active shard-windows and the coordinator's barrier wait so far.
+	Par *par.Stats `json:"par,omitempty"`
 }
 
 // Server implements obs.Sink over HTTP. One Server serves a whole
@@ -77,6 +82,7 @@ type Server struct {
 	mu       sync.Mutex
 	status   Status
 	fabric   map[string]float64
+	par      *par.Stats
 	prom     []byte
 	metaJSON []byte
 	chrome   *obs.ChromeStream
@@ -122,6 +128,7 @@ func (s *Server) SetRun(name string, horizon sim.Time) {
 	s.lastAt = 0
 	s.lastDelivered = 0
 	s.fabric = nil
+	s.par = nil
 }
 
 // SetClassifier installs the frame → (container, priority) resolver the
@@ -146,6 +153,17 @@ func (s *Server) PublishFabric(util map[string]float64) {
 	}
 	s.mu.Lock()
 	s.fabric = cp
+	s.mu.Unlock()
+}
+
+// PublishPar records the parallel runtime's counters for the next status
+// sample. Like PublishFabric, call it just before the checkpoint.
+func (s *Server) PublishPar(st par.Stats) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.par = &st
 	s.mu.Unlock()
 }
 
@@ -175,6 +193,7 @@ func (s *Server) Checkpoint(at sim.Time, reg *obs.Registry, delta []obs.Event) {
 	}
 	s.lastAt, s.lastDelivered = at, delivered
 	s.status.FabricUtil = s.fabric
+	s.status.Par = s.par
 	s.status.CaptureDropped = s.hub.droppedCount()
 	s.status.CaptureSubs = s.hub.subscriberStats()
 

@@ -3,8 +3,7 @@ package par
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"prism/internal/sim"
 )
@@ -25,13 +24,13 @@ type Group struct {
 	// OnBarrier, when set, runs on the coordinator goroutine at the end of
 	// every synchronization window, after the window's events have executed
 	// and cross-shard sends have been collected. All shards are quiescent
-	// (their worker goroutines have joined), so the callback may read any
-	// shard-local state race-free, and it may mutate quiescent state —
+	// (every worker has reported the window done), so the callback may read
+	// any shard-local state race-free, and it may mutate quiescent state —
 	// counters, routing tables, admission parameters, registering new
 	// handlers — because no shard observes the mutation until the next
-	// window starts (the spawn of the window's goroutines is the
-	// happens-before edge). It must NOT schedule engine events or send on
-	// links: the window schedule (and the Windows counter committed in
+	// window starts (the pool's publish of the next window generation is
+	// the happens-before edge). It must NOT schedule engine events or send
+	// on links: the window schedule (and the Windows counter committed in
 	// golden fixtures) must stay a pure function of the event timeline,
 	// identical whether or not a hook is installed. Barrier-driven control
 	// planes (cluster recovery) therefore act only on state; anything
@@ -39,6 +38,14 @@ type Group struct {
 	// owning shard instead. windowEnd is the window's exclusive bound:
 	// every event strictly before it has executed.
 	OnBarrier func(windowEnd sim.Time)
+
+	// active lists, in ID order, the shards with an event before the
+	// current window's end; only these run in a parallel window.
+	active []*Shard
+	// activeShardWindows sums len(active) over windows and barrierWait
+	// the coordinator's wall time blocked at barriers, for Stats.
+	activeShardWindows uint64
+	barrierWait        time.Duration
 }
 
 // NewGroup returns an empty group.
@@ -55,11 +62,11 @@ func (g *Group) Add(name string, eng *sim.Engine) *Shard {
 // Shards returns the shards in ID order.
 func (g *Group) Shards() []*Shard { return g.shards }
 
-// Connect creates a link from src to dst whose messages take at least
+// Connect creates a link from src to dst whose frames take at least
 // lookahead to arrive; deliver runs on the destination shard, in event
-// context at the message's delivery time. Conservative synchronization is
+// context at the frame's delivery time. Conservative synchronization is
 // impossible with zero lookahead, so it panics.
-func (g *Group) Connect(src, dst *Shard, lookahead sim.Time, deliver func(at sim.Time, payload any)) *Link {
+func (g *Group) Connect(src, dst *Shard, lookahead sim.Time, deliver func(at sim.Time, frame []byte)) *Link {
 	if lookahead <= 0 {
 		panic("par: conservative synchronization requires positive link lookahead")
 	}
@@ -75,13 +82,23 @@ func (g *Group) Connect(src, dst *Shard, lookahead sim.Time, deliver func(at sim
 }
 
 // Run executes all shards up to and including horizon (the same inclusive
-// semantics as sim.Engine.Run), using up to workers goroutines per window.
+// semantics as sim.Engine.Run), using up to workers goroutines.
 // workers <= 1 runs the identical window schedule sequentially — the
-// baseline every determinism test compares against. On return every
+// baseline every determinism test compares against. A parallel run keeps
+// one worker pool for the whole call (see pool.go) and tears it down on
+// every return path, so no goroutine outlives Run. On return every
 // shard's clock is at horizon, unless a shard halted, which surfaces as
 // ErrHalted wrapped with the shard's identity (the lowest-ID halted shard,
 // for determinism).
 func (g *Group) Run(horizon sim.Time, workers int) error {
+	if workers > len(g.shards) {
+		workers = len(g.shards)
+	}
+	var p *pool
+	if workers > 1 {
+		p = g.startPool(workers)
+		defer p.close()
+	}
 	// Flush construction-time sends so they participate in the first
 	// window computation.
 	g.collect()
@@ -102,8 +119,19 @@ func (g *Group) Run(horizon sim.Time, workers int) error {
 		}
 		g.inject(end)
 		g.Windows++
-		if err := g.runWindow(end, workers); err != nil {
-			return err
+		g.activeShardWindows += uint64(len(g.active))
+		if p != nil {
+			p.runWindow(end)
+		} else {
+			for _, s := range g.shards {
+				s.err = s.Eng.RunUntil(end)
+			}
+		}
+		// Only an active shard can have executed, hence halted.
+		for _, s := range g.active {
+			if s.err != nil {
+				return fmt.Errorf("par: %s: %w", s, s.err)
+			}
 		}
 		g.collect()
 		if g.OnBarrier != nil {
@@ -117,6 +145,35 @@ func (g *Group) Run(horizon sim.Time, workers int) error {
 		}
 	}
 	return nil
+}
+
+// Stats is the group's self-report of its synchronization behaviour. It
+// is deliberately kept out of every obs registry, so the simulated
+// metrics and span digests stay independent of how a run was scheduled.
+type Stats struct {
+	// Windows counts synchronization rounds (the same as Group.Windows).
+	Windows uint64 `json:"windows"`
+	// ShardWindows is Windows × shards: every (shard, window) slot.
+	ShardWindows uint64 `json:"shard_windows"`
+	// ActiveShardWindows counts the slots whose shard had at least one
+	// event before the window end. A parallel window runs only these; the
+	// rest would have nothing to do.
+	ActiveShardWindows uint64 `json:"active_shard_windows"`
+	// BarrierWaitNs is the wall time the coordinator spent waiting at
+	// barriers for the other workers, summed over windows. Zero for
+	// sequential runs.
+	BarrierWaitNs int64 `json:"barrier_wait_ns"`
+}
+
+// Stats returns the group's cumulative synchronization counters. Call it
+// between runs or from OnBarrier, where every shard is quiescent.
+func (g *Group) Stats() Stats {
+	return Stats{
+		Windows:            g.Windows,
+		ShardWindows:       g.Windows * uint64(len(g.shards)),
+		ActiveShardWindows: g.activeShardWindows,
+		BarrierWaitNs:      int64(g.barrierWait),
+	}
 }
 
 // nextTime returns the earliest pending work item — engine event or
@@ -137,74 +194,50 @@ func (g *Group) nextTime() (sim.Time, bool) {
 	return best, found
 }
 
-// deliverMessage is the top-level trampoline injected messages dispatch
-// through: a1 is the *Link, a2 the payload. Scheduling it via CallAt reuses
-// a pooled event record — no capturing closure, no allocation per message.
-func deliverMessage(at sim.Time, a1, a2 any) { a1.(*Link).deliver(at, a2) }
+// deliverFrame is the top-level trampoline injected messages dispatch
+// through: a1 is the *Link, whose due FIFO holds the frame. Scheduling it
+// via CallAt reuses a pooled event record and boxes nothing — no
+// capturing closure, no interface conversion of the frame.
+func deliverFrame(at sim.Time, a1, _ any) {
+	l := a1.(*Link)
+	l.deliver(at, l.due.Pop())
+}
 
 // inject moves every inbox message due before end into its destination
-// engine. Inboxes are sorted by (at, src, seq), so the engines' FIFO
+// engine and lists the shards that then have work before end. Inboxes are sorted by (at, src, seq), so the engines' FIFO
 // tie-breaking observes a deterministic arrival order; that same order
 // means each shard's messages arrive at nondecreasing timestamps, so the
 // whole window is scheduled through one batch cursor — a single wheel
 // insert run instead of one full queue push per message.
+//
+// Each frame waits in its link's due FIFO until its event dispatches.
+// That keeps frames and events paired: one link's messages share a source,
+// so they are injected in (at, seq) order; equal times dispatch FIFO; and
+// every message injected in a window dispatches before the next window's
+// messages, which arrive no earlier than the window end.
 func (g *Group) inject(end sim.Time) {
+	g.active = g.active[:0]
 	for _, s := range g.shards {
 		i := 0
 		b := s.Eng.BeginBatch()
 		for i < len(s.inbox) && s.inbox[i].at < end {
 			m := &s.inbox[i]
-			b.CallAt(m.at, deliverMessage, m.link, m.payload)
+			b.CallAt(m.at, deliverFrame, m.link, nil)
+			m.link.due.Push(m.frame)
 			i++
 		}
 		if i > 0 {
 			// Compact in place, then clear the vacated tail: the stale
-			// entries beyond the new length still hold payload interfaces,
-			// and leaving them pins delivered SKBs/frames across windows.
+			// entries beyond the new length still hold frames, and
+			// leaving them pins delivered frames across windows.
 			n := copy(s.inbox, s.inbox[i:])
 			clear(s.inbox[n:len(s.inbox)])
 			s.inbox = s.inbox[:n]
 		}
-	}
-}
-
-// runWindow burns each shard's events up to end, concurrently when
-// workers > 1. Shards share no state during a window, so assignment of
-// shards to workers cannot affect results.
-func (g *Group) runWindow(end sim.Time, workers int) error {
-	if workers > len(g.shards) {
-		workers = len(g.shards)
-	}
-	if workers <= 1 {
-		for _, s := range g.shards {
-			s.err = s.Eng.RunUntil(end)
-		}
-	} else {
-		var next atomic.Int64
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= len(g.shards) {
-						return
-					}
-					s := g.shards[i]
-					s.err = s.Eng.RunUntil(end)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, s := range g.shards {
-		if s.err != nil {
-			return fmt.Errorf("par: %s: %w", s, s.err)
+		if at, ok := s.Eng.NextAt(); ok && at < end {
+			g.active = append(g.active, s)
 		}
 	}
-	return nil
 }
 
 // collect drains every link buffer into the destination inboxes and

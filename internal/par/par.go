@@ -1,22 +1,22 @@
 // Package par is a conservative parallel discrete-event runtime: it runs
-// one sim.Engine shard per goroutine and synchronizes the shards with
-// lookahead derived from the model's physical delays (the wire latency of
-// the point-to-point link, the IPI cost of cross-core wakeups, the
-// per-queue independence of RSS steering).
+// sim.Engine shards on a pool of worker goroutines and synchronizes the
+// shards with lookahead derived from the model's physical delays (the
+// wire latency of the point-to-point link, the IPI cost of cross-core
+// wakeups, the per-queue independence of RSS steering).
 //
 // # Model
 //
 // A Group owns a set of Shards, each wrapping an independent sim.Engine
 // with its own clock, event queue and RNG. Shards interact only through
-// Links — unidirectional channels with a declared minimum latency (the
-// link's lookahead). Because every cross-shard message arrives at least
-// lookahead after it was sent, the classic conservative-window argument
+// Links — unidirectional frame channels with a declared minimum latency
+// (the link's lookahead). Because every cross-shard message arrives at
+// least lookahead after it was sent, the classic conservative-window argument
 // applies: if the earliest pending event anywhere in the group is at time
 // T, then no shard can receive a message before T+lookahead, so every
 // shard may safely burn its local events up to (but not including)
 // T+lookahead with no synchronization at all. Group.Run repeats that
-// window computation, runs the shards concurrently within each window,
-// and exchanges buffered messages at the barrier.
+// window computation, runs the shards that have work in the window
+// concurrently, and exchanges buffered frames at the barrier.
 //
 // # Determinism
 //
@@ -58,7 +58,7 @@ type Shard struct {
 	// outSeq numbers this shard's sends across all its outbound links,
 	// giving equal-timestamp messages from one shard a total order.
 	outSeq uint64
-	// err is the shard's result from the last window.
+	// err is the shard's result from the last window it ran.
 	err error
 }
 

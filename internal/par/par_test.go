@@ -16,7 +16,7 @@ import (
 // the determinism oracle.
 type ringModel struct {
 	group *Group
-	logs  [][]string // per shard: "(at src payload)" in delivery order
+	logs  [][]string // per shard: "(at frame)" in delivery order
 }
 
 func buildRing(k int, lookahead sim.Time) *ringModel {
@@ -29,9 +29,9 @@ func buildRing(k int, lookahead sim.Time) *ringModel {
 	for i := 0; i < k; i++ {
 		dst := (i + 1) % k
 		links[i] = m.group.Connect(shards[i], shards[dst], lookahead,
-			func(at sim.Time, payload any) {
+			func(at sim.Time, frame []byte) {
 				m.logs[dst] = append(m.logs[dst],
-					fmt.Sprintf("%d %v", at, payload))
+					fmt.Sprintf("%d %s", at, frame))
 			})
 	}
 	for i := 0; i < k; i++ {
@@ -44,7 +44,7 @@ func buildRing(k int, lookahead sim.Time) *ringModel {
 			// Jitter the delivery beyond the lookahead using the shard's
 			// own deterministic RNG.
 			extra := sim.Time(s.Eng.RNG().Intn(2500))
-			links[i].Send(now, lookahead+extra, fmt.Sprintf("s%d@%d", i, now))
+			links[i].Send(now, lookahead+extra, fmt.Appendf(nil, "s%d@%d", i, now))
 			s.Eng.After(period, tick)
 		}
 		s.Eng.At(sim.Time(50*i), tick)
@@ -94,14 +94,14 @@ func TestLinkDeliveryTiming(t *testing.T) {
 	a := g.Add("a", sim.NewEngine(1))
 	b := g.Add("b", sim.NewEngine(2))
 	var gotAt, engNow sim.Time
-	l := g.Connect(a, b, 40, func(at sim.Time, payload any) {
+	l := g.Connect(a, b, 40, func(at sim.Time, frame []byte) {
 		gotAt = at
 		engNow = b.Eng.Now()
-		if payload.(string) != "ping" {
-			t.Errorf("payload = %v", payload)
+		if string(frame) != "ping" {
+			t.Errorf("frame = %q", frame)
 		}
 	})
-	a.Eng.At(100, func() { l.Send(100, 50, "ping") })
+	a.Eng.At(100, func() { l.Send(100, 50, []byte("ping")) })
 	if err := g.Run(1000, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -121,11 +121,11 @@ func TestCausalChainAcrossWindows(t *testing.T) {
 		b := g.Add("b", sim.NewEngine(2))
 		bounces := 0
 		var ab, ba *Link
-		ab = g.Connect(a, b, lookahead, func(at sim.Time, payload any) {
+		ab = g.Connect(a, b, lookahead, func(at sim.Time, frame []byte) {
 			bounces++
 			ba.Send(at, lookahead, nil)
 		})
-		ba = g.Connect(b, a, lookahead, func(at sim.Time, payload any) {
+		ba = g.Connect(b, a, lookahead, func(at sim.Time, frame []byte) {
 			bounces++
 			ab.Send(at, lookahead, nil)
 		})
@@ -146,7 +146,7 @@ func TestConstructionTimeSendDelivered(t *testing.T) {
 	a := g.Add("a", sim.NewEngine(1))
 	b := g.Add("b", sim.NewEngine(2))
 	got := false
-	l := g.Connect(a, b, 10, func(at sim.Time, payload any) { got = at == 10 })
+	l := g.Connect(a, b, 10, func(at sim.Time, frame []byte) { got = at == 10 })
 	// Sent during topology construction, before any event ran.
 	l.Send(0, 10, nil)
 	if err := g.Run(100, 1); err != nil {
@@ -199,7 +199,7 @@ func TestConnectValidation(t *testing.T) {
 	b := g.Add("b", sim.NewEngine(2))
 	mustPanic(t, "zero lookahead", func() { g.Connect(a, b, 0, nil) })
 	mustPanic(t, "self link", func() { g.Connect(a, a, 5, nil) })
-	l := g.Connect(a, b, 5, func(sim.Time, any) {})
+	l := g.Connect(a, b, 5, func(sim.Time, []byte) {})
 	mustPanic(t, "sub-lookahead send", func() { l.Send(0, 4, nil) })
 }
 

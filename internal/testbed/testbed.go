@@ -231,12 +231,8 @@ func (t *Testbed) buildWireSplit(spec Spec) {
 	t.Client = client
 
 	wire := host.Costs.WireLatency
-	t.toServer = []*par.Link{g.Connect(cs, ss, wire, func(at sim.Time, payload any) {
-		host.InjectFromWire(at, payload.([]byte))
-	})}
-	toClient := g.Connect(ss, cs, wire, func(at sim.Time, payload any) {
-		client.Deliver(at, payload.([]byte))
-	})
+	t.toServer = []*par.Link{g.Connect(cs, ss, wire, host.InjectFromWire)}
+	toClient := g.Connect(ss, cs, wire, client.Deliver)
 	// Outbound frames leave over the cross-shard wire instead of being
 	// scheduled on the server's own engine.
 	host.WireTx = func(now, arrive sim.Time, frame []byte) {
@@ -267,14 +263,8 @@ func (t *Testbed) buildRSSSplit(spec Spec) {
 	wire := t.Hosts[0].Costs.WireLatency
 	for q := 0; q < queues; q++ {
 		host := t.Hosts[q]
-		t.toServer = append(t.toServer, g.Connect(cs, t.ServerShards[q], wire,
-			func(at sim.Time, payload any) {
-				host.InjectFromWire(at, payload.([]byte))
-			}))
-		back := g.Connect(t.ServerShards[q], cs, wire,
-			func(at sim.Time, payload any) {
-				t.Client.Deliver(at, payload.([]byte))
-			})
+		t.toServer = append(t.toServer, g.Connect(cs, t.ServerShards[q], wire, host.InjectFromWire))
+		back := g.Connect(t.ServerShards[q], cs, wire, t.Client.Deliver)
 		host.WireTx = func(now, arrive sim.Time, frame []byte) {
 			back.Send(now, arrive-now, frame)
 		}

@@ -76,28 +76,28 @@ func TestObsRecordZeroAlloc(t *testing.T) {
 }
 
 // TestCrossShardInjectZeroAlloc gates the parallel runtime's cross-shard
-// path: two shards ping-pong a pooled token pointer over 1µs-lookahead
-// links, so every synchronization window exercises Link.Send, the barrier
-// collect/sort, and Group.inject's batched CallAt scheduling. Once the
-// link buffers, inboxes and event free-lists have warmed up, running more
-// windows must not allocate — this is the path that regressed when inject
-// captured a closure per message.
+// path: two shards ping-pong a frame over 1µs-lookahead links, so every
+// synchronization window exercises Link.Send, the barrier collect/sort,
+// Group.inject's batched CallAt scheduling and the per-link due FIFO.
+// Once the link buffers, inboxes, FIFOs and event free-lists have warmed
+// up, running more windows must not allocate: neither a closure per
+// message nor an interface conversion per frame.
 func TestCrossShardInjectZeroAlloc(t *testing.T) {
 	g := par.NewGroup()
 	sa := g.Add("a", sim.NewEngine(1))
 	sb := g.Add("b", sim.NewEngine(2))
 	const lookahead = sim.Microsecond
 	var ab, ba *par.Link
-	ab = g.Connect(sa, sb, lookahead, func(at sim.Time, payload any) {
-		ba.Send(at, lookahead, payload)
+	ab = g.Connect(sa, sb, lookahead, func(at sim.Time, frame []byte) {
+		ba.Send(at, lookahead, frame)
 	})
-	ba = g.Connect(sb, sa, lookahead, func(at sim.Time, payload any) {
-		ab.Send(at, lookahead, payload)
+	ba = g.Connect(sb, sa, lookahead, func(at sim.Time, frame []byte) {
+		ab.Send(at, lookahead, frame)
 	})
-	token := new(int)
-	ab.Send(0, lookahead, token)
+	ab.Send(0, lookahead, make([]byte, 64))
 
-	// Warm up the link buffers, inbox slices and both engines' free lists.
+	// Warm up the link buffers, inbox slices, due FIFOs and both engines'
+	// free lists.
 	horizon := 10 * sim.Millisecond
 	if err := g.Run(horizon, 1); err != nil {
 		t.Fatal(err)
