@@ -75,7 +75,7 @@ func TestStatusSSE(t *testing.T) {
 	s := NewServer()
 	s.SetRun("cluster/prism", 110*sim.Millisecond)
 	s.PublishFabric(map[string]float64{"tor00->host00": 0.25})
-	s.PublishPar(par.Stats{Windows: 40, ShardWindows: 120, ActiveShardWindows: 70, BarrierWaitNs: 5000})
+	s.PublishPar(par.Stats{Windows: 40, ShardWindows: 120, ActiveShardWindows: 70, BusiestWorkerEvents: 600, BarrierWaitNs: 5000})
 	checkpointOnce(s, 10*sim.Millisecond, 100, nil)
 
 	ts := httptest.NewServer(s.Handler())
@@ -113,7 +113,8 @@ func TestStatusSSE(t *testing.T) {
 	if st.FabricUtil["tor00->host00"] != 0.25 {
 		t.Errorf("fabric util missing: %+v", st.FabricUtil)
 	}
-	if st.Par == nil || st.Par.Windows != 40 || st.Par.ActiveShardWindows != 70 || st.Par.BarrierWaitNs != 5000 {
+	if st.Par == nil || st.Par.Windows != 40 || st.Par.ActiveShardWindows != 70 ||
+		st.Par.BusiestWorkerEvents != 600 || st.Par.BarrierWaitNs != 5000 {
 		t.Errorf("par stats missing: %+v", st.Par)
 	}
 	// 10ms of virtual time, 100 packets → 10k pkts/sec virtual.

@@ -8,14 +8,19 @@ import (
 )
 
 // message is one cross-shard delivery. The (at, src, seq) triple is the
-// stable ordering key that makes parallel delivery deterministic.
+// stable ordering key that makes parallel delivery deterministic; key
+// packs the sending shard's ID above its per-source send counter, so
+// ordering by (at, key) is ordering by (at, src, seq).
 type message struct {
 	at    sim.Time // delivery time on the destination shard
-	src   int      // sending shard ID
-	seq   uint64   // per-source send counter
+	key   uint64
 	link  *Link
 	frame []byte
 }
+
+// seqBits is the width of the send counter in a message key: a group
+// holds at most 2^16 shards, each sending at most 2^48 messages.
+const seqBits = 48
 
 // Link is a unidirectional cross-shard channel with a declared minimum
 // latency, carrying wire frames. The lookahead is a physical property of
@@ -28,14 +33,15 @@ type Link struct {
 	Lookahead sim.Time
 
 	deliver func(at sim.Time, frame []byte)
-	// buf accumulates sends within a window. It is written only by the
-	// source shard's goroutine and drained only at barriers, so it needs
-	// no locking.
-	buf []message
+	// bufs holds the sends of the last two windows by parity. The
+	// source's home appends to bufs[Src.par] while the destination's home
+	// drains the other buffer, filled in the window before, so neither
+	// needs a lock.
+	bufs [2][]message
 	// due holds the frames of deliveries already scheduled on the
-	// destination engine, in dispatch order: Group.inject pushes at the
-	// barrier and deliverFrame pops on the destination shard, so the
-	// scheduled event carries only the link and no frame is boxed.
+	// destination engine, in dispatch order: the destination's home
+	// pushes at injection and deliverFrame pops, so the scheduled event
+	// carries only the link and no frame is boxed.
 	due ring.FIFO[[]byte]
 }
 
@@ -49,18 +55,16 @@ func (l *Link) Send(now, delay sim.Time, frame []byte) {
 		panic(fmt.Sprintf("par: send on %s→%s with delay %v below lookahead %v",
 			l.Src.Name, l.Dst.Name, delay, l.Lookahead))
 	}
-	l.buf = append(l.buf, message{
-		at:    now + delay,
-		src:   l.Src.ID,
-		seq:   l.Src.outSeq,
-		link:  l,
-		frame: frame,
-	})
-	l.Src.outSeq++
+	s, at := l.Src, now+delay
+	l.bufs[s.par] = append(l.bufs[s.par], message{at: at, key: s.key, link: l, frame: frame})
+	s.key++
+	if at < s.sent {
+		s.sent = at
+	}
 }
 
-// Buffered reports how many sends are sitting in the link's window buffer
-// awaiting the next barrier. Nonzero after a Group.Run only for messages
-// emitted by the post-window tail run (delivery beyond the horizon);
-// conservation checkers count these as in-flight on the medium.
-func (l *Link) Buffered() int { return len(l.buf) }
+// Buffered reports how many sends are sitting in the link's window
+// buffers, not yet drained by the destination. After a Group.Run these
+// are the last window's sends, whose delivery lies beyond the horizon;
+// conservation checkers count them as in-flight on the medium.
+func (l *Link) Buffered() int { return len(l.bufs[0]) + len(l.bufs[1]) }

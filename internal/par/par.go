@@ -15,26 +15,36 @@
 // T, then no shard can receive a message before T+lookahead, so every
 // shard may safely burn its local events up to (but not including)
 // T+lookahead with no synchronization at all. Group.Run repeats that
-// window computation, runs the shards that have work in the window
-// concurrently, and exchanges buffered frames at the barrier.
+// window computation until the horizon.
+//
+// Each shard has a home worker, the only goroutine that touches its
+// engine during a Run. In every window the home drains the shard's
+// incoming links, injects the messages due in the window, runs the shard
+// if it has work, and summarizes what the shard has pending. Links are
+// double-buffered by window parity, so a source filling one buffer never
+// meets the destination draining the other. Between windows the
+// coordinator only reduces the workers' summaries into the next window.
 //
 // # Determinism
 //
-// A parallel run is bit-identical to the sequential run of the same shard
+// A parallel run is bit-identical to the single-worker run of the same shard
 // decomposition, for any worker count:
 //
 //   - the window schedule is a pure function of event timestamps, which do
 //     not depend on execution interleaving;
 //   - within a window each shard executes single-threaded, exactly as the
 //     sequential engine would;
-//   - messages are exchanged only at barriers, sorted by the stable key
-//     (delivery time, source shard ID, per-source sequence number) before
-//     injection, so the destination engine's FIFO tie-breaking sees the
-//     same arrival order every run.
+//   - a message sent in one window is drained only in the next, and is
+//     sorted by the stable key (delivery time, source shard ID,
+//     per-source sequence number) before injection, so the destination
+//     engine's FIFO tie-breaking sees the same arrival order every run;
+//   - the assignment of shards to home workers decides only where a shard
+//     runs, never what it runs.
 //
 // The determinism tests in this package and in internal/experiments
-// assert exactly that: workers=1 (the sequential baseline) and workers=N
-// produce identical delivered-packet sequences and histogram contents.
+// assert exactly that: workers=1 and workers=N produce identical
+// delivered-packet sequences and histogram contents, and a retained
+// centralized scheduler in the tests produces the same again.
 package par
 
 import (
@@ -52,14 +62,22 @@ type Shard struct {
 	Name string
 	Eng  *sim.Engine
 
-	// inbox holds cross-shard messages awaiting injection, sorted by
-	// (at, src, seq). Only the Group touches it, at barriers.
+	// in lists the links delivering to this shard, drained by its home.
+	in []*Link
+	// inbox holds drained cross-shard messages awaiting injection, sorted
+	// by (at, src, seq).
 	inbox []message
-	// outSeq numbers this shard's sends across all its outbound links,
-	// giving equal-timestamp messages from one shard a total order.
-	outSeq uint64
-	// err is the shard's result from the last window it ran.
-	err error
+	// key is the ordering key of the shard's next send: its ID above a
+	// counter of its sends over all its outbound links, giving
+	// equal-timestamp messages from one shard a total order.
+	key uint64
+	// par is the parity of the window the shard last ran in: its sends go
+	// into their links' buffer of that parity. It starts at 1, so sends
+	// made while the topology is built are drained in window 0.
+	par int
+	// sent is the earliest delivery time among the shard's sends in the
+	// current window.
+	sent sim.Time
 }
 
 // String identifies the shard in logs and errors.
@@ -67,8 +85,9 @@ func (s *Shard) String() string {
 	return fmt.Sprintf("shard %d (%s)", s.ID, s.Name)
 }
 
-// InboxLen reports how many cross-shard messages are waiting to be
-// injected into this shard — sends collected at a barrier whose delivery
-// time falls beyond the horizon the group last ran to. Conservation
-// checkers count these as in-flight on the medium.
+// InboxLen reports how many drained cross-shard messages are waiting to
+// be injected into this shard: their delivery time falls beyond the
+// horizon the group last ran to. Sends of the last window are still in
+// the link buffers (Link.Buffered); conservation checkers count both as
+// in-flight on the medium.
 func (s *Shard) InboxLen() int { return len(s.inbox) }

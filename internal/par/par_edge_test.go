@@ -153,8 +153,8 @@ func TestBurstyShardSilentWindows(t *testing.T) {
 // message landing exactly on a window boundary (delay == lookahead, the
 // legal minimum) belongs to the NEXT window, and one landing exactly at
 // the group horizon must still fire (inclusive semantics), while one
-// landing past the horizon stays queued in the destination inbox where
-// conservation checkers can count it.
+// landing past the horizon stays in flight, in the link buffer or the
+// destination inbox, where conservation checkers can count it.
 func TestWindowBoundaryMessage(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		g := NewGroup()
@@ -177,7 +177,7 @@ func TestWindowBoundaryMessage(t *testing.T) {
 			t.Errorf("workers=%d: deliveries at %v, want %v", workers, got, want)
 		}
 		// The undeliverable message is in flight: either still in the link
-		// buffer (emitted by the tail run) or sorted into b's inbox.
+		// buffer (sent in the last window) or drained into b's inbox.
 		if inflight := l.Buffered() + b.InboxLen(); inflight != 1 {
 			t.Errorf("workers=%d: %d in-flight messages past horizon, want 1", workers, inflight)
 		}

@@ -13,21 +13,21 @@ import (
 // virtual time and a handful of events per shard — so a parallel run
 // cannot afford to start goroutines per window. A pool lives for one
 // Group.Run instead: workers-1 helper goroutines plus the coordinator,
-// which takes part as a worker. The coordinator hands a window over by
-// publishing its end and bumping an atomic generation counter; every
-// worker claims the window's active shards through an atomic index until
-// none are left, and each helper then bumps an atomic done count. Everything the coordinator wrote before the
-// generation bump (the window end, injected messages, OnBarrier
+// which is worker 0. The coordinator hands a window over by publishing
+// its end and bumping an atomic generation counter; every worker then
+// runs the window for its home shards and publishes its summary, and each
+// helper bumps an atomic done count. Everything the coordinator wrote
+// before the generation bump (the window end and parity, OnBarrier
 // mutations) happens before the helpers run the window, and everything a
-// helper wrote before its done bump happens before the coordinator's next
-// barrier.
+// helper wrote before its done bump — its shards' state and its summary —
+// happens before the coordinator's reduction and OnBarrier.
 //
 // A waiter spins for a bounded time, yielding the processor, and then
 // parks on a channel, so an idle pool — a long OnBarrier hook, or many
 // groups running at once under par.ForEach — does not burn CPU.
 
 // spinFor bounds how long a waiter spins before parking. It covers the
-// coordinator's serial barrier work (collect, inject, a cheap hook) with
+// coordinator's serial barrier work (the reduction and a cheap hook) with
 // a wide margin, so a busy run seldom parks, while an idle waiter stops
 // burning CPU within a fraction of a millisecond.
 const spinFor = 50 * time.Microsecond
@@ -81,10 +81,9 @@ func (k *parker) unpark() {
 	}
 }
 
-// pool is the worker set of one parallel Group.Run. The three atomics
-// sit on separate cache lines: helpers spin on gen while the coordinator
-// spins on done, and claims hammer next, so sharing a line would turn
-// every claim into a miss for both spinners.
+// pool is the goroutine set of one parallel Group.Run; the per-worker
+// state lives in Group.workers. The two atomics sit on separate cache
+// lines: helpers spin on gen while the coordinator spins on done.
 type pool struct {
 	g       *Group
 	helpers []*parker
@@ -95,9 +94,6 @@ type pool struct {
 	stop bool
 	gen  atomic.Uint64
 	_    cacheLinePad
-	// next is the shard claim index.
-	next atomic.Int64
-	_    cacheLinePad
 	// done counts helpers finished with the current window.
 	done atomic.Int64
 	_    cacheLinePad
@@ -105,22 +101,22 @@ type pool struct {
 
 type cacheLinePad [64]byte
 
-// startPool starts workers-1 helper goroutines. Callers must close the
-// pool before returning.
-func (g *Group) startPool(workers int) *pool {
+// startPool starts a helper goroutine for every worker but the first.
+// Callers must close the pool before returning.
+func (g *Group) startPool() *pool {
 	p := &pool{g: g, coord: newParker()}
-	for i := 1; i < workers; i++ {
+	for i := 1; i < len(g.workers); i++ {
 		k := newParker()
 		p.helpers = append(p.helpers, k)
 		p.exited.Add(1)
-		go p.help(k)
+		go p.help(&g.workers[i], k)
 	}
 	return p
 }
 
-// help is a helper goroutine's loop: wait for a new generation, run
-// shards, report done.
-func (p *pool) help(k *parker) {
+// help is a helper goroutine's loop: wait for a new generation, run the
+// window for w's home shards, report done.
+func (p *pool) help(w *worker, k *parker) {
 	defer p.exited.Done()
 	var seen uint64
 	for {
@@ -129,37 +125,23 @@ func (p *pool) help(k *parker) {
 		if p.stop {
 			return
 		}
-		p.claim(p.end)
+		w.runWindow(p.g.par, p.end)
 		if p.done.Add(1) == int64(len(p.helpers)) {
 			p.coord.unpark()
 		}
 	}
 }
 
-// claim runs unclaimed active shards until none remain.
-func (p *pool) claim(end sim.Time) {
-	active := p.g.active
-	for {
-		i := int(p.next.Add(1)) - 1
-		if i >= len(active) {
-			return
-		}
-		s := active[i]
-		s.err = s.Eng.RunUntil(end)
-	}
-}
-
-// runWindow runs one window across the pool and returns once every shard
-// has executed it.
+// runWindow runs one window across the pool and returns once every worker
+// has published its summary.
 func (p *pool) runWindow(end sim.Time) {
 	p.end = end
-	p.next.Store(0)
 	p.done.Store(0)
 	p.gen.Add(1)
 	for _, k := range p.helpers {
 		k.unpark()
 	}
-	p.claim(end)
+	p.g.workers[0].runWindow(p.g.par, end)
 	all := int64(len(p.helpers))
 	if p.done.Load() != all {
 		start := time.Now()

@@ -100,7 +100,9 @@ func TestPoolMoreWorkersThanShards(t *testing.T) {
 
 // TestPoolDeterminismMatrix runs ring models of several sizes and
 // lookaheads at 1, 2, 4 and 8 workers: delivery logs, executed events and
-// the schedule counters must match the sequential run exactly.
+// the schedule counters must match the single-worker run exactly.
+// BusiestWorkerEvents depends on the home assignment, so it is compared
+// only between two runs at the same worker count.
 func TestPoolDeterminismMatrix(t *testing.T) {
 	for _, k := range []int{2, 5, 9} {
 		for _, lookahead := range []sim.Time{1, 100, 1000} {
@@ -117,17 +119,33 @@ func TestPoolDeterminismMatrix(t *testing.T) {
 			if baseStats.ActiveShardWindows == 0 || baseStats.ActiveShardWindows > baseStats.ShardWindows {
 				t.Fatalf("k=%d lookahead=%d: implausible stats %+v", k, lookahead, baseStats)
 			}
+			var total uint64
+			for _, s := range base.group.Shards() {
+				total += s.Eng.Executed
+			}
+			if baseStats.BusiestWorkerEvents != total {
+				t.Fatalf("k=%d lookahead=%d: one worker ran %d of %d events on its critical path",
+					k, lookahead, baseStats.BusiestWorkerEvents, total)
+			}
 			for _, workers := range []int{2, 4, 8} {
 				m, st := run(workers)
 				if !reflect.DeepEqual(base.logs, m.logs) {
 					t.Fatalf("k=%d lookahead=%d workers=%d: delivery logs differ", k, lookahead, workers)
 				}
+				if _, again := run(workers); again != st {
+					t.Fatalf("k=%d lookahead=%d workers=%d: stats %+v, then %+v", k, lookahead, workers, st, again)
+				}
+				if st.BusiestWorkerEvents > total || k >= 5 && st.BusiestWorkerEvents == total {
+					t.Fatalf("k=%d lookahead=%d workers=%d: busiest worker ran %d of %d events",
+						k, lookahead, workers, st.BusiestWorkerEvents, total)
+				}
+				st.BusiestWorkerEvents = baseStats.BusiestWorkerEvents
 				if st != baseStats {
-					t.Fatalf("k=%d lookahead=%d workers=%d: stats %+v, sequential %+v", k, lookahead, workers, st, baseStats)
+					t.Fatalf("k=%d lookahead=%d workers=%d: stats %+v, one worker %+v", k, lookahead, workers, st, baseStats)
 				}
 				for i, s := range m.group.Shards() {
 					if s.Eng.Executed != base.group.Shards()[i].Eng.Executed {
-						t.Fatalf("k=%d lookahead=%d workers=%d: shard %d executed %d events, sequential %d",
+						t.Fatalf("k=%d lookahead=%d workers=%d: shard %d executed %d events, one worker %d",
 							k, lookahead, workers, i, s.Eng.Executed, base.group.Shards()[i].Eng.Executed)
 					}
 				}
@@ -158,31 +176,40 @@ func frameRing(k int) *Group {
 	return g
 }
 
-// TestPoolAllocationFlatInWindows gates the pool's per-window cost: a
-// parallel Run allocates once for its pool, never per window, so a 1 ms
-// run (about a thousand windows) and a 10 ms run allocate the same.
+// TestPoolAllocationFlatInWindows gates the per-window cost: a Run
+// allocates at most once for its pool, never per window, so a 1 ms run
+// (about a thousand windows) and a 10 ms run allocate the same. With one
+// worker there is no pool, and the homes are computed into reused slices,
+// so a Run does not allocate at all.
 func TestPoolAllocationFlatInWindows(t *testing.T) {
-	g := frameRing(4)
-	horizon := 5 * sim.Millisecond
-	if err := g.Run(horizon, 2); err != nil { // warm buffers and free lists
-		t.Fatal(err)
-	}
-	measure := func(span sim.Time) float64 {
-		return testing.AllocsPerRun(10, func() {
-			horizon += span
-			if err := g.Run(horizon, 2); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	before := g.Windows
-	short := measure(sim.Millisecond)
-	mid := g.Windows
-	long := measure(10 * sim.Millisecond)
-	if perShort, perLong := (mid-before)/11, (g.Windows-mid)/11; perLong < 5*perShort || perShort < 500 {
-		t.Fatalf("windows per run: %d short, %d long; the runs do not exercise the barrier", perShort, perLong)
-	}
-	if long != short {
-		t.Errorf("a 10 ms run allocates %.0f times, a 1 ms run %.0f: allocation grows with windows", long, short)
+	for _, workers := range []int{1, 2} {
+		g := frameRing(4)
+		horizon := 5 * sim.Millisecond
+		if err := g.Run(horizon, workers); err != nil { // warm buffers and free lists
+			t.Fatal(err)
+		}
+		measure := func(span sim.Time) float64 {
+			return testing.AllocsPerRun(10, func() {
+				horizon += span
+				if err := g.Run(horizon, workers); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		before := g.Windows
+		short := measure(sim.Millisecond)
+		mid := g.Windows
+		long := measure(10 * sim.Millisecond)
+		if perShort, perLong := (mid-before)/11, (g.Windows-mid)/11; perLong < 5*perShort || perShort < 500 {
+			t.Fatalf("workers=%d: windows per run: %d short, %d long; the runs do not exercise the barrier",
+				workers, perShort, perLong)
+		}
+		if long != short {
+			t.Errorf("workers=%d: a 10 ms run allocates %.0f times, a 1 ms run %.0f: allocation grows with windows",
+				workers, long, short)
+		}
+		if workers == 1 && short != 0 {
+			t.Errorf("workers=1: a Run allocates %.0f times, want 0", short)
+		}
 	}
 }

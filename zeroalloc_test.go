@@ -77,8 +77,8 @@ func TestObsRecordZeroAlloc(t *testing.T) {
 
 // TestCrossShardInjectZeroAlloc gates the parallel runtime's cross-shard
 // path: two shards ping-pong a frame over 1µs-lookahead links, so every
-// synchronization window exercises Link.Send, the barrier collect/sort,
-// Group.inject's batched CallAt scheduling and the per-link due FIFO.
+// synchronization window exercises Link.Send, the home's drain and sort,
+// its batched CallAt injection and the per-link due FIFO.
 // Once the link buffers, inboxes, FIFOs and event free-lists have warmed
 // up, running more windows must not allocate: neither a closure per
 // message nor an interface conversion per frame.
