@@ -280,7 +280,6 @@ func New(cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Hosts; i++ {
 		name := fmt.Sprintf("host%02d", i)
 		hspec := cfg.Host
-		hspec.Split = testbed.Monolithic
 		hspec.Seed = hostSeed(cfg.Seed, i)
 		hspec.Pipe = nil
 		if hspec.Fault != nil {

@@ -248,14 +248,11 @@ func (r ChaosResult) String() string {
 		if b0, ok := base[row.Variant]; ok && b0.P99 > 0 && row.FaultRate > 0 {
 			p99x = fmt.Sprintf("%.2fx", float64(row.High.P99)/float64(b0.P99))
 		}
-		injected := row.Faults.Corrupted + row.Faults.LinkDropped + row.Faults.Jittered +
-			row.Faults.OverrunDropped + row.Faults.IRQsLost + row.Faults.IRQsSpurious +
-			row.Faults.SoftirqStalls + row.Faults.ConsumerStalls
 		fmt.Fprintf(&b, "%-11s %5.2f %10.1f %10.1f %8s %10.1f %10.1f %7d %7d %8d %7.0f%%\n",
 			row.Variant.Label(), row.FaultRate,
 			row.High.P50.Micros(), row.High.P99.Micros(), p99x,
 			row.Low.P50.Micros(), row.Low.P99.Micros(),
-			row.Shed, row.Rescues, injected, 100*row.Util)
+			row.Shed, row.Rescues, row.Faults.Injected(), 100*row.Util)
 	}
 	return b.String()
 }

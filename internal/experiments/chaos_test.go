@@ -89,9 +89,7 @@ func TestChaosGoldenInjectsFaults(t *testing.T) {
 		t.Fatalf("parse golden: %v", err)
 	}
 	for _, row := range want.Rows {
-		injected := row.Faults.Corrupted + row.Faults.LinkDropped + row.Faults.Jittered +
-			row.Faults.OverrunDropped + row.Faults.IRQsLost + row.Faults.IRQsSpurious +
-			row.Faults.SoftirqStalls + row.Faults.ConsumerStalls
+		injected := row.Faults.Injected()
 		if row.FaultRate == 0 && injected != 0 {
 			t.Errorf("%s rate 0: fixture shows %d injected faults, want 0", row.Variant.Label(), injected)
 		}

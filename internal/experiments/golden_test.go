@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -10,7 +8,6 @@ import (
 	"testing"
 
 	"prism/internal/prio"
-	"prism/internal/stats"
 )
 
 // The golden equivalence fixtures pin the datapath's observable behavior
@@ -24,39 +21,18 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden datapat
 
 const goldenPath = "testdata/datapath_golden.json"
 
-// goldenSplit is one wire-split run's full observable state, with the two
-// large streams (metrics exposition, span stream) compressed to digests.
-// The same fixture must be reproduced by every worker count.
-type goldenSplit struct {
-	Samples    []sample
-	CDF        []stats.CDFPoint
-	Sent       uint64
-	Received   uint64
-	Windows    uint64
-	SpanCount  int
-	MetricsSHA string
-	SpansSHA   string
-}
-
 // goldenFile is the committed equivalence fixture: the paper-figure
-// results the ISSUE names (Fig. 3/8/9/11) at determinism-test scale, plus
-// the split-rig per-flow delivered sequence and observability digests.
+// results (Fig. 3/8/9/11) at determinism-test scale.
 type goldenFile struct {
 	Fig3  Fig3Result
 	Fig8  Fig8Result
 	Fig9  Fig9Result
 	Fig11 Fig11Result
-	Split goldenSplit
 }
 
 // goldenFig11Loads keeps the sweep small enough for a committed fixture
 // while still covering idle, mid, and saturating load.
 var goldenFig11Loads = []float64{0, 100_000, 300_000}
-
-func sha(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
 
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
@@ -67,23 +43,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
-// captureSplit reruns the deterministic split workload and reduces it to
-// the golden shape.
-func captureSplit(t *testing.T, workers int) goldenSplit {
-	t.Helper()
-	o := runSplit(t, workers)
-	return goldenSplit{
-		Samples:    o.Samples,
-		CDF:        o.CDF,
-		Sent:       o.Sent,
-		Received:   o.Received,
-		Windows:    o.Windows,
-		SpanCount:  len(o.Spans),
-		MetricsSHA: sha([]byte(o.Metrics)),
-		SpansSHA:   sha(mustJSON(t, o.Spans)),
-	}
-}
-
 func captureGolden(t *testing.T) goldenFile {
 	t.Helper()
 	p := detParams()
@@ -92,14 +51,12 @@ func captureGolden(t *testing.T) goldenFile {
 		Fig8:  Fig8(p),
 		Fig9:  Fig9(p),
 		Fig11: Fig11(p, goldenFig11Loads),
-		Split: captureSplit(t, 1),
 	}
 }
 
 // TestGoldenDatapathEquivalence asserts the current datapath reproduces
-// the committed pre-refactor fixtures bit-identically — figure results as
-// full JSON, split-rig flows sample-by-sample, and the metrics/span
-// streams by digest — and that the split fixture holds for 1/2/4 workers.
+// the committed pre-refactor figure fixtures bit-identically, as full
+// JSON.
 func TestGoldenDatapathEquivalence(t *testing.T) {
 	got := captureGolden(t)
 
@@ -139,12 +96,6 @@ func TestGoldenDatapathEquivalence(t *testing.T) {
 	check("Fig8", want.Fig8, got.Fig8)
 	check("Fig9", want.Fig9, got.Fig9)
 	check("Fig11", want.Fig11, got.Fig11)
-	check("Split", want.Split, got.Split)
-
-	// The split fixture must also be reproduced by parallel execution.
-	for _, w := range []int{2, 4} {
-		check("Split/workers="+string(rune('0'+w)), want.Split, captureSplit(t, w))
-	}
 }
 
 // TestGoldenCoversAllModes guards the fixture's reach: the figure results
@@ -167,11 +118,5 @@ func TestGoldenCoversAllModes(t *testing.T) {
 		if !seen[m] {
 			t.Errorf("golden Fig9 fixture missing mode %v", m)
 		}
-	}
-	if want.Split.Sent == 0 || len(want.Split.Samples) == 0 {
-		t.Errorf("golden split fixture looks empty: %+v", want.Split)
-	}
-	if want.Split.SpanCount == 0 || want.Split.MetricsSHA == "" {
-		t.Errorf("golden split fixture missing observability digests")
 	}
 }

@@ -4,13 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"prism/internal/obs"
-	"prism/internal/overlay"
-	"prism/internal/prio"
 	"prism/internal/sim"
-	"prism/internal/stats"
-	"prism/internal/testbed"
-	"prism/internal/traffic"
 )
 
 // detParams shrinks runs further than quick(): the determinism matrix
@@ -59,212 +53,6 @@ func TestScalingParallelDeterministic(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		if got := run(w); !reflect.DeepEqual(seq, got) {
 			t.Errorf("Scaling with %d workers diverged from sequential\nseq: %+v\ngot: %+v", w, got, seq)
-		}
-	}
-}
-
-type sample struct {
-	Seq uint64
-	Lat sim.Time
-}
-
-// splitObs is everything a wire-split run observes: the per-flow delivered
-// sequence (order included), the latency histogram's bucket counts, the
-// endpoint counters, and the full observability state — the rendered
-// metrics exposition and the span stream.
-type splitObs struct {
-	Samples        []sample
-	CDF            []stats.CDFPoint
-	Sent, Received uint64
-	Util           float64
-	Windows        uint64
-	Metrics        string
-	Spans          []obs.Event
-}
-
-func runSplit(t *testing.T, workers int) splitObs {
-	t.Helper()
-	p := detParams()
-	r, pp, _ := splitWorkload(p, prio.ModeSync, p.BGRate)
-	var o splitObs
-	pp.OnSample = func(seq uint64, lat sim.Time) {
-		o.Samples = append(o.Samples, sample{seq, lat})
-	}
-	if err := r.Run(p.Warmup, p.Duration, workers); err != nil {
-		t.Fatalf("split run (workers=%d): %v", workers, err)
-	}
-	o.CDF = pp.Hist.CDF()
-	o.Sent, o.Received = pp.Sent, pp.Received
-	host := r.Host()
-	o.Util = host.ProcCore.Utilization(host.Eng.Now())
-	o.Windows = r.Group.Windows
-	o.Metrics = obs.PrometheusText(r.Pipe().M)
-	o.Spans = r.Pipe().T.Events()
-	return o
-}
-
-// TestSplitRigDeterministicAcrossWorkers runs the wire-split two-shard
-// topology under load and asserts the per-flow delivered sequence and the
-// histogram bucket counts are identical whether the two shards run on one
-// worker or several.
-func TestSplitRigDeterministicAcrossWorkers(t *testing.T) {
-	seq := runSplit(t, 1)
-	if len(seq.Samples) < 20 {
-		t.Fatalf("too few samples for a meaningful comparison: %d", len(seq.Samples))
-	}
-	if seq.Windows < 2 {
-		t.Fatalf("expected multiple synchronization windows, got %d", seq.Windows)
-	}
-	if seq.Metrics == "" || len(seq.Spans) == 0 {
-		t.Fatalf("observability state empty: metrics=%d bytes, spans=%d", len(seq.Metrics), len(seq.Spans))
-	}
-	for i := 1; i < len(seq.Samples); i++ {
-		if seq.Samples[i].Seq <= seq.Samples[i-1].Seq {
-			t.Fatalf("delivered sequence not monotonic at %d: %+v", i, seq.Samples[i-1:i+1])
-		}
-	}
-	for _, w := range []int{2, 4} {
-		got := runSplit(t, w)
-		if !reflect.DeepEqual(seq, got) {
-			t.Errorf("split rig with %d workers diverged from sequential:\nseq: sent=%d recv=%d samples=%d windows=%d\ngot: sent=%d recv=%d samples=%d windows=%d",
-				w, seq.Sent, seq.Received, len(seq.Samples), seq.Windows,
-				got.Sent, got.Received, len(got.Samples), got.Windows)
-		}
-	}
-}
-
-// TestSplitRigMatchesPaperOrdering sanity-checks the split topology is a
-// working PRISM testbed, not just a deterministic one: under background
-// load, sync must beat vanilla on the wire-split rig too.
-func TestSplitRigMatchesPaperOrdering(t *testing.T) {
-	p := quickParams()
-	vanHist, _, _ := SplitLatencyUnderLoad(p, prio.ModeVanilla, p.BGRate, 2)
-	syncHist, _, _ := SplitLatencyUnderLoad(p, prio.ModeSync, p.BGRate, 2)
-	van, sync := vanHist.Summarize(), syncHist.Summarize()
-	if van.Count == 0 || sync.Count == 0 {
-		t.Fatalf("no samples: vanilla=%d sync=%d", van.Count, sync.Count)
-	}
-	if sync.Mean >= van.Mean {
-		t.Errorf("PRISM-sync mean %v not below vanilla %v on split rig", sync.Mean, van.Mean)
-	}
-	if sync.P99 >= van.P99 {
-		t.Errorf("PRISM-sync p99 %v not below vanilla %v on split rig", sync.P99, van.P99)
-	}
-}
-
-// rssObs is one RSS-split run's observable state: per-queue delivered
-// sequences, the shard-local observations merged with the stats helpers
-// (the aggregate view a sequential single-host run reports directly), and
-// the observability state merged with the obs helpers — the rendered
-// exposition of the merged registry and the merged span stream.
-type rssObs struct {
-	Samples   [][]sample
-	MergedCDF []stats.CDFPoint
-	AggCount  uint64
-	AggKpps   float64
-	Metrics   string
-	Spans     []obs.Event
-}
-
-// steeredSrc probes client source ports until the flow (src → ctr:port)
-// RSS-hashes onto queue q, mirroring scalingCollision's probing.
-func steeredSrc(t *testing.T, r *testbed.Testbed, ctr *overlay.Container, port uint16, q, idx int) overlay.RemoteEndpoint {
-	t.Helper()
-	for i := 0; i < 256; i++ {
-		cand := overlay.ClientContainer(idx, uint16(43000+i))
-		if r.QueueFor(overlay.EncapToServer(cand, ctr, port, make([]byte, 64))) == q {
-			return cand
-		}
-	}
-	t.Fatalf("no source port found steering to queue %d", q)
-	return overlay.RemoteEndpoint{}
-}
-
-func runRSSSplit(t *testing.T, workers int) rssObs {
-	t.Helper()
-	p := detParams()
-	const queues = 2
-	r := NewTestbed(p, prio.ModeSync, testbed.RSSSplit, WithQueues(queues))
-
-	o := rssObs{Samples: make([][]sample, queues)}
-	pps := make([]*traffic.PingPong, queues)
-	counters := make([]*stats.RateCounter, queues)
-	for q := 0; q < queues; q++ {
-		host := r.Hosts[q]
-		hi := host.AddContainer("hi-srv")
-		bg := host.AddContainer("bg-srv")
-		host.DB.Add(prio.Rule{IP: hi.IP, Port: PortHighPrio})
-
-		hiSrc := steeredSrc(t, r, hi, PortHighPrio, q, 50+2*q)
-		pp := traffic.NewPingPong(r.ClientShard.Eng, host, hi, hiSrc, PortHighPrio, p.HighRate)
-		pp.Warmup = p.Warmup
-		pp.Inject = r.Inject(q)
-		qq := q
-		pp.OnSample = func(seq uint64, lat sim.Time) {
-			o.Samples[qq] = append(o.Samples[qq], sample{seq, lat})
-		}
-		mustNoErr(pp.InstallEcho(p.EchoCost))
-		pp.Start(r.Client, 0)
-		pps[q] = pp
-
-		bgSrc := steeredSrc(t, r, bg, PortBackgrnd, q, 51+2*q)
-		fl := traffic.NewUDPFlood(r.ClientShard.Eng, host, bg, bgSrc, PortBackgrnd, p.BGRate/4)
-		fl.Burst = p.BGBurst
-		fl.Poisson = false
-		fl.JitterFrac = 0.25
-		fl.Inject = r.Inject(q)
-		counters[q] = stats.NewRateCounter("q")
-		fl.Delivered = counters[q]
-		mustNoErr(fl.InstallSink(p.SinkCost))
-		fl.Start(0)
-
-		ctr := counters[q]
-		host.Eng.At(p.Warmup, func() { ctr.Start(p.Warmup) })
-	}
-
-	if err := r.Run(p.Warmup, p.Duration, workers); err != nil {
-		t.Fatalf("rss split run (workers=%d): %v", workers, err)
-	}
-
-	// Shard-local observations fold into the aggregate view via the merge
-	// helpers: histograms by bucket, rate counters by count + window union,
-	// metric registries by label set, span streams by (time, stream, seq).
-	merged := stats.MergeHistograms(pps[0].Hist, pps[1].Hist)
-	o.MergedCDF = merged.CDF()
-	agg := stats.NewRateCounter("agg")
-	for _, c := range counters {
-		agg.Merge(c)
-	}
-	o.AggCount = agg.Count()
-	o.AggKpps = agg.Kpps(r.Hosts[0].Eng.Now())
-	o.Metrics = obs.PrometheusText(obs.MergeRegistries(r.Pipes[0].M, r.Pipes[1].M))
-	o.Spans = obs.MergeEvents(r.Pipes[0].T.Events(), r.Pipes[1].T.Events())
-	return o
-}
-
-// TestRSSSplitDeterministicAcrossWorkers is the RSS half of the ISSUE's
-// determinism regression: the per-RX-queue sharded topology must deliver
-// identical per-flow sequences and identical merged histogram buckets
-// sequentially and with 2/4 workers.
-func TestRSSSplitDeterministicAcrossWorkers(t *testing.T) {
-	seq := runRSSSplit(t, 1)
-	for q, s := range seq.Samples {
-		if len(s) < 20 {
-			t.Fatalf("queue %d: too few samples: %d", q, len(s))
-		}
-	}
-	if seq.AggCount == 0 {
-		t.Fatal("no background deliveries recorded")
-	}
-	if seq.Metrics == "" || len(seq.Spans) == 0 {
-		t.Fatalf("observability state empty: metrics=%d bytes, spans=%d", len(seq.Metrics), len(seq.Spans))
-	}
-	for _, w := range []int{2, 4} {
-		got := runRSSSplit(t, w)
-		if !reflect.DeepEqual(seq, got) {
-			t.Errorf("RSS split with %d workers diverged from sequential:\nseq: agg=%d kpps=%.3f q0=%d q1=%d\ngot: agg=%d kpps=%.3f q0=%d q1=%d",
-				w, seq.AggCount, seq.AggKpps, len(seq.Samples[0]), len(seq.Samples[1]),
-				got.AggCount, got.AggKpps, len(got.Samples[0]), len(got.Samples[1]))
 		}
 	}
 }

@@ -133,7 +133,7 @@ func WithPolicy(name string) RigOption {
 }
 
 // WithFault threads a deterministic fault-injection plane through the
-// host (Monolithic rigs only; see testbed.Spec.Fault).
+// host (see testbed.Spec.Fault).
 func WithFault(cfg *fault.Config) RigOption {
 	return func(s *testbed.Spec) { s.Fault = cfg }
 }
@@ -167,17 +167,6 @@ func BaseSpec(p Params, mode prio.Mode) testbed.Spec {
 	}
 }
 
-// NewTestbed declaratively builds any experiment topology — Monolithic,
-// WireSplit or RSSSplit — from the shared Params.
-func NewTestbed(p Params, mode prio.Mode, split testbed.Split, opts ...RigOption) *testbed.Testbed {
-	spec := BaseSpec(p, mode)
-	spec.Split = split
-	for _, opt := range opts {
-		opt(&spec)
-	}
-	return testbed.New(spec)
-}
-
 // Rig is one fully wired single-engine testbed instance.
 type Rig struct {
 	Eng    *sim.Engine
@@ -190,14 +179,18 @@ type Rig struct {
 // NewRig builds the standard monolithic testbed for a mode; options opt
 // into observability, RX queues, poll-policy and batch-weight overrides.
 func NewRig(p Params, mode prio.Mode, opts ...RigOption) *Rig {
-	tb := NewTestbed(p, mode, testbed.Monolithic, opts...)
-	return &Rig{Eng: tb.Eng, Host: tb.Host(), Client: tb.Client, tb: tb}
+	spec := BaseSpec(p, mode)
+	for _, opt := range opts {
+		opt(&spec)
+	}
+	tb := testbed.New(spec)
+	return &Rig{Eng: tb.Eng, Host: tb.Host, Client: tb.Client, tb: tb}
 }
 
 // Run executes warmup + duration and resets the utilization window at the
 // end of warmup so Utilization reflects only the measured interval.
 func (r *Rig) Run(p Params) error {
-	return r.tb.Run(p.Warmup, p.Duration, 1)
+	return r.tb.Run(p.Warmup, p.Duration)
 }
 
 // Utilization returns the processing core's busy fraction over the
@@ -217,13 +210,7 @@ func (r *Rig) CheckInvariants() error { return r.tb.CheckInvariants() }
 
 // FaultStats returns the fault plane's counters (zero when the rig was
 // built without WithFault).
-func (r *Rig) FaultStats() fault.Counters {
-	var c fault.Counters
-	for _, p := range r.tb.Planes {
-		c = p.Stats()
-	}
-	return c
-}
+func (r *Rig) FaultStats() fault.Counters { return r.tb.Plane.Stats() }
 
 // Modes lists the three compared configurations in presentation order.
 var Modes = []prio.Mode{prio.ModeVanilla, prio.ModeBatch, prio.ModeSync}

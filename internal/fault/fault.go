@@ -166,6 +166,17 @@ type Counters struct {
 	TorLinkDowns    uint64
 }
 
+// Injected sums the faults that hit a frame, an interrupt, a core or a
+// host. Flap, overrun-burst and ToR-link windows are left out: each opens
+// a window whose effect is already counted per frame (LinkDropped,
+// OverrunDropped) or by the fabric. WireFrames and WatchdogRescues are
+// not faults.
+func (c Counters) Injected() uint64 {
+	return c.Corrupted + c.LinkDropped + c.Jittered + c.OverrunDropped +
+		c.IRQsLost + c.IRQsSpurious + c.SoftirqStalls + c.ConsumerStalls +
+		c.HostCrashes
+}
+
 // Device is the watchdog/interrupt surface a NIC exposes to the plane.
 type Device interface {
 	// DeviceName labels the device in fault metrics.

@@ -33,6 +33,35 @@ func TestNilPlaneIsInert(t *testing.T) {
 
 // TestRateZeroPassesThrough: a constructed plane at rate 0 must behave
 // exactly like a nil one on the injection paths.
+// TestCountersInjected gives every counter a distinct power of two, so the
+// sum shows exactly which terms it includes: a dropped or extra term
+// changes the result.
+func TestCountersInjected(t *testing.T) {
+	c := Counters{
+		WireFrames:      1 << 0,
+		Corrupted:       1 << 1,
+		LinkFlaps:       1 << 2,
+		LinkDropped:     1 << 3,
+		Jittered:        1 << 4,
+		OverrunBursts:   1 << 5,
+		OverrunDropped:  1 << 6,
+		IRQsLost:        1 << 7,
+		IRQsSpurious:    1 << 8,
+		SoftirqStalls:   1 << 9,
+		ConsumerStalls:  1 << 10,
+		WatchdogRescues: 1 << 11,
+		HostCrashes:     1 << 12,
+		TorLinkDowns:    1 << 13,
+	}
+	want := uint64(1<<1 | 1<<3 | 1<<4 | 1<<6 | 1<<7 | 1<<8 | 1<<9 | 1<<10 | 1<<12)
+	if got := c.Injected(); got != want {
+		t.Errorf("Injected() = %#b, want %#b", got, want)
+	}
+	if got := (Counters{}).Injected(); got != 0 {
+		t.Errorf("zero counters: Injected() = %d", got)
+	}
+}
+
 func TestRateZeroPassesThrough(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := NewPlane(eng, Config{Seed: 1, Rate: 0})

@@ -107,7 +107,7 @@ func (e Event) Duration() sim.Time { return e.End - e.Start }
 // replaced once handles are bound: they hold pointers into it.
 type Pipeline struct {
 	// Shard labels every metric this pipeline records; it identifies the
-	// collection domain (RSS shard, mode run) in merged exports.
+	// collection domain (cluster host, mode run) in merged exports.
 	Shard string
 
 	T *Tracer

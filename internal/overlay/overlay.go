@@ -335,7 +335,7 @@ func (h *Host) InjectFromWire(now sim.Time, frame []byte) {
 		}
 		frame = out
 	}
-	h.NICs[h.rssQueue(frame)].DMA(now, frame)
+	h.NICs[h.QueueFor(frame)].DMA(now, frame)
 }
 
 // runDelayedInject is the deferred-DMA trampoline for jitter-delayed
@@ -344,7 +344,7 @@ func runDelayedInject(at sim.Time, a1, a2 any) {
 	h := a1.(*Host)
 	buf := a2.(*pkt.Frame)
 	h.delayedInFlight--
-	h.NICs[h.rssQueue(buf.B)].DMA(at, buf.B)
+	h.NICs[h.QueueFor(buf.B)].DMA(at, buf.B)
 	buf.Release()
 }
 
@@ -356,18 +356,11 @@ func (h *Host) DelayedInFlight() int { return h.delayedInFlight }
 // it must equal DelayedInFlight at all times and be zero after a drain.
 func (h *Host) DelayPoolOutstanding() int { return h.delayPool.Outstanding() }
 
-// QueueFor reports which RX queue RSS steers a frame to; experiments use
-// it to construct colliding or isolated flow placements deliberately.
-func (h *Host) QueueFor(frame []byte) int { return h.rssQueue(frame) }
-
-// rssQueue hashes the outer 5-tuple to an RX queue, as NIC RSS does.
-func (h *Host) rssQueue(frame []byte) int { return RSSQueue(frame, len(h.NICs)) }
-
-// RSSQueue is the NIC's RSS steering function: it hashes a frame's outer
-// 5-tuple onto one of queues RX queues. It is exported so parallel
-// topologies that shard the host per RX queue (internal/par) can steer
-// frames to the right shard with the exact hash the NIC would use.
-func RSSQueue(frame []byte, queues int) int {
+// QueueFor is the NIC's RSS steering function: it hashes a frame's outer
+// 5-tuple onto one of the host's RX queues. Experiments use it to
+// construct colliding or isolated flow placements deliberately.
+func (h *Host) QueueFor(frame []byte) int {
+	queues := len(h.NICs)
 	if queues <= 1 {
 		return 0
 	}

@@ -32,7 +32,7 @@ type Plan struct {
 	Variants   []experiments.PolicyVariant
 	ClusterCfg experiments.ClusterConfig
 
-	// Custom topology targets: Spec for single-host splits, Cluster for
+	// Custom topology targets: Spec for single-host runs, Cluster for
 	// multi-host runs. Exactly one is non-nil on a custom plan.
 	Spec       *testbed.Spec
 	ClusterRun *cluster.Config
@@ -192,14 +192,6 @@ func Compile(s *Scenario) (*Plan, error) {
 	}
 
 	spec := experiments.BaseSpec(p, mode)
-	switch t.Split {
-	case "wire-split":
-		spec.Split = testbed.WireSplit
-	case "rss-split":
-		spec.Split = testbed.RSSSplit
-	default:
-		spec.Split = testbed.Monolithic
-	}
 	spec.Policy = t.Policy
 	spec.Costs = costs
 	spec.RxQueues = t.RxQueues

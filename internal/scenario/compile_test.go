@@ -7,7 +7,6 @@ import (
 
 	"prism/internal/experiments"
 	"prism/internal/sim"
-	"prism/internal/testbed"
 )
 
 const corpusDir = "../../scenarios"
@@ -70,7 +69,7 @@ func TestCustomCompile(t *testing.T) {
 		if plan.Spec == nil {
 			t.Fatal("incast should compile to a testbed spec")
 		}
-		if plan.Spec.Split != testbed.Monolithic || !plan.Spec.Shed {
+		if !plan.Spec.Shed {
 			t.Errorf("spec = %+v", plan.Spec)
 		}
 		fanin := plan.Scenario.Workload[1]
@@ -105,12 +104,6 @@ func TestCustomCompile(t *testing.T) {
 		}
 		if !plan.Spec.Shed {
 			t.Error("shed should be on")
-		}
-	})
-	t.Run("rss-split", func(t *testing.T) {
-		plan := loadCorpus(t, "rss-split.yaml")
-		if plan.Spec.Split != testbed.RSSSplit || plan.Spec.RxQueues != 2 {
-			t.Errorf("spec = %+v", plan.Spec)
 		}
 	})
 	t.Run("diurnal", func(t *testing.T) {

@@ -252,7 +252,6 @@ type generator struct {
 	flood *traffic.UDPFlood // first sender (owns the shared sink counter)
 	subs  []*traffic.UDPFlood
 	tcp   *traffic.TCPStream
-	host  *overlay.Host
 }
 
 func (g *generator) stop() {
@@ -267,42 +266,29 @@ func (g *generator) stop() {
 	}
 }
 
-// steeredEndpoint probes client source ports until the flow RSS-hashes
-// onto queue q — the same placement contract the RSS scaling tests use.
-func steeredEndpoint(tb *testbed.Testbed, ctr *overlay.Container, port uint16, q, idx int) (overlay.RemoteEndpoint, error) {
-	for i := 0; i < 256; i++ {
-		cand := overlay.ClientContainer(idx, uint16(43000+256*idx+i))
-		if tb.QueueFor(overlay.EncapToServer(cand, ctr, port, make([]byte, 64))) == q {
-			return cand, nil
-		}
-	}
-	return overlay.RemoteEndpoint{}, fmt.Errorf("scenario: no client port steers flow %d to RX queue %d", idx, q)
-}
-
-// runCustom wires and runs a single-machine topology (monolithic,
-// wire-split or RSS-split) from the declared workload groups.
+// runCustom wires and runs a single-machine topology from the declared
+// workload groups.
 func (p *Plan) runCustom() (*Result, error) {
 	s := p.Scenario
 	pm := p.Params
 	spec := *p.Spec
-	if spec.Split != testbed.RSSSplit {
-		name := s.Name
-		if name == "" {
-			name = "scenario"
-		}
-		spec.Pipe = obs.NewPipeline(name)
+	name := s.Name
+	if name == "" {
+		name = "scenario"
 	}
+	spec.Pipe = obs.NewPipeline(name)
 	tb := testbed.New(spec)
-	genEng := tb.ClientEng()
+	eng, host := tb.Eng, tb.Host
 
 	gens := make([]*generator, len(s.Workload))
+	// Every sender is its own client container; indices run across groups.
 	srcIdx := 0
+	nextSrc := func() overlay.RemoteEndpoint {
+		ep := overlay.ClientContainer(srcIdx, uint16(40000+srcIdx))
+		srcIdx++
+		return ep
+	}
 	for i, g := range s.Workload {
-		q := 0
-		if spec.Split == testbed.RSSSplit {
-			q = i % len(tb.Hosts)
-		}
-		host := tb.Hosts[q]
 		ctr := host.AddContainer(g.Name)
 		port := uint16(g.Port)
 		if port == 0 {
@@ -311,44 +297,24 @@ func (p *Plan) runCustom() (*Result, error) {
 		if g.Priority == "hi" {
 			host.DB.Add(prio.Rule{IP: ctr.IP, Port: port})
 		}
-		src := func(idx int) (overlay.RemoteEndpoint, error) {
-			if spec.Split == testbed.RSSSplit {
-				return steeredEndpoint(tb, ctr, port, q, idx)
-			}
-			return overlay.ClientContainer(idx, uint16(40000+idx)), nil
-		}
-		inject := tb.Inject(q)
-		gen := &generator{group: g, host: host}
+		gen := &generator{group: g}
 		switch g.Type {
 		case "echo":
-			ep, err := src(srcIdx)
-			if err != nil {
-				return nil, err
-			}
-			srcIdx++
-			pp := traffic.NewPingPong(genEng, host, ctr, ep, port, g.Rate)
+			pp := traffic.NewPingPong(eng, host, ctr, nextSrc(), port, g.Rate)
 			pp.Warmup = pm.Warmup
-			if inject != nil {
-				pp.Inject = inject
-			}
 			if err := pp.InstallEcho(pm.EchoCost); err != nil {
 				return nil, fmt.Errorf("scenario: group %s: %w", g.Name, err)
 			}
 			pp.Start(tb.Client, 0)
 			gen.pp = pp
-			schedulePhases(genEng, g, g.Rate, func(r float64) { pp.Rate = r })
+			schedulePhases(eng, g, g.Rate, func(r float64) { pp.Rate = r })
 			if g.StopAt > 0 {
-				genEng.At(g.StopAt, pp.Stop)
+				eng.At(g.StopAt, pp.Stop)
 			}
 		case "flood":
 			perSender := g.Rate / float64(g.Senders)
 			for k := 0; k < g.Senders; k++ {
-				ep, err := src(srcIdx)
-				if err != nil {
-					return nil, err
-				}
-				srcIdx++
-				fl := traffic.NewUDPFlood(genEng, host, ctr, ep, port, perSender)
+				fl := traffic.NewUDPFlood(eng, host, ctr, nextSrc(), port, perSender)
 				if g.Burst > 0 {
 					fl.Burst = g.Burst
 				}
@@ -360,9 +326,6 @@ func (p *Plan) runCustom() (*Result, error) {
 				}
 				if g.PayloadLen > 0 {
 					fl.PayloadLen = g.PayloadLen
-				}
-				if inject != nil {
-					fl.Inject = inject
 				}
 				if k == 0 {
 					// One shared sink: the first sender's counter tallies
@@ -376,23 +339,15 @@ func (p *Plan) runCustom() (*Result, error) {
 				fl.Start(0)
 				gen.subs = append(gen.subs, fl)
 				flc := fl
-				schedulePhases(genEng, g, perSender, func(r float64) { flc.Rate = r })
+				schedulePhases(eng, g, perSender, func(r float64) { flc.Rate = r })
 				if g.StopAt > 0 {
-					genEng.At(g.StopAt, flc.Stop)
+					eng.At(g.StopAt, flc.Stop)
 				}
 			}
 		case "tcp":
-			ep, err := src(srcIdx)
-			if err != nil {
-				return nil, err
-			}
-			srcIdx++
-			ts := traffic.NewTCPStream(genEng, host, ctr, ep, port, g.Rate)
+			ts := traffic.NewTCPStream(eng, host, ctr, nextSrc(), port, g.Rate)
 			if g.MsgSize > 0 {
 				ts.MsgSize = g.MsgSize
-			}
-			if inject != nil {
-				ts.Inject = inject
 			}
 			if err := ts.InstallSink(pm.SinkCost); err != nil {
 				return nil, fmt.Errorf("scenario: group %s: %w", g.Name, err)
@@ -400,38 +355,32 @@ func (p *Plan) runCustom() (*Result, error) {
 			host.Eng.At(pm.Warmup, func() { ts.Delivered.Start(pm.Warmup) })
 			ts.Start(0)
 			gen.tcp = ts
-			schedulePhases(genEng, g, g.Rate, func(r float64) { ts.MsgRate = r })
+			schedulePhases(eng, g, g.Rate, func(r float64) { ts.MsgRate = r })
 			if g.StopAt > 0 {
-				genEng.At(g.StopAt, ts.Stop)
+				eng.At(g.StopAt, ts.Stop)
 			}
 		}
 		gens[i] = gen
 	}
 
-	if err := tb.Run(pm.Warmup, pm.Duration, pm.Workers); err != nil {
+	if err := tb.Run(pm.Warmup, pm.Duration); err != nil {
 		return nil, err
 	}
 
 	res := &Result{Metrics: map[string]float64{}, Digests: map[string]string{}}
 	m := res.Metrics
-	var util float64
-	for _, h := range tb.Hosts {
-		util += h.ProcCore.Utilization(h.Eng.Now())
-	}
-	m["util"] = util / float64(len(tb.Hosts))
+	now := eng.Now()
+	m["util"] = host.ProcCore.Utilization(now)
 	var shed uint64
-	for _, h := range tb.Hosts {
-		for _, n := range h.NICs {
-			shed += n.ShedDrops
-		}
-		for _, rx := range h.Rxs {
-			shed += rx.Stats().Shed
-		}
+	for _, n := range host.NICs {
+		shed += n.ShedDrops
+	}
+	for _, rx := range host.Rxs {
+		shed += rx.Stats().Shed
 	}
 	m["shed"] = float64(shed)
 	for _, gen := range gens {
 		g := gen.group
-		now := gen.host.Eng.Now()
 		switch {
 		case gen.pp != nil:
 			addSummary(m, g.Name, gen.pp.Hist.Summarize())
@@ -452,16 +401,10 @@ func (p *Plan) runCustom() (*Result, error) {
 			m[g.Name+"_kpps"] = gen.tcp.Delivered.Kpps(now)
 		}
 	}
-	if planes := tb.Planes; len(planes) > 0 {
-		var injected, rescues uint64
-		for _, pl := range planes {
-			c := pl.Stats()
-			injected += c.Corrupted + c.LinkDropped + c.Jittered + c.OverrunDropped +
-				c.IRQsLost + c.IRQsSpurious + c.SoftirqStalls + c.ConsumerStalls
-			rescues += c.WatchdogRescues
-		}
-		m["faults_injected"] = float64(injected)
-		m["faults_rescues"] = float64(rescues)
+	if tb.Plane != nil {
+		c := tb.Plane.Stats()
+		m["faults_injected"] = float64(c.Injected())
+		m["faults_rescues"] = float64(c.WatchdogRescues)
 	}
 
 	if s.Conservation {
@@ -477,18 +420,10 @@ func (p *Plan) runCustom() (*Result, error) {
 		m["conservation_ok"] = 1
 	}
 
-	var pipes []*obs.Pipeline
-	for _, pipe := range tb.Pipes {
-		if pipe != nil {
-			pipes = append(pipes, pipe)
-		}
-	}
-	if len(pipes) > 0 {
-		var err error
-		res.Digests["metrics"], res.Digests["spans"], err = obs.Digests(pipes...)
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	res.Digests["metrics"], res.Digests["spans"], err = obs.Digests(tb.Pipe)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -544,10 +479,7 @@ func (p *Plan) runCustomCluster() (*Result, error) {
 	if c.Cfg.Host.Fault != nil {
 		var injected uint64
 		for _, n := range c.Nodes {
-			st := n.Plane.Stats()
-			injected += st.Corrupted + st.LinkDropped + st.Jittered + st.OverrunDropped +
-				st.IRQsLost + st.IRQsSpurious + st.SoftirqStalls + st.ConsumerStalls +
-				st.HostCrashes
+			injected += n.Plane.Stats().Injected()
 		}
 		m["faults_injected"] = float64(injected)
 	}

@@ -85,7 +85,7 @@ type Experiment struct {
 
 // Topology describes a custom run's machine layout.
 type Topology struct {
-	Split     string // monolithic | wire-split | rss-split | cluster
+	Split     string // monolithic | cluster
 	Mode      string // vanilla | prism-batch | prism-sync
 	Policy    string // softirq poll policy registry name ("" = from mode)
 	RxQueues  int
@@ -394,7 +394,7 @@ func decodeTopology(root *obj) (*Topology, error) {
 		return nil, err
 	}
 	t := &Topology{}
-	if t.Split, err = o.enum("split", "monolithic", "monolithic", "wire-split", "rss-split", "cluster"); err != nil {
+	if t.Split, err = o.enum("split", "monolithic", "monolithic", "cluster"); err != nil {
 		return nil, err
 	}
 	if t.Mode, err = o.enum("mode", "prism-sync", "vanilla", "prism-batch", "prism-sync"); err != nil {
@@ -473,10 +473,6 @@ func decodeTopology(root *obj) (*Topology, error) {
 	}
 	if cluster && (t.RxQueues > 0 || t.BatchSize > 0) {
 		return nil, o.errf("rx_queues/batch_size: not valid with split: cluster (set them on the host template via policy knobs)")
-	}
-	if t.RxQueues > 0 && t.Split == "monolithic" && t.RxQueues > 1 {
-		// allowed: monolithic hosts own all queues
-		_ = t
 	}
 	return t, nil
 }
@@ -847,12 +843,6 @@ func validate(s *Scenario) error {
 	t := s.Topology
 	if len(s.Workload) == 0 {
 		return fmt.Errorf("scenario.workload: a custom topology needs at least one traffic group")
-	}
-	if s.Faults != nil && t.Split != "monolithic" && t.Split != "cluster" {
-		return fmt.Errorf("scenario.faults: fault injection requires split: monolithic or cluster (a plane is engine-local state)")
-	}
-	if s.Conservation && t.Split != "monolithic" && t.Split != "cluster" {
-		return fmt.Errorf("scenario.conservation: only monolithic and cluster runs drain to the strict invariant check")
 	}
 	for i, g := range s.Workload {
 		path := fmt.Sprintf("scenario.workload[%d]", i)

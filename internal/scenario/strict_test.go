@@ -91,7 +91,7 @@ func TestHostileInputs(t *testing.T) {
 		{
 			"unknown enum split",
 			"scenario: v1\ntopology:\n  split: sharded\nworkload:\n  - name: a\n    type: echo\n    rate: 10\n",
-			[]string{"scenario.topology.split", `unknown value "sharded"`, "rss-split"},
+			[]string{"scenario.topology.split", `unknown value "sharded"`, "(valid: monolithic, cluster)"},
 		},
 		{
 			"unknown enum mode",
@@ -181,7 +181,12 @@ func TestHostileInputs(t *testing.T) {
 		{
 			"faults on wire-split",
 			"scenario: v1\ntopology:\n  split: wire-split\nworkload:\n  - name: a\n    type: echo\n    rate: 10\nfaults:\n  rate: 0.2\n",
-			[]string{"scenario.faults", "requires split: monolithic"},
+			[]string{`scenario.topology.split: unknown value "wire-split"`, "(valid: monolithic, cluster)"},
+		},
+		{
+			"removed split rss-split",
+			"scenario: v1\ntopology:\n  split: rss-split\n  rx_queues: 2\nworkload:\n  - name: a\n    type: echo\n    rate: 10\n",
+			[]string{`scenario.topology.split: unknown value "rss-split"`, "(valid: monolithic, cluster)"},
 		},
 		{
 			"duplicate group name",

@@ -1,6 +1,6 @@
 // Package scenario makes runs data: a versioned, strictly-decoded
-// JSON/YAML schema covering topology (monolithic, wire-split, RSS-split,
-// multi-host cluster), poll policy and knobs, traffic mixes (CBR, bursty,
+// JSON/YAML schema covering topology (single host or multi-host
+// cluster), poll policy and knobs, traffic mixes (CBR, bursty,
 // incast, elephant/mice, diurnal), fault timelines, admission control,
 // and declarative SLO assertions. Compile lowers a Scenario onto the
 // exact structures the Go harnesses use — experiments.Params,

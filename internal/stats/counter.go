@@ -78,31 +78,6 @@ func (c *RateCounter) Gbps(now sim.Time) float64 {
 	return float64(c.bytes) * 8 / 1e9 / c.window(now).Seconds()
 }
 
-// Merge folds other's observations into c: counts and bytes add, the
-// measurement window becomes the union of the two windows. Shard-local
-// counters (one per RX-queue shard, say) merge into the aggregate the
-// sequential run would have produced; merge in shard ID order to keep the
-// operation deterministic by construction.
-func (c *RateCounter) Merge(other *RateCounter) {
-	if other == nil || (other.count == 0 && other.bytes == 0 && !other.started) {
-		return
-	}
-	c.count += other.count
-	c.bytes += other.bytes
-	if !c.started {
-		c.started = other.started
-		c.start = other.start
-		c.last = other.last
-		return
-	}
-	if other.started && other.start < c.start {
-		c.start = other.start
-	}
-	if other.last > c.last {
-		c.last = other.last
-	}
-}
-
 // String renders the counter at the last observed time.
 func (c *RateCounter) String() string {
 	return fmt.Sprintf("%s: %d events (%.1f kpps), %d bytes (%.2f Gbps)",

@@ -335,33 +335,6 @@ func TestMergeHistogramsEmpty(t *testing.T) {
 	}
 }
 
-func TestRateCounterMerge(t *testing.T) {
-	a := NewRateCounter("q0")
-	a.Start(0)
-	a.Add(10*sim.Millisecond, 100, 1000)
-	b := NewRateCounter("q1")
-	b.Start(5 * sim.Millisecond)
-	b.Add(20*sim.Millisecond, 300, 3000)
-	a.Merge(b)
-	if a.Count() != 400 || a.Bytes() != 4000 {
-		t.Errorf("count/bytes = %d/%d, want 400/4000", a.Count(), a.Bytes())
-	}
-	// Window is the union [0, 20ms]: 400 events over 20ms = 20 kpps.
-	if got := a.Kpps(20 * sim.Millisecond); math.Abs(got-20) > 0.01 {
-		t.Errorf("Kpps = %v, want 20", got)
-	}
-	// Merging into a never-started counter adopts the other's window.
-	c := NewRateCounter("agg")
-	c.Merge(b)
-	if got := c.PerSecond(20 * sim.Millisecond); math.Abs(got-20000) > 1 {
-		t.Errorf("PerSecond = %v, want 20000 (15ms window)", got)
-	}
-	c.Merge(nil) // no-op
-	if c.Count() != 300 {
-		t.Errorf("count after nil merge = %d", c.Count())
-	}
-}
-
 // eagerHistogram is the construction the lazy buckets replaced: every
 // exponent range allocated up front. It runs the same bucket math, so it is
 // the differential oracle for growth.

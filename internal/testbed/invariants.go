@@ -159,11 +159,10 @@ func CheckHosts(hosts []*overlay.Host, planes []*fault.Plane, strict bool) error
 }
 
 // CheckInvariants verifies packet conservation and pool balance for the
-// testbed's hosts. On a Monolithic testbed whose event queue has drained,
-// the strict zero-leak form is applied automatically.
+// testbed's host. Once the event queue has drained, the strict zero-leak
+// form is applied automatically.
 func (t *Testbed) CheckInvariants() error {
-	strict := t.Eng != nil && t.Eng.Pending() == 0
-	return CheckHosts(t.Hosts, t.Planes, strict)
+	return CheckHosts([]*overlay.Host{t.Host}, []*fault.Plane{t.Plane}, t.Eng.Pending() == 0)
 }
 
 // ClusterTerms aggregates the fabric-level conservation terms of a

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"strings"
 	"testing"
 
 	"prism/internal/obs"
@@ -12,113 +11,44 @@ import (
 
 func TestMonolithicTopology(t *testing.T) {
 	pipe := obs.NewPipeline("host")
-	tb := New(Spec{Split: Monolithic, Seed: 1, Mode: prio.ModeVanilla, Pipe: pipe})
-	if tb.Eng == nil {
-		t.Fatal("monolithic testbed has no engine")
+	tb := New(Spec{Seed: 1, Mode: prio.ModeVanilla, Pipe: pipe})
+	if tb.Eng == nil || tb.Host == nil || tb.Client == nil {
+		t.Fatal("testbed is missing its engine, host or client")
 	}
-	if tb.Group != nil || tb.ClientShard != nil || tb.ServerShards != nil {
-		t.Error("monolithic testbed grew shards")
+	if tb.Host.Eng != tb.Eng {
+		t.Error("host is not on the testbed's engine")
 	}
-	if len(tb.Hosts) != 1 {
-		t.Fatalf("hosts = %d, want 1", len(tb.Hosts))
-	}
-	if tb.Pipe() != pipe {
+	if tb.Pipe != pipe {
 		t.Error("caller's pipeline not installed")
 	}
-	if tb.ClientEng() != tb.Eng {
-		t.Error("ClientEng is not the single engine")
+	if tb.Plane != nil {
+		t.Error("fault plane built without a Spec.Fault")
 	}
-	if tb.Inject(0) != nil {
-		t.Error("monolithic Inject hook should be nil (generators use the host engine)")
-	}
-}
-
-func TestWireSplitTopology(t *testing.T) {
-	tb := New(Spec{Split: WireSplit, Seed: 1, Mode: prio.ModeVanilla})
-	if tb.Eng != nil {
-		t.Error("wire-split testbed kept a monolithic engine")
-	}
-	if tb.Group == nil || tb.ClientShard == nil {
-		t.Fatal("wire-split testbed has no shards")
-	}
-	if len(tb.ServerShards) != 1 || len(tb.Hosts) != 1 {
-		t.Fatalf("server shards/hosts = %d/%d, want 1/1", len(tb.ServerShards), len(tb.Hosts))
-	}
-	if tb.Pipe() == nil {
-		t.Error("wire split must build its own pipeline when the Spec has none")
-	}
-	if tb.ClientEng() != tb.ClientShard.Eng {
-		t.Error("ClientEng is not the client shard's engine")
-	}
-	if tb.Inject(0) == nil {
-		t.Error("wire-split Inject hook is nil")
-	}
-	if tb.Host().WireTx == nil {
-		t.Error("server host does not transmit over the cross-shard wire")
-	}
-}
-
-func TestRSSSplitTopology(t *testing.T) {
-	tb := New(Spec{Split: RSSSplit, Seed: 1, Mode: prio.ModeBatch, RxQueues: 2})
-	if len(tb.ServerShards) != 2 || len(tb.Hosts) != 2 || len(tb.Pipes) != 2 {
-		t.Fatalf("shards/hosts/pipes = %d/%d/%d, want 2/2/2",
-			len(tb.ServerShards), len(tb.Hosts), len(tb.Pipes))
-	}
-	for q, s := range tb.ServerShards {
-		if want := "rxq"; !strings.HasPrefix(s.Name, want) {
-			t.Errorf("shard %d name = %q", q, s.Name)
-		}
-	}
-	// RxQueues < 1 still builds one queue shard.
-	if tb := New(Spec{Split: RSSSplit, Seed: 1}); len(tb.Hosts) != 1 {
-		t.Errorf("zero RxQueues built %d hosts, want 1", len(tb.Hosts))
-	}
-}
-
-func TestRSSInjectPanicsOnMisSteeredFlow(t *testing.T) {
-	tb := New(Spec{Split: RSSSplit, Seed: 1, RxQueues: 2})
-	frame := overlay.HostUDPToServer(4000, 5000, []byte("x"))
-	q := tb.QueueFor(frame)
-	inject := tb.Inject(1 - q)
-	defer func() {
-		if recover() == nil {
-			t.Error("mis-steered inject did not panic")
-		}
-	}()
-	inject(0, 1000, frame)
 }
 
 func TestBatchSizeAppliedAfterBuild(t *testing.T) {
-	// The override must be applied to every host after construction, so it
+	// The override must be applied to the host after construction, so it
 	// wins regardless of where the Costs came from.
-	tb := New(Spec{Split: RSSSplit, Seed: 1, RxQueues: 2, BatchSize: 16})
-	for i, h := range tb.Hosts {
-		if h.Costs.BatchSize != 16 {
-			t.Errorf("host %d BatchSize = %d, want 16", i, h.Costs.BatchSize)
-		}
+	tb := New(Spec{Seed: 1, RxQueues: 2, BatchSize: 16})
+	if len(tb.Host.Rxs) != 2 {
+		t.Fatalf("host has %d RX queues, want 2", len(tb.Host.Rxs))
 	}
-}
-
-func TestUnknownSplitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown split did not panic")
-		}
-	}()
-	New(Spec{Split: Split(99)})
+	if tb.Host.Costs.BatchSize != 16 {
+		t.Errorf("BatchSize = %d, want 16", tb.Host.Costs.BatchSize)
+	}
 }
 
 func TestMonolithicRunDeterministic(t *testing.T) {
 	run := func() uint64 {
-		tb := New(Spec{Split: Monolithic, Seed: 7, Mode: prio.ModeVanilla})
-		host := tb.Host()
+		tb := New(Spec{Seed: 7, Mode: prio.ModeVanilla})
+		host := tb.Host
 		// Drive a handful of host-path frames through the full pipeline.
 		for i := 0; i < 5; i++ {
 			frame := overlay.HostUDPToServer(4000, 5000, []byte{byte(i)})
 			at := sim.Time(1000 * (i + 1))
 			tb.Eng.At(at, func() { host.InjectFromWire(at, frame) })
 		}
-		if err := tb.Run(0, sim.Time(1_000_000), 1); err != nil {
+		if err := tb.Run(0, sim.Time(1_000_000)); err != nil {
 			t.Fatal(err)
 		}
 		// End-of-run hygiene: every injected frame is accounted for and the
@@ -139,11 +69,11 @@ func TestMonolithicRunDeterministic(t *testing.T) {
 // TestInvariantsCatchLeaks guards the checker itself: a fabricated pool
 // imbalance must be reported, so a silent pass can't hide a broken ledger.
 func TestInvariantsCatchLeaks(t *testing.T) {
-	tb := New(Spec{Split: Monolithic, Seed: 3, Mode: prio.ModeVanilla})
-	host := tb.Host()
+	tb := New(Spec{Seed: 3, Mode: prio.ModeVanilla})
+	host := tb.Host
 	frame := overlay.HostUDPToServer(4000, 5000, []byte("leak"))
 	tb.Eng.At(1000, func() { host.InjectFromWire(1000, frame) })
-	if err := tb.Run(0, sim.Time(1_000_000), 1); err != nil {
+	if err := tb.Run(0, sim.Time(1_000_000)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.CheckInvariants(); err != nil {

@@ -49,9 +49,9 @@ func (c *Client) Register(port uint16, fn func(now sim.Time, payload []byte, flo
 
 // Deliver feeds a wire frame into the client stack at time now. The
 // standard topology routes frames here automatically via AttachRemote;
-// parallel split topologies (internal/par) call it from the
-// server→client link's deliver hook so the client machine can run on its
-// own shard.
+// the multi-host cluster (internal/cluster) calls it from the fabric's
+// deliver hook, so the client side can run on another shard than the
+// host.
 func (c *Client) Deliver(now sim.Time, frame []byte) { c.rx(now, frame) }
 
 func (c *Client) rx(now sim.Time, frame []byte) {

@@ -36,8 +36,8 @@ type PingPong struct {
 	// Inject, when set, replaces the default wire delivery (an event on
 	// Eng calling Host.InjectFromWire): the generator hands each request
 	// frame with its departure and computed arrival time to the hook.
-	// Parallel split topologies route it over a cross-shard link so the
-	// generator can run on a client shard while the host runs elsewhere.
+	// The multi-host cluster routes it over the fabric, so the generator
+	// can run on its ingress host's shard while the target runs elsewhere.
 	Inject func(now, arrive sim.Time, frame []byte)
 
 	// OnSample, when set, observes every post-warmup latency sample in
