@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -135,6 +136,39 @@ func TestSnapshotLookup(t *testing.T) {
 	}
 	if _, ok := s.Lookup(9999); ok {
 		t.Fatal("unknown port must miss")
+	}
+}
+
+// The dense port ranges Lookup reads are a cache of the route map: on
+// seeded random tables (routes in the service range, the client range and
+// below both, with holes) every one of the 65,536 ports must resolve
+// exactly as the map does.
+func TestSnapshotLookupMatchesMap(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		routes := map[uint16]Route{}
+		for n := rng.Intn(3000); n > 0; n-- {
+			var p int
+			switch rng.Intn(4) {
+			case 0:
+				p = rng.Intn(SvcPortBase) // below both ranges
+			case 1:
+				p = SvcPortBase + rng.Intn(1200)
+			case 2:
+				p = CliPortBase + rng.Intn(1200)
+			default:
+				p = rng.Intn(1 << 16)
+			}
+			routes[uint16(p)] = Route{Host: rng.Intn(64), Hi: rng.Intn(2) == 0, ToClient: rng.Intn(2) == 0}
+		}
+		s := NewSnapshot(1, routes)
+		for p := 0; p < 1<<16; p++ {
+			got, gotOK := s.Lookup(uint16(p))
+			want, wantOK := routes[uint16(p)]
+			if got != want || gotOK != wantOK {
+				t.Fatalf("seed %d port %d: Lookup = %+v %v, map has %+v %v", seed, p, got, gotOK, want, wantOK)
+			}
+		}
 	}
 }
 

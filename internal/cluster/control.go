@@ -166,19 +166,61 @@ type Route struct {
 // deterministic; reconfiguration builds a new snapshot (copying the
 // route map — the old snapshot still aliases its own) with a strictly
 // larger version and swaps it in atomically at a barrier.
+//
+// The map is the source of truth. Every switch hop resolves a port, so
+// NewSnapshot also lays the service and client port ranges out as slices
+// indexed by offset from their base; Lookup reads those and falls back to
+// the map only for ports outside them.
 type Snapshot struct {
-	Version int
-	routes  map[uint16]Route
+	Version  int
+	routes   map[uint16]Route
+	svc, cli []denseRoute
+}
+
+// denseRoute is one slot of a dense port range; ok is false for a port in
+// the range that has no route.
+type denseRoute struct {
+	Route
+	ok bool
 }
 
 // NewSnapshot builds a snapshot from a route table (the map is not
 // copied; callers must not retain it).
 func NewSnapshot(version int, routes map[uint16]Route) *Snapshot {
-	return &Snapshot{Version: version, routes: routes}
+	return &Snapshot{
+		Version: version,
+		routes:  routes,
+		svc:     denseRange(routes, SvcPortBase, CliPortBase),
+		cli:     denseRange(routes, CliPortBase, 1<<16),
+	}
+}
+
+// denseRange lays out the routes for ports in [lo, hi) as a slice indexed
+// by port-lo, as long as the highest such port needs.
+func denseRange(routes map[uint16]Route, lo, hi int) []denseRoute {
+	n := 0
+	for p := range routes {
+		if int(p) >= lo && int(p) < hi {
+			n = max(n, int(p)-lo+1)
+		}
+	}
+	out := make([]denseRoute, n)
+	for p, r := range routes {
+		if int(p) >= lo && int(p) < hi {
+			out[int(p)-lo] = denseRoute{r, true}
+		}
+	}
+	return out
 }
 
 // Lookup resolves a destination port.
 func (s *Snapshot) Lookup(port uint16) (Route, bool) {
+	if i := int(port) - SvcPortBase; i >= 0 && i < len(s.svc) {
+		return s.svc[i].Route, s.svc[i].ok
+	}
+	if i := int(port) - CliPortBase; i >= 0 && i < len(s.cli) {
+		return s.cli[i].Route, s.cli[i].ok
+	}
 	r, ok := s.routes[port]
 	return r, ok
 }

@@ -17,55 +17,51 @@ import (
 //
 // Values are bucketed as (exponent, mantissa-slot): each power-of-two range
 // is split into subBuckets linear slots, giving a worst-case relative
-// quantile error of 1/subBuckets (~0.8% with the default 128). The zero
-// value is NOT ready to use; call NewHistogram.
+// quantile error of 1/subBuckets (~0.8%). The zero value is NOT ready to
+// use; call NewHistogram.
 //
-// counts grows lazily, one exponent range at a time, up to the highest
-// range a recorded value needs: latency histograms rarely see more than a
-// few milliseconds, so most never grow past a fraction of the full table.
+// Buckets live in one block of subBuckets counters per exponent range
+// (block 0 is the linear range [0, subBuckets)). A block is allocated on the
+// first observation in its range and never copied, so a histogram holds
+// only the ranges it has seen: latency histograms rarely touch more than a
+// handful of the 57 ranges an int64 can reach.
 type Histogram struct {
-	counts     []uint64
-	subBuckets int
-	subShift   uint // log2(subBuckets)
-	count      uint64
-	sum        float64
-	min        int64
-	max        int64
+	blocks []*[subBuckets]uint64
+	count  uint64
+	sum    float64
+	min    int64
+	max    int64
 }
 
-const defaultSubBuckets = 128
+const (
+	subBuckets = 128
+	subShift   = 7 // log2(subBuckets)
+)
 
 // NewHistogram returns an empty histogram able to record any non-negative
 // int64 nanosecond value. It allocates no buckets until the first Record.
 func NewHistogram() *Histogram {
-	sb := defaultSubBuckets
-	shift := uint(bits.Len64(uint64(sb)) - 1)
-	return &Histogram{
-		subBuckets: sb,
-		subShift:   shift,
-		min:        math.MaxInt64,
-		max:        -1,
-	}
+	return &Histogram{min: math.MaxInt64, max: -1}
 }
 
 // bucketIndex maps a non-negative value to its bucket.
-func (h *Histogram) bucketIndex(v int64) int {
-	if v < int64(h.subBuckets) {
+func bucketIndex(v int64) int {
+	if v < subBuckets {
 		return int(v)
 	}
 	u := uint64(v)
-	exp := bits.Len64(u) - int(h.subShift) - 1 // how far above the linear range
-	slot := int(u >> uint(exp))                // in [subBuckets, 2*subBuckets)
-	return exp*h.subBuckets + slot
+	exp := bits.Len64(u) - subShift - 1 // how far above the linear range
+	slot := int(u >> uint(exp))         // in [subBuckets, 2*subBuckets)
+	return exp*subBuckets + slot
 }
 
 // bucketLow returns the smallest value mapping to bucket i.
-func (h *Histogram) bucketLow(i int) int64 {
-	if i < h.subBuckets {
+func bucketLow(i int) int64 {
+	if i < subBuckets {
 		return int64(i)
 	}
-	exp := i/h.subBuckets - 1
-	slot := i - exp*h.subBuckets // in [subBuckets, 2*subBuckets)
+	exp := i/subBuckets - 1
+	slot := i - exp*subBuckets // in [subBuckets, 2*subBuckets)
 	return int64(slot) << uint(exp)
 }
 
@@ -77,11 +73,8 @@ func (h *Histogram) Record(v sim.Time) {
 	if n < 0 {
 		n = 0
 	}
-	i := h.bucketIndex(n)
-	if i >= len(h.counts) {
-		h.grow(i + 1)
-	}
-	h.counts[i]++
+	i := bucketIndex(n)
+	h.block(i >> subShift)[i&(subBuckets-1)]++
 	h.count++
 	h.sum += float64(n)
 	if n < h.min {
@@ -92,13 +85,20 @@ func (h *Histogram) Record(v sim.Time) {
 	}
 }
 
-// grow extends counts to at least n buckets, rounded up to a whole
-// exponent range.
-func (h *Histogram) grow(n int) {
-	n = (n + h.subBuckets - 1) / h.subBuckets * h.subBuckets
-	counts := make([]uint64, n)
-	copy(counts, h.counts)
-	h.counts = counts
+// block returns block b, allocating it (and growing the block table to
+// reach it) on first use.
+func (h *Histogram) block(b int) *[subBuckets]uint64 {
+	if b >= len(h.blocks) {
+		blocks := make([]*[subBuckets]uint64, b+1)
+		copy(blocks, h.blocks)
+		h.blocks = blocks
+	}
+	blk := h.blocks[b]
+	if blk == nil {
+		blk = new([subBuckets]uint64)
+		h.blocks[b] = blk
+	}
+	return blk
 }
 
 // Count returns the number of recorded observations.
@@ -150,19 +150,24 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 		rank = 1
 	}
 	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			v := h.bucketLow(i)
-			// Clamp to the exact observed range so quantiles are monotone
-			// with the exact Min/Max endpoints.
-			if v < h.min {
-				v = h.min
+	for b, blk := range h.blocks {
+		if blk == nil {
+			continue
+		}
+		for j, c := range blk {
+			seen += c
+			if seen >= rank {
+				v := bucketLow(b<<subShift | j)
+				// Clamp to the exact observed range so quantiles are
+				// monotone with the exact Min/Max endpoints.
+				if v < h.min {
+					v = h.min
+				}
+				if v > h.max {
+					v = h.max
+				}
+				return sim.Time(v)
 			}
-			if v > h.max {
-				v = h.max
-			}
-			return sim.Time(v)
 		}
 	}
 	return sim.Time(h.max)
@@ -196,33 +201,38 @@ func (h *Histogram) CDF() []CDFPoint {
 	}
 	pts := make([]CDFPoint, 0, 64)
 	var seen uint64
-	for i, c := range h.counts {
-		if c == 0 {
+	for b, blk := range h.blocks {
+		if blk == nil {
 			continue
 		}
-		seen += c
-		pts = append(pts, CDFPoint{
-			Value:    sim.Time(h.bucketLow(i)),
-			Fraction: float64(seen) / float64(h.count),
-		})
+		for j, c := range blk {
+			if c == 0 {
+				continue
+			}
+			seen += c
+			pts = append(pts, CDFPoint{
+				Value:    sim.Time(bucketLow(b<<subShift | j)),
+				Fraction: float64(seen) / float64(h.count),
+			})
+		}
 	}
 	return pts
 }
 
-// Merge adds all observations of other into h. The two histograms must
-// share the same geometry (they do unless constructed differently).
+// Merge adds all observations of other into h, allocating in h only the
+// blocks other holds.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	if other.subBuckets != h.subBuckets {
-		panic("stats: merging histograms with different geometry")
-	}
-	if len(other.counts) > len(h.counts) {
-		h.grow(len(other.counts))
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for b, src := range other.blocks {
+		if src == nil {
+			continue
+		}
+		dst := h.block(b)
+		for j, c := range src {
+			dst[j] += c
+		}
 	}
 	h.count += other.count
 	h.sum += other.sum
@@ -247,9 +257,14 @@ func MergeHistograms(hs ...*Histogram) *Histogram {
 	return out
 }
 
-// Reset clears all recorded observations.
+// Reset clears all recorded observations. Allocated blocks are zeroed and
+// kept, so a reused histogram records into them without allocating.
 func (h *Histogram) Reset() {
-	clear(h.counts)
+	for _, blk := range h.blocks {
+		if blk != nil {
+			clear(blk[:])
+		}
+	}
 	h.count = 0
 	h.sum = 0
 	h.min = math.MaxInt64

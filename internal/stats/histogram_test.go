@@ -291,14 +291,6 @@ func TestRateCounterZeroWindow(t *testing.T) {
 	}
 }
 
-func BenchmarkHistogramRecord(b *testing.B) {
-	h := NewHistogram()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Record(sim.Time(i % 1000000))
-	}
-}
-
 func TestMergeHistogramsMatchesSingleRecorder(t *testing.T) {
 	// Shard-local recording split across three histograms must merge to
 	// exactly what one recorder would have seen.
@@ -335,69 +327,165 @@ func TestMergeHistogramsEmpty(t *testing.T) {
 	}
 }
 
-// eagerHistogram is the construction the lazy buckets replaced: every
-// exponent range allocated up front. It runs the same bucket math, so it is
-// the differential oracle for growth.
-func eagerHistogram() *Histogram {
-	h := NewHistogram()
-	h.counts = make([]uint64, 64*h.subBuckets)
-	return h
+// denseHist is the differential oracle for Histogram: one flat table with
+// a counter for every bucket an int64 can reach, allocated up front. Its
+// bucket math is written from the definition (values below 128 are exact;
+// above, each power-of-two range is cut into 128 equal slots) rather than
+// shared with the code under test.
+type denseHist struct {
+	counts   []uint64
+	count    uint64
+	sum      float64
+	min, max int64
 }
 
-// sameHist reports the first observable difference between two histograms.
-func sameHist(t *testing.T, what string, got, want *Histogram) {
+func newDenseHist() *denseHist {
+	return &denseHist{counts: make([]uint64, 64*128), min: math.MaxInt64, max: -1}
+}
+
+// denseIndex finds v's bucket by shifting v right until it fits in
+// [128, 256): the shift count is the exponent range, the result the slot.
+func denseIndex(v int64) int {
+	if v < 128 {
+		return int(v)
+	}
+	shift := 0
+	for v>>shift >= 256 {
+		shift++
+	}
+	return (shift+1)*128 + int(v>>shift) - 128
+}
+
+// denseLow is the smallest value whose bucket is i.
+func denseLow(i int) int64 {
+	if i < 128 {
+		return int64(i)
+	}
+	shift := i/128 - 1
+	return int64(128+i%128) << shift
+}
+
+func (d *denseHist) Record(v sim.Time) {
+	n := max(int64(v), 0)
+	d.counts[denseIndex(n)]++
+	d.count++
+	d.sum += float64(n)
+	d.min = min(d.min, n)
+	d.max = max(d.max, n)
+}
+
+func (d *denseHist) Quantile(q float64) sim.Time {
+	switch {
+	case d.count == 0:
+		return 0
+	case q <= 0:
+		return sim.Time(d.min)
+	case q >= 1:
+		return sim.Time(d.max)
+	}
+	rank := max(uint64(math.Ceil(q*float64(d.count))), 1)
+	var seen uint64
+	for i, c := range d.counts {
+		if seen += c; seen >= rank {
+			return sim.Time(min(max(denseLow(i), d.min), d.max))
+		}
+	}
+	return sim.Time(d.max)
+}
+
+func (d *denseHist) CDF() []CDFPoint {
+	var pts []CDFPoint
+	var seen uint64
+	for i, c := range d.counts {
+		if c > 0 {
+			seen += c
+			pts = append(pts, CDFPoint{Value: sim.Time(denseLow(i)), Fraction: float64(seen) / float64(d.count)})
+		}
+	}
+	return pts
+}
+
+func (d *denseHist) Merge(o *denseHist) {
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	d.count += o.count
+	d.sum += o.sum
+	d.min = min(d.min, o.min)
+	d.max = max(d.max, o.max)
+}
+
+func (d *denseHist) Reset() { *d = *newDenseHist() }
+
+// sameHist reports the first observable difference between a histogram
+// and its dense reference.
+func sameHist(t *testing.T, what string, got *Histogram, want *denseHist) {
 	t.Helper()
-	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Min() != want.Min() || got.Max() != want.Max() {
+	wantMin, wantMax := sim.Time(want.min), sim.Time(want.max)
+	if want.count == 0 {
+		wantMin, wantMax = 0, 0
+	}
+	if got.Count() != want.count || got.Sum() != want.sum || got.Min() != wantMin || got.Max() != wantMax {
 		t.Fatalf("%s: count/sum/min/max %d/%g/%v/%v, want %d/%g/%v/%v", what,
-			got.Count(), got.Sum(), got.Min(), got.Max(), want.Count(), want.Sum(), want.Min(), want.Max())
+			got.Count(), got.Sum(), got.Min(), got.Max(), want.count, want.sum, wantMin, wantMax)
 	}
 	for q := 0.0; q <= 1; q += 0.0025 {
 		if g, w := got.Quantile(q), want.Quantile(q); g != w {
 			t.Fatalf("%s: Quantile(%v) = %v, want %v", what, q, g, w)
 		}
 	}
-	if !reflect.DeepEqual(got.CDF(), want.CDF()) {
-		t.Fatalf("%s: CDFs differ", what)
+	if g, w := got.CDF(), want.CDF(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: CDF has %d points, want %d (or values differ)", what, len(g), len(w))
 	}
 }
 
-// Lazily grown buckets are observably identical to the eager table:
-// values spanning every exponent range, the linear-range boundary and the
-// largest recordable value, then merges of short into long and long into
-// short.
-func TestLazyHistogramMatchesEager(t *testing.T) {
+// allocatedBlocks counts the exponent ranges h holds a block for.
+func allocatedBlocks(h *Histogram) int {
+	n := 0
+	for _, blk := range h.blocks {
+		if blk != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Sparse blocks are observably identical to the dense table: values
+// spanning every exponent range, the linear-range boundary and the largest
+// recordable value, then merges of short into long and long into short.
+func TestSparseHistogramMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	edges := []sim.Time{0, defaultSubBuckets - 1, defaultSubBuckets, defaultSubBuckets + 1, 1<<62 - 1}
-	fill := func(lazy, eager *Histogram, n int, maxExp int) {
+	edges := []sim.Time{0, subBuckets - 1, subBuckets, subBuckets + 1, 1<<62 - 1}
+	fill := func(h *Histogram, ref *denseHist, n int, maxExp int) {
 		for i := 0; i < n; i++ {
 			v := sim.Time(rng.Int63n(int64(1) << uint(1+rng.Intn(maxExp))))
 			if i < len(edges) && maxExp == 62 {
 				v = edges[i]
 			}
-			lazy.Record(v)
-			eager.Record(v)
+			h.Record(v)
+			ref.Record(v)
 		}
 	}
-	short, shortRef := NewHistogram(), eagerHistogram()
+	short, shortRef := NewHistogram(), newDenseHist()
 	fill(short, shortRef, 500, 12) // values below 4 µs
-	long, longRef := NewHistogram(), eagerHistogram()
+	long, longRef := NewHistogram(), newDenseHist()
 	fill(long, longRef, 5000, 62)
-	if len(short.counts) >= len(long.counts) {
-		t.Fatalf("short grew to %d buckets, long to %d", len(short.counts), len(long.counts))
+	if allocatedBlocks(short) >= allocatedBlocks(long) {
+		t.Fatalf("short holds %d blocks, long %d", allocatedBlocks(short), allocatedBlocks(long))
 	}
 	sameHist(t, "short", short, shortRef)
 	sameHist(t, "long", long, longRef)
 
-	s2l, s2lRef := NewHistogram(), eagerHistogram()
+	s2l, s2lRef := NewHistogram(), newDenseHist()
 	for _, h := range []*Histogram{long, short} {
 		s2l.Merge(h)
 	}
-	for _, h := range []*Histogram{longRef, shortRef} {
+	for _, h := range []*denseHist{longRef, shortRef} {
 		s2lRef.Merge(h)
 	}
 	sameHist(t, "short into long", s2l, s2lRef)
 
-	l2s, l2sRef := NewHistogram(), eagerHistogram()
+	l2s, l2sRef := NewHistogram(), newDenseHist()
 	l2s.Merge(short)
 	l2s.Merge(long)
 	l2sRef.Merge(shortRef)
@@ -409,4 +497,144 @@ func TestLazyHistogramMatchesEager(t *testing.T) {
 	shortRef.Reset()
 	fill(short, shortRef, 300, 62)
 	sameHist(t, "after Reset", short, shortRef)
+}
+
+// FuzzHistogramMatchesDense drives two histograms and their dense
+// references through the same byte-coded stream of records, merges and
+// resets, then compares everything observable.
+func FuzzHistogramMatchesDense(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 7, 0xff, 2, 62, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 4})
+	f.Add([]byte{0, 20, 1, 2, 1, 40, 3, 4, 1, 5, 9, 5, 4, 0, 63, 0x80, 6})
+	f.Add([]byte{2, 8, 0x80, 0, 12, 3, 1, 1, 30, 0xff, 0xff, 0x7f, 5, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		hs := [2]*Histogram{NewHistogram(), NewHistogram()}
+		refs := [2]*denseHist{newDenseHist(), newDenseHist()}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		for ops := 0; len(data) > 0 && ops < 512; ops++ {
+			op := next()
+			k := int(op>>3) & 1
+			switch op & 7 {
+			case 0, 1, 2, 3:
+				// A value of up to e random bits, e in [0, 63]; bit 4 of
+				// the op negates it (negative values clamp to zero).
+				e := uint(next() % 64)
+				var m uint64
+				for i := 0; i < 8; i++ {
+					m = m<<8 | uint64(next())
+				}
+				v := sim.Time(m >> (64 - e))
+				if op&0x10 != 0 {
+					v = -v
+				}
+				hs[k].Record(v)
+				refs[k].Record(v)
+			case 4:
+				hs[k].Merge(hs[1-k])
+				refs[k].Merge(refs[1-k])
+			case 5:
+				hs[k].Reset()
+				refs[k].Reset()
+			case 6:
+				m := MergeHistograms(hs[k], hs[1-k])
+				ref := newDenseHist()
+				ref.Merge(refs[k])
+				ref.Merge(refs[1-k])
+				hs[k], refs[k] = m, ref
+			}
+		}
+		sameHist(t, "first", hs[0], refs[0])
+		sameHist(t, "second", hs[1], refs[1])
+	})
+}
+
+// A histogram holds a block only for the exponent ranges it was given:
+// records in one far range allocate exactly one block and, once it
+// exists, nothing more; a merge allocates only the blocks the other
+// histogram holds; and Reset zeroes blocks without freeing them.
+func TestHistogramAllocatesOnlyHitRanges(t *testing.T) {
+	far := NewHistogram()
+	for v := sim.Time(1 << 40); v < 1<<40+1<<32; v += 1 << 25 {
+		far.Record(v)
+	}
+	if n := allocatedBlocks(far); n != 1 {
+		t.Fatalf("values in one range allocated %d blocks, want 1", n)
+	}
+	// Every per-packet latency goes through Record: into a range that
+	// already holds a block it must not allocate.
+	if allocs := testing.AllocsPerRun(1000, func() { far.Record(1<<40 + 12345) }); allocs != 0 {
+		t.Fatalf("Record into a hit range allocates %.1f times", allocs)
+	}
+
+	near := NewHistogram()
+	near.Record(5)
+	near.Record(1000)
+	near.Merge(far)
+	if n := allocatedBlocks(near); n != 3 {
+		t.Fatalf("merge left %d blocks, want the 2 recorded plus far's 1", n)
+	}
+	if n := allocatedBlocks(far); n != 1 {
+		t.Fatalf("merge source grew to %d blocks", n)
+	}
+
+	kept := append([]*[subBuckets]uint64(nil), near.blocks...)
+	near.Reset()
+	if !reflect.DeepEqual(kept, near.blocks) {
+		t.Fatal("Reset replaced or freed blocks")
+	}
+	for b, blk := range near.blocks {
+		if blk != nil && *blk != [subBuckets]uint64{} {
+			t.Fatalf("Reset left counts in block %d", b)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		near.Record(7)
+		near.Record(1 << 40)
+	}); allocs != 0 {
+		t.Fatalf("Record into kept blocks after Reset allocates %.1f times", allocs)
+	}
+}
+
+// BenchmarkHistogramRecord times Record into one warm histogram, and into
+// 3,000 histograms (about the cluster's count) picked in scattered order,
+// where each Record misses the cache for its histogram's block.
+func BenchmarkHistogramRecord(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]sim.Time, 1<<16)
+	for i := range vals {
+		vals[i] = sim.Time(rng.Int63n(int64(1) << uint(8+rng.Intn(16)))) // 256 ns to 16 ms
+	}
+	b.Run("warm", func(b *testing.B) {
+		h := NewHistogram()
+		for _, v := range vals {
+			h.Record(v)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Record(vals[i&(len(vals)-1)])
+		}
+	})
+	b.Run("scattered", func(b *testing.B) {
+		hs := make([]*Histogram, 3000)
+		for i := range hs {
+			hs[i] = NewHistogram()
+		}
+		which := make([]int, len(vals))
+		for i := range which {
+			which[i] = rng.Intn(len(hs))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i & (len(vals) - 1)
+			hs[which[j]].Record(vals[j])
+		}
+	})
 }
