@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"prism/internal/cluster"
+	"prism/internal/live"
 	"prism/internal/obs"
 	"prism/internal/prio"
 	"prism/internal/sim"
@@ -146,23 +147,7 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 	c, err := cluster.New(cfg)
 	mustNoErr(err)
 
-	// Attach the live operator surface, when one is listening: frame taps
-	// feed /capture (classified by the cluster's flow table), and a
-	// virtual-time checkpoint streams merged metric snapshots, trace
-	// deltas, per-port fabric load and the parallel runtime's window
-	// counters. All hooks are pure observation at quiescent points — the
-	// digests below stay bit-identical either way.
-	if lv := p.Live; lv != nil {
-		lv.SetRun("cluster/"+pol.String(), cfg.Warmup+p.Duration)
-		lv.SetClassifier(c.ClassifyFrame)
-		c.SetTap(lv.Tap)
-		streamer := obs.NewStreamer(lv, c.Pipes()...)
-		c.SetCheckpoint(lv.Interval, func(at sim.Time) {
-			lv.PublishFabric(c.FabricPortUtil(at))
-			lv.PublishPar(c.Group.Stats())
-			streamer.Checkpoint(at)
-		})
-	}
+	detach := attachLive(p.Live, c, "cluster/"+pol.String(), cfg.Warmup+p.Duration)
 
 	mustNoErr(c.Run(p.Duration, p.Workers))
 
@@ -180,18 +165,41 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 	row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...)
 	mustNoErr(err)
 
-	// Stop observing before Settle extends the clocks past the measured
-	// horizon: the final checkpoint (flushed at the horizon inside Run)
-	// is the last snapshot the live surface serves for this point.
-	if p.Live != nil {
-		c.SetCheckpoint(0, nil)
-		c.SetTap(nil)
-	}
+	detach()
 
 	// Tear down cleanly and enforce the zero-leak invariants cluster-wide.
 	mustNoErr(c.Settle(0, p.Workers))
 	mustNoErr(c.CheckInvariants(true))
 	return row, c.Cfg.Fabric.Racks
+}
+
+// attachLive attaches the live operator surface lv, when one is listening,
+// to the cluster run named run: frame taps feed /capture (classified by
+// the cluster's flow table), and a virtual-time checkpoint streams merged
+// metric snapshots, trace deltas, per-port fabric load and the parallel
+// runtime's window counters. Every hook is pure observation at quiescent
+// points, so the run's digests stay bit-identical either way.
+//
+// Call the returned detach before Settle extends the clocks past the
+// measured horizon: the final checkpoint (flushed at the horizon inside
+// Run) is then the last snapshot the surface serves for this run.
+func attachLive(lv *live.Server, c *cluster.Cluster, run string, horizon sim.Time) (detach func()) {
+	if lv == nil {
+		return func() {}
+	}
+	lv.SetRun(run, horizon)
+	lv.SetClassifier(c.ClassifyFrame)
+	c.SetTap(lv.Tap)
+	streamer := obs.NewStreamer(lv, c.Pipes()...)
+	c.SetCheckpoint(lv.Interval, func(at sim.Time) {
+		lv.PublishFabric(c.FabricPortUtil(at))
+		lv.PublishPar(c.Group.Stats())
+		streamer.Checkpoint(at)
+	})
+	return func() {
+		c.SetCheckpoint(0, nil)
+		c.SetTap(nil)
+	}
 }
 
 // String renders the per-policy table.

@@ -178,21 +178,10 @@ func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (Failover
 	c, err := cluster.New(cfg)
 	mustNoErr(err)
 
-	// Attach the live operator surface, when one is listening — same
-	// pure-observation hooks as the cluster grid, so an operator can
-	// watch the crash and recovery (fabric load shifting, /capture of
-	// the migrated flows) without perturbing the digests.
-	if lv := p.Live; lv != nil {
-		lv.SetRun("failover/"+pol.String(), cfg.Warmup+p.Duration)
-		lv.SetClassifier(c.ClassifyFrame)
-		c.SetTap(lv.Tap)
-		streamer := obs.NewStreamer(lv, c.Pipes()...)
-		c.SetCheckpoint(lv.Interval, func(at sim.Time) {
-			lv.PublishFabric(c.FabricPortUtil(at))
-			lv.PublishPar(c.Group.Stats())
-			streamer.Checkpoint(at)
-		})
-	}
+	// The live surface lets an operator watch the crash and recovery
+	// (fabric load shifting, /capture of the migrated flows) without
+	// perturbing the digests.
+	detach := attachLive(p.Live, c, "failover/"+pol.String(), cfg.Warmup+p.Duration)
 
 	// Per-flow three-phase histograms, fed from the echo sample hook.
 	// The hook runs in event context on the flow's ingress shard, so the
@@ -253,12 +242,7 @@ func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (Failover
 	row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...)
 	mustNoErr(err)
 
-	// Stop observing before Settle extends the clocks past the measured
-	// horizon, as the cluster grid does.
-	if p.Live != nil {
-		c.SetCheckpoint(0, nil)
-		c.SetTap(nil)
-	}
+	detach()
 
 	// Settle drains in-flight frames (the migrated flows keep serving),
 	// then the strict cluster check must close every ledger — including

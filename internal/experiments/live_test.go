@@ -73,6 +73,47 @@ func TestClusterGoldenWithLiveSurface(t *testing.T) {
 	}
 }
 
+// TestFailoverGoldenWithLiveSurface is the same proof for the
+// kill-and-recover grid: with the live surface attached through the crash,
+// the detection and the migration, every failover row must stay
+// bit-identical to the committed fixture at 1, 2 and 4 workers.
+func TestFailoverGoldenWithLiveSurface(t *testing.T) {
+	raw, err := os.ReadFile(failoverGoldenPath)
+	if err != nil {
+		t.Skipf("failover golden fixture not captured yet: %v", err)
+	}
+	var want FailoverResult
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("parse golden: %v", err)
+	}
+	fixtureRow := func(placement string) FailoverRow {
+		for _, row := range want.Rows {
+			if row.Placement == placement {
+				return row
+			}
+		}
+		t.Fatalf("fixture has no %q row", placement)
+		return FailoverRow{}
+	}
+	check := func(workers int, got FailoverResult) {
+		for _, row := range got.Rows {
+			w, g := mustJSON(t, fixtureRow(row.Placement)), mustJSON(t, row)
+			if string(w) != string(g) {
+				t.Errorf("live surface perturbed %s at workers=%d\nwant: %s\ngot:  %s", row.Placement, workers, w, g)
+			}
+		}
+	}
+
+	// All placements at workers=1, then the pack placement (the whole
+	// workload on the crashed host) at 2 and 4 workers.
+	check(1, Failover(liveParams(1), DefaultFailoverConfig()))
+	fc := DefaultFailoverConfig()
+	fc.Placements = []cluster.Placement{cluster.PlacePack}
+	for _, workers := range []int{2, 4} {
+		check(workers, Failover(liveParams(workers), fc))
+	}
+}
+
 // TestChaosGoldenWithLiveSurface is the same proof for the chaos grid,
 // whose points fan out concurrently and publish into one shared server:
 // the full result must still match the committed fixture, sequentially

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -55,14 +58,17 @@ workload:
 	}
 }
 
-// TestHostileInputs feeds the decoder malformed documents and asserts
-// every rejection is path-qualified: the error names the offending field
-// by its scenario.* path and, for closed sets, lists the valid values.
-func TestHostileInputs(t *testing.T) {
-	cases := []struct {
-		name, doc string
-		want      []string // all must appear in the error
-	}{
+// hostileInput is a malformed document and the fragments its rejection
+// must carry.
+type hostileInput struct {
+	name, doc string
+	want      []string // all must appear in the error
+}
+
+// hostileInputs are the documents TestHostileInputs rejects; they also
+// seed FuzzScenarioDecode.
+func hostileInputs() []hostileInput {
+	return []hostileInput{
 		{
 			"missing version",
 			"name: x\nexperiment:\n  kind: fig3\n",
@@ -234,7 +240,13 @@ func TestHostileInputs(t *testing.T) {
 			[]string{"scenario.link", `unknown field "latency"`, "wire_latency"},
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestHostileInputs feeds the decoder malformed documents and asserts
+// every rejection is path-qualified: the error names the offending field
+// by its scenario.* path and, for closed sets, lists the valid values.
+func TestHostileInputs(t *testing.T) {
+	for _, tc := range hostileInputs() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse([]byte(tc.doc))
 			if err == nil {
@@ -286,4 +298,36 @@ func TestSLOEvalOperators(t *testing.T) {
 			t.Errorf("%s: measured=%v", tc.expr, r.Measured)
 		}
 	}
+}
+
+// FuzzScenarioDecode is the hostile-input guard for the whole front end:
+// on any bytes, Parse and (on success) Compile must return, never panic,
+// and every rejection must say where it is: a scenario.* path, a
+// line-numbered YAML error, a json: error or the empty-document error.
+// Seeded from the committed corpus and the hostile inputs above.
+func FuzzScenarioDecode(f *testing.F) {
+	files, err := filepath.Glob("../../scenarios/*.yaml")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no scenario corpus to seed from (%v)", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, tc := range hostileInputs() {
+		f.Add([]byte(tc.doc))
+	}
+	qualified := regexp.MustCompile(`^(scenario|line \d+:|json:)`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err == nil {
+			_, err = Compile(s)
+		}
+		if err != nil && err.Error() != "empty document" && !qualified.MatchString(err.Error()) {
+			t.Errorf("error is not path-qualified: %v", err)
+		}
+	})
 }

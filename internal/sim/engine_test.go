@@ -393,3 +393,118 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 		e.Step()
 	}
 }
+
+// The event-queue benchmarks time the hierarchical timing wheel in
+// isolation, one dispatched event per op. The three workloads bracket
+// what the datapath generates: churn is the softirq steady state (a few
+// hundred outstanding events, microsecond-scale delays), cancel-rearm is
+// the kernel-timer pattern (most timers cancelled and re-armed before
+// firing), and cascade-far forces events through the coarse wheels and
+// the overflow level. TestEventQueueSteadyStateZeroAlloc holds the first
+// two to zero allocations once warm.
+
+// eqChurn re-arms itself with an exponential delay on every dispatch,
+// keeping a fixed population of outstanding events. eqChurnFire is the
+// allocation-free CallAt trampoline.
+type eqChurn struct {
+	eng  *Engine
+	mean Time
+}
+
+func eqChurnFire(now Time, a1, _ any) {
+	c := a1.(*eqChurn)
+	c.eng.CallAt(now+c.eng.RNG().ExpDuration(c.mean), eqChurnFire, a1, nil)
+}
+
+// armChurn adds n self-re-arming events with the given mean delay to eng.
+func armChurn(eng *Engine, n int, mean Time) {
+	c := &eqChurn{eng: eng, mean: mean}
+	for i := 0; i < n; i++ {
+		eng.CallAt(eng.RNG().ExpDuration(mean), eqChurnFire, c, nil)
+	}
+}
+
+// eqRearm keeps a fixed set of armed timers; each op cancels and re-arms
+// a random one, and every other op also dispatches the earliest event.
+type eqRearm struct {
+	eng     *Engine
+	handles []*Event
+	ops     int
+}
+
+func newRearm(eng *Engine, armed int) *eqRearm {
+	r := &eqRearm{eng: eng, handles: make([]*Event, armed)}
+	for i := range r.handles {
+		r.arm(i)
+	}
+	return r
+}
+
+func (r *eqRearm) arm(i int) {
+	r.handles[i] = r.eng.At(r.eng.Now()+10*Microsecond+Time(r.eng.RNG().Intn(4096)), func() {})
+}
+
+func (r *eqRearm) op() {
+	j := r.eng.RNG().Intn(len(r.handles))
+	r.eng.Cancel(r.handles[j])
+	r.arm(j)
+	if r.ops&1 == 0 {
+		r.eng.Step()
+	}
+	r.ops++
+}
+
+func BenchmarkEventQueue(b *testing.B) {
+	b.Run("churn-256", func(b *testing.B) {
+		eng := NewEngine(7)
+		armChurn(eng, 256, Microsecond)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step()
+		}
+	})
+	b.Run("cancel-rearm", func(b *testing.B) {
+		r := newRearm(NewEngine(7), 256)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.op()
+		}
+	})
+	b.Run("cascade-far", func(b *testing.B) {
+		eng := NewEngine(7)
+		armChurn(eng, 256, 4*Millisecond)
+		// A sparse population of far-future events keeps the coarse
+		// wheels and the overflow level populated across the run.
+		armChurn(eng, 16, 300*Second)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step()
+		}
+	})
+}
+
+// TestEventQueueSteadyStateZeroAlloc is the allocation gate for the timing
+// wheel: once the free list and the wheel slots have grown to the working
+// set, dispatching a churn event and cancelling and re-arming a timer must
+// not touch the heap.
+func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
+	eng := NewEngine(7)
+	armChurn(eng, 256, Microsecond)
+	for i := 0; i < 100_000; i++ {
+		eng.Step()
+	}
+	if avg := testing.AllocsPerRun(10_000, func() { eng.Step() }); avg != 0 {
+		t.Errorf("churn-256 Step allocates %.2f times per event", avg)
+	}
+
+	r := newRearm(NewEngine(7), 256)
+	for i := 0; i < 100_000; i++ {
+		r.op()
+	}
+	if avg := testing.AllocsPerRun(10_000, r.op); avg != 0 {
+		t.Errorf("cancel+re-arm allocates %.2f times per op", avg)
+	}
+}

@@ -18,10 +18,7 @@ import (
 func TestSteadyStateRxPathZeroAlloc(t *testing.T) {
 	for _, mode := range []prism.Mode{prism.ModeVanilla, prism.ModeBatch, prism.ModeSync} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s := prism.NewSimulation(prism.WithMode(mode), prism.WithSeed(3))
-			srv := s.AddContainer("sink")
-			s.MarkHighPriority(srv.IP, 11111)
-			fl := s.NewBackgroundFlood(srv, 11111, 600_000)
+			s, fl := newFlood(prism.WithMode(mode))
 
 			// Warm up: grow every pool and backing array to the traffic's
 			// working-set size. Queue depths fluctuate under the Poisson
@@ -36,6 +33,47 @@ func TestSteadyStateRxPathZeroAlloc(t *testing.T) {
 				s.Run(1_000_000)
 			}); avg != 0 {
 				t.Errorf("steady-state RX path allocates: %.1f allocs per 1ms of virtual time", avg)
+			}
+		})
+	}
+}
+
+// newFlood builds a one-container simulation under a saturating 600 kpps
+// flood of prioritized traffic: the receive steady state the zero-alloc
+// gate and the poll-loop benchmark drive.
+func newFlood(opts ...prism.Option) (*prism.Simulation, *prism.BackgroundFlood) {
+	s := prism.NewSimulation(append(opts, prism.WithSeed(3))...)
+	srv := s.AddContainer("sink")
+	s.MarkHighPriority(srv.IP, 11111)
+	return s, s.NewBackgroundFlood(srv, 11111, 600_000)
+}
+
+// BenchmarkSoftirqPoll measures the unified softirq runtime's poll loop
+// under the saturating flood, one sub-benchmark per registered poll
+// policy: vanilla and prism exercise the paper's two engines through the
+// shared runtime, headonly and dualq the ablations. One op simulates 1ms
+// of saturated receive.
+func BenchmarkSoftirqPoll(b *testing.B) {
+	variants := []struct {
+		name, policy string
+		mode         prism.Mode
+	}{
+		{"vanilla", "vanilla", prism.ModeVanilla},
+		{"prism-batch", "prism", prism.ModeBatch},
+		{"prism-sync", "prism", prism.ModeSync},
+		{"headonly", "headonly", prism.ModeBatch},
+		{"dualq", "dualq", prism.ModeBatch},
+	}
+	for _, v := range variants {
+		b.Run(v.name, func(b *testing.B) {
+			s, fl := newFlood(prism.WithMode(v.mode), prism.WithPolicy(v.policy))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Run(1_000_000)
+			}
+			b.StopTimer()
+			if fl.Delivered() == 0 {
+				b.Fatal("poll loop delivered nothing")
 			}
 		})
 	}
