@@ -39,6 +39,8 @@
 package obs
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"prism/internal/pkt"
@@ -137,7 +139,11 @@ func NewPipeline(shard string) *Pipeline {
 type Stage struct {
 	p          *Pipeline
 	dev, stage string
-	slots      [MaxPriority + 1]slot
+	// tr is the tracer name was interned into; the handle re-interns when
+	// the pipeline's tracer is replaced.
+	tr    *Tracer
+	name  uint16
+	slots [MaxPriority + 1]slot
 }
 
 // slot holds one priority level's metrics: the stage's packet counter,
@@ -190,6 +196,16 @@ func (s *Stage) hist(h **HistogramMetric, name string, prio int) *HistogramMetri
 	return *h
 }
 
+// trace records one event in the pipeline's tracer under the handle's
+// (stage, device) name.
+func (s *Stage) trace(kind EventKind, id uint64, prio int, start, end sim.Time) {
+	t := s.p.T
+	if t != s.tr {
+		s.tr, s.name = t, t.intern(s.stage, s.dev)
+	}
+	t.add(kind, s.name, id, prio, start, end)
+}
+
 // mark records t as the packet's latest lifecycle event, opening the
 // lifecycle if it is not open yet.
 func (p *Pipeline) mark(c *pkt.WaitCursor, t sim.Time) {
@@ -214,7 +230,7 @@ func (p *Pipeline) close(c *pkt.WaitCursor) {
 // per priority: the stage-1 limitation means the ring has not classified
 // the frame yet.
 func (s *Stage) DMA(now sim.Time, id uint64, prio int, c *pkt.WaitCursor) {
-	s.p.T.add(KindInstant, s.stage, s.dev, id, prio, now, now)
+	s.trace(KindInstant, id, prio, now, now)
 	s.counter(&s.slots[0].count, "prism_dma_frames_total", 0).Add(1)
 	s.p.mark(c, now)
 }
@@ -222,7 +238,7 @@ func (s *Stage) DMA(now sim.Time, id uint64, prio int, c *pkt.WaitCursor) {
 // IRQ records a hardware interrupt raised by the device (the handle is
 // bound to StageIRQ).
 func (s *Stage) IRQ(now sim.Time) {
-	s.p.T.add(KindInstant, s.stage, s.dev, NoPacket, 0, now, now)
+	s.trace(KindInstant, NoPacket, 0, now, now)
 	s.counter(&s.slots[0].count, "prism_irqs_total", 0).Add(1)
 }
 
@@ -231,7 +247,7 @@ func (s *Stage) IRQ(now sim.Time) {
 // event (its time queued before this stage); the service histogram
 // receives the span length.
 func (s *Stage) Span(id uint64, prio int, start, end sim.Time, c *pkt.WaitCursor) {
-	s.p.T.add(KindSpan, s.stage, s.dev, id, prio, start, end)
+	s.trace(KindSpan, id, prio, start, end)
 	sl := s.slot(prio)
 	s.counter(&sl.count, "prism_stage_packets_total", prio).Add(1)
 	s.hist(&sl.hist, "prism_stage_service_ns", prio).Observe(end - start)
@@ -247,7 +263,7 @@ func (s *Stage) Span(id uint64, prio int, start, end sim.Time, c *pkt.WaitCursor
 // end-to-end latency histogram.
 func (s *Stage) Deliver(now sim.Time, id uint64, prio int, arrived sim.Time, c *pkt.WaitCursor) {
 	p := s.p
-	p.T.add(KindInstant, s.stage, s.dev, id, prio, now, now)
+	s.trace(KindInstant, id, prio, now, now)
 	sl := s.slot(prio)
 	s.counter(&sl.count, "prism_delivered_total", prio).Add(1)
 	if c.Open {
@@ -268,7 +284,7 @@ const StageFabric = "fabric"
 // packet IDs are switch-local sequence numbers, not host SKB identities,
 // and a fabric frame never reaches Deliver on this pipeline.
 func (s *Stage) Fabric(id uint64, prio int, start, end sim.Time) {
-	s.p.T.add(KindSpan, s.stage, s.dev, id, prio, start, end)
+	s.trace(KindSpan, id, prio, start, end)
 	sl := s.slot(prio)
 	s.counter(&sl.count, "prism_fabric_frames_total", prio).Add(1)
 	s.hist(&sl.hist, "prism_fabric_residency_ns", prio).Observe(end - start)
@@ -277,7 +293,7 @@ func (s *Stage) Fabric(id uint64, prio int, start, end sim.Time) {
 // Drop records a packet discarded at a stage (handler verdict, queue
 // overrun, rcvbuf overflow) and closes its lifecycle.
 func (p *Pipeline) Drop(now sim.Time, dev, stage string, id uint64, prio int, c *pkt.WaitCursor) {
-	p.T.add(KindInstant, StageDrop, dev, id, prio, now, now)
+	p.T.add(KindInstant, p.T.intern(StageDrop, dev), id, prio, now, now)
 	p.M.Counter("prism_dropped_total", Labels{Device: dev, Stage: stage, Priority: prio, Shard: p.Shard}).Add(1)
 	p.close(c)
 }
@@ -285,7 +301,7 @@ func (p *Pipeline) Drop(now sim.Time, dev, stage string, id uint64, prio int, c 
 // Absorbed records a frame merged into an earlier SKB by GRO; the frame's
 // own lifecycle ends here (the super-SKB carries on).
 func (p *Pipeline) Absorbed(now sim.Time, dev string, id uint64, prio int, c *pkt.WaitCursor) {
-	p.T.add(KindInstant, StageGRO, dev, id, prio, now, now)
+	p.T.add(KindInstant, p.T.intern(StageGRO, dev), id, prio, now, now)
 	p.M.Counter("prism_gro_absorbed_total", Labels{Device: dev, Stage: StageGRO, Shard: p.Shard}).Add(1)
 	p.close(c)
 }
@@ -299,22 +315,44 @@ func (p *Pipeline) InFlight() int { return int(p.opened - p.closed) }
 // the control-plane snapshot. reason becomes the stage label so drop
 // causes stay separable in merged exports.
 func (p *Pipeline) FabricDrop(now sim.Time, dev, reason string, prio int) {
-	p.T.add(KindInstant, StageDrop, dev, NoPacket, prio, now, now)
+	p.T.add(KindInstant, p.T.intern(StageDrop, dev), NoPacket, prio, now, now)
 	p.M.Counter("prism_fabric_dropped_total", Labels{Device: dev, Stage: reason, Priority: prio, Shard: p.Shard}).Add(1)
 }
 
-// DefaultTracerCap bounds the span ring buffer: 64 Ki events is a few MB
-// and several full softirq bursts of context.
+// DefaultTracerCap bounds the span ring buffer: 64 Ki events of 32 bytes
+// is 2 MB, and several full softirq bursts of context.
 const DefaultTracerCap = 1 << 16
 
-// minTracerGrow is the ring's first allocation, in events.
-const minTracerGrow = 256
+// The ring is stored in blocks of spanBlock records, allocated as the
+// write position first reaches each one.
+const (
+	spanBlockShift = 10
+	spanBlock      = 1 << spanBlockShift
+	spanBlockMask  = spanBlock - 1
+)
+
+// spanRecord is one buffered Event in 32 bytes with no pointers, so the
+// garbage collector never scans the ring. Its sequence number is implicit
+// in its ring position, and its (stage, device) pair is an index into the
+// tracer's name table.
+type spanRecord struct {
+	pkt        uint64
+	start, end sim.Time
+	priority   int32
+	name       uint16
+	kind       EventKind
+}
+
+// spanName is one interned (stage, device) pair.
+type spanName struct{ stage, dev string }
 
 // Tracer accumulates lifecycle events into a bounded ring buffer with
 // optional per-packet sampling. Memory is bounded by construction: once
 // the ring is full, new events overwrite the oldest (the overwrite count
 // is kept, so exporters can report truncation instead of silently
-// pretending full coverage).
+// pretending full coverage). The ring is not preallocated, because most
+// pipelines never fill it: each block is allocated on first use, and
+// nothing is ever copied.
 type Tracer struct {
 	capacity int
 	// sampleEvery, when > 1, keeps only packets whose ID ≡ 0 (mod N);
@@ -322,9 +360,15 @@ type Tracer struct {
 	// affected — sampling bounds only the span stream.
 	sampleEvery uint64
 
-	events []Event
+	// blocks hold ring slots [b·spanBlock, (b+1)·spanBlock); the last
+	// block is trimmed to the capacity.
+	blocks [][]spanRecord
+	n      int // buffered records
 	head   int // ring start when full
 	seq    uint64
+
+	names   []spanName
+	nameIdx map[spanName]uint16
 
 	// Overwritten counts events displaced from the full ring; SampledOut
 	// counts events skipped by the sampling filter.
@@ -351,8 +395,32 @@ func (t *Tracer) SetSampling(n int) {
 	t.sampleEvery = uint64(n)
 }
 
-// add records one event, writing it straight into its ring slot.
-func (t *Tracer) add(kind EventKind, stage, dev string, id uint64, prio int, start, end sim.Time) {
+// intern returns the name-table index of (stage, dev), adding the pair on
+// first use.
+func (t *Tracer) intern(stage, dev string) uint16 {
+	if t == nil {
+		return 0
+	}
+	k := spanName{stage, dev}
+	if i, ok := t.nameIdx[k]; ok {
+		return i
+	}
+	if len(t.names) > math.MaxUint16 {
+		panic(fmt.Sprintf("obs: tracer name table full: (stage %q, device %q) would be distinct pair %d, the limit is %d",
+			stage, dev, len(t.names)+1, math.MaxUint16+1))
+	}
+	if t.nameIdx == nil {
+		t.nameIdx = make(map[spanName]uint16)
+	}
+	i := uint16(len(t.names))
+	t.names = append(t.names, k)
+	t.nameIdx[k] = i
+	return i
+}
+
+// add records one event under an interned name, writing it straight into
+// its ring slot.
+func (t *Tracer) add(kind EventKind, name uint16, id uint64, prio int, start, end sim.Time) {
 	if t == nil {
 		return
 	}
@@ -360,50 +428,27 @@ func (t *Tracer) add(kind EventKind, stage, dev string, id uint64, prio int, sta
 		t.SampledOut++
 		return
 	}
-	var ev *Event
-	if n := len(t.events); n < t.capacity {
-		if n == cap(t.events) {
-			t.grow()
+	pos := t.n
+	if pos < t.capacity {
+		if pos>>spanBlockShift == len(t.blocks) {
+			t.blocks = append(t.blocks, make([]spanRecord, min(spanBlock, t.capacity-pos)))
 		}
-		t.events = t.events[:n+1]
-		ev = &t.events[n]
+		t.n++
 	} else {
-		ev = &t.events[t.head]
+		pos = t.head
 		if t.head++; t.head == t.capacity {
 			t.head = 0
 		}
 		t.Overwritten++
 	}
-	ev.Seq = t.seq
-	ev.Kind = kind
-	ev.Stage = stage
-	ev.Device = dev
-	ev.Pkt = id
-	ev.Priority = prio
-	ev.Start = start
-	ev.End = end
+	t.blocks[pos>>spanBlockShift][pos&spanBlockMask] = spanRecord{
+		pkt: id, start: start, end: end, priority: int32(prio), name: name, kind: kind,
+	}
 	t.seq++
 }
 
-// grow doubles the ring's backing array, capped at the capacity: filling
-// a ring of power-of-two capacity, such as the default, allocates less
-// than twice its final size. The ring is not preallocated, because most
-// pipelines never fill it.
-func (t *Tracer) grow() {
-	n := 2 * cap(t.events)
-	if n < minTracerGrow {
-		n = minTracerGrow
-	}
-	if n > t.capacity {
-		n = t.capacity
-	}
-	events := make([]Event, len(t.events), n)
-	copy(events, t.events)
-	t.events = events
-}
-
 // Len returns the number of buffered events.
-func (t *Tracer) Len() int { return len(t.events) }
+func (t *Tracer) Len() int { return t.n }
 
 // Total returns how many events were ever recorded (including ones since
 // overwritten, excluding sampled-out ones).
@@ -411,10 +456,7 @@ func (t *Tracer) Total() uint64 { return t.seq }
 
 // Events returns the buffered events in recording order.
 func (t *Tracer) Events() []Event {
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	out = append(out, t.events[:t.head]...)
-	return out
+	return t.appendEvents(make([]Event, 0, t.n), 0)
 }
 
 // EventsSince returns the buffered events whose sequence number is at or
@@ -427,19 +469,30 @@ func (t *Tracer) EventsSince(cursor uint64) []Event {
 	if t == nil || cursor >= t.seq {
 		return nil
 	}
-	// The ring holds events with Seq in [t.seq-len(t.events), t.seq).
-	oldest := t.seq - uint64(len(t.events))
+	// The ring holds events with Seq in [t.seq-t.n, t.seq).
+	oldest := t.seq - uint64(t.n)
 	skip := 0
 	if cursor > oldest {
 		skip = int(cursor - oldest)
 	}
-	out := make([]Event, 0, len(t.events)-skip)
-	tail := t.events[t.head:]
-	if skip < len(tail) {
-		out = append(out, tail[skip:]...)
-		out = append(out, t.events[:t.head]...)
-	} else {
-		out = append(out, t.events[skip-len(tail):t.head]...)
+	return t.appendEvents(make([]Event, 0, t.n-skip), skip)
+}
+
+// appendEvents appends the buffered events from ring-order index from
+// onwards, restoring their sequence numbers and names.
+func (t *Tracer) appendEvents(out []Event, from int) []Event {
+	oldest := t.seq - uint64(t.n)
+	for i := from; i < t.n; i++ {
+		pos := t.head + i
+		if pos >= t.capacity {
+			pos -= t.capacity
+		}
+		r := &t.blocks[pos>>spanBlockShift][pos&spanBlockMask]
+		nm := t.names[r.name]
+		out = append(out, Event{
+			Seq: oldest + uint64(i), Kind: r.kind, Stage: nm.stage, Device: nm.dev,
+			Pkt: r.pkt, Priority: int(r.priority), Start: r.start, End: r.end,
+		})
 	}
 	return out
 }

@@ -12,7 +12,7 @@ import (
 
 // record adds ev to tr through the tracer's recording path.
 func record(tr *Tracer, ev Event) {
-	tr.add(ev.Kind, ev.Stage, ev.Device, ev.Pkt, ev.Priority, ev.Start, ev.End)
+	tr.add(ev.Kind, tr.intern(ev.Stage, ev.Device), ev.Pkt, ev.Priority, ev.Start, ev.End)
 }
 
 func TestPipelineLifecycle(t *testing.T) {

@@ -1,13 +1,88 @@
 package obs
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"prism/internal/pkt"
 	"prism/internal/sim"
 )
+
+// refTracer is the string-holding ring the pointer-free Tracer replaced,
+// kept as its differential oracle: each slot is a whole Event, and the
+// backing array grows by doubling up to the capacity.
+type refTracer struct {
+	capacity    int
+	sampleEvery uint64
+	events      []Event
+	head        int
+	seq         uint64
+	Overwritten uint64
+	SampledOut  uint64
+}
+
+func newRefTracer(capacity int) *refTracer {
+	if capacity <= 0 {
+		capacity = DefaultTracerCap
+	}
+	return &refTracer{capacity: capacity}
+}
+
+func (t *refTracer) SetSampling(n int) {
+	t.sampleEvery = 0
+	if n > 1 {
+		t.sampleEvery = uint64(n)
+	}
+}
+
+func (t *refTracer) add(kind EventKind, stage, dev string, id uint64, prio int, start, end sim.Time) {
+	if t.sampleEvery > 1 && id != NoPacket && id%t.sampleEvery != 0 {
+		t.SampledOut++
+		return
+	}
+	ev := Event{Seq: t.seq, Kind: kind, Stage: stage, Device: dev, Pkt: id, Priority: prio, Start: start, End: end}
+	t.seq++
+	if n := len(t.events); n < t.capacity {
+		if n == cap(t.events) {
+			grown := make([]Event, n, min(max(2*n, 256), t.capacity))
+			copy(grown, t.events)
+			t.events = grown
+		}
+		t.events = append(t.events, ev)
+		return
+	}
+	t.events[t.head] = ev
+	if t.head++; t.head == t.capacity {
+		t.head = 0
+	}
+	t.Overwritten++
+}
+
+func (t *refTracer) Len() int      { return len(t.events) }
+func (t *refTracer) Total() uint64 { return t.seq }
+
+func (t *refTracer) Events() []Event {
+	out := make([]Event, 0, len(t.events))
+	out = append(out, t.events[t.head:]...)
+	return append(out, t.events[:t.head]...)
+}
+
+func (t *refTracer) EventsSince(cursor uint64) []Event {
+	if cursor >= t.seq {
+		return nil
+	}
+	oldest := t.seq - uint64(len(t.events))
+	skip := 0
+	if cursor > oldest {
+		skip = int(cursor - oldest)
+	}
+	return t.Events()[skip:]
+}
 
 // refPipeline is the map-keyed recording path the Stage handles replaced,
 // kept as their differential oracle: every call looks its series up in the
@@ -15,13 +90,13 @@ import (
 // ID instead of a field on the SKB.
 type refPipeline struct {
 	Shard  string
-	T      *Tracer
+	T      *refTracer
 	M      *Registry
 	lastAt map[uint64]sim.Time
 }
 
 func newRefPipeline(shard string) *refPipeline {
-	return &refPipeline{Shard: shard, T: NewTracer(0), M: NewRegistry(), lastAt: make(map[uint64]sim.Time)}
+	return &refPipeline{Shard: shard, T: newRefTracer(0), M: NewRegistry(), lastAt: make(map[uint64]sim.Time)}
 }
 
 func (p *refPipeline) DMA(now sim.Time, dev string, id uint64, prio int) {
@@ -95,7 +170,7 @@ func TestStageHandlesMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ref, p := newRefPipeline("s0"), NewPipeline("s0")
 		// A small ring wraps many times; some seeds also sample.
-		ref.T, p.T = NewTracer(300), NewTracer(300)
+		ref.T, p.T = newRefTracer(300), NewTracer(300)
 		if seed%3 == 0 {
 			ref.T.SetSampling(3)
 			p.T.SetSampling(3)
@@ -160,7 +235,7 @@ func TestStageHandlesMatchReference(t *testing.T) {
 		if !reflect.DeepEqual(p.T.Events(), ref.T.Events()) {
 			t.Fatalf("seed %d: span streams differ", seed)
 		}
-		if p.T.Total() != ref.T.Total() || p.T.Overwritten != ref.T.Overwritten || p.T.SampledOut != ref.T.SampledOut {
+		if p.T.Len() != ref.T.Len() || p.T.Total() != ref.T.Total() || p.T.Overwritten != ref.T.Overwritten || p.T.SampledOut != ref.T.SampledOut {
 			t.Fatalf("seed %d: tracer counters differ", seed)
 		}
 		if p.InFlight() != len(ref.lastAt) {
@@ -205,24 +280,193 @@ func TestBoundCachesPerPipeline(t *testing.T) {
 	}
 }
 
-// The ring grows by doubling up to its capacity, so filling a
-// power-of-two ring allocates less than twice the final array.
-func TestTracerGrowthBounded(t *testing.T) {
-	const capacity = 1 << 12
+// sameEvents reports whether two event slices are equal, nil-ness included.
+func sameEvents(a, b []Event) bool { return (a == nil) == (b == nil) && slices.Equal(a, b) }
+
+// sameTracer fails unless the ring and its reference hold the same
+// events and counters.
+func sameTracer(t *testing.T, tr *Tracer, ref *refTracer) {
+	t.Helper()
+	if !sameEvents(tr.Events(), ref.Events()) {
+		t.Fatalf("events differ:\n got %+v\nwant %+v", tr.Events(), ref.Events())
+	}
+	if tr.Len() != ref.Len() || tr.Total() != ref.Total() || tr.Overwritten != ref.Overwritten || tr.SampledOut != ref.SampledOut {
+		t.Fatalf("len/total/overwritten/sampled = %d/%d/%d/%d, reference %d/%d/%d/%d",
+			tr.Len(), tr.Total(), tr.Overwritten, tr.SampledOut, ref.Len(), ref.Total(), ref.Overwritten, ref.SampledOut)
+	}
+}
+
+// FuzzTracerMatchesReference drives the block ring and the string-holding
+// reference with one op sequence — single events and bursts under names
+// that include empty strings, sampling changes, and EventsSince at cursors
+// before, inside and past the buffered range — at capacities of one, below
+// one block, at and around block boundaries and over several blocks.
+func FuzzTracerMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add([]byte{3, 4, 200, 6, 0, 1, 5, 3, 4, 255, 6, 9, 2, 7})
+	f.Add([]byte{6, 4, 255, 4, 255, 5, 2, 4, 90, 6, 40, 6, 3, 1, 17, 200, 30})
+	f.Add([]byte{4, 3, 5, 100, 5, 10, 10, 4, 2, 3, 7, 50, 6, 3, 1, 4, 3, 3, 9, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		capacities := []int{1, 3, 100, spanBlock - 1, spanBlock, spanBlock + 1, 2*spanBlock + 7, 3 * spanBlock}
+		capacity := capacities[int(next())%len(capacities)]
+		tr, ref := NewTracer(capacity), newRefTracer(capacity)
+		stages := []string{"", StageDMA, StageNIC, StageDrop}
+		devs := []string{"", "eth0", "br0"}
+		var now sim.Time
+		adds := 0
+		add := func(b byte, id uint64) {
+			stage, dev := stages[b&3], devs[int(b>>2)%len(devs)]
+			kind := KindInstant + EventKind(b>>7)
+			prio := int(int8(b)) >> 4 // -8..7
+			if b%11 == 0 {
+				id = NoPacket
+			}
+			adds++
+			now += sim.Time(b)
+			end := now + sim.Time(b>>3)
+			tr.add(kind, tr.intern(stage, dev), id, prio, now, end)
+			ref.add(kind, stage, dev, id, prio, now, end)
+		}
+		for ops := 0; len(data) > 0 && ops < 256; ops++ {
+			switch op := next(); op & 7 {
+			case 0, 1, 2:
+				add(next(), uint64(next()))
+			case 3:
+				// A burst of up to ~4 Ki events wraps the small rings many
+				// times and fills several blocks of the large ones; the
+				// budget keeps each input fast enough to fuzz.
+				b, n := next(), 1+16*int(next())
+				for i := 0; i < n && adds < 1<<15; i++ {
+					add(b+byte(i), uint64(i))
+				}
+			case 4:
+				n := int(next() % 5)
+				tr.SetSampling(n)
+				ref.SetSampling(n)
+			case 5, 6:
+				// A cursor up to 255² events behind the total, or a few past it.
+				back := uint64(next()) * uint64(next())
+				cursor := tr.Total() + uint64(op>>3&3)
+				if back <= cursor {
+					cursor -= back
+				} else {
+					cursor = 0
+				}
+				if got, want := tr.EventsSince(cursor), ref.EventsSince(cursor); !sameEvents(got, want) {
+					t.Fatalf("EventsSince(%d) of %d buffered:\n got %+v\nwant %+v", cursor, ref.Len(), got, want)
+				}
+			case 7:
+				sameTracer(t, tr, ref)
+			}
+		}
+		sameTracer(t, tr, ref)
+	})
+}
+
+// The ring holds only the blocks its write position has reached, trims the
+// last one to the capacity, keeps the newest capacity events in order
+// across wraps, and stores records the garbage collector need not scan.
+func TestTracerBlocksBounded(t *testing.T) {
+	const capacity = 3*spanBlock + 100
 	tr := NewTracer(capacity)
-	caps := map[int]bool{}
+	name := tr.intern(StageDMA, "eth0")
 	for i := 0; i < 3*capacity; i++ {
-		tr.add(KindInstant, StageDMA, "eth0", uint64(i), 0, sim.Time(i), sim.Time(i))
-		caps[cap(tr.events)] = true
+		tr.add(KindInstant, name, uint64(i), 0, sim.Time(i), sim.Time(i))
+		allocated := 0
+		for _, b := range tr.blocks {
+			allocated += len(b)
+		}
+		if want := min(capacity, (tr.Len()+spanBlock-1)/spanBlock*spanBlock); allocated != want {
+			t.Fatalf("after %d events: %d records allocated, want %d", i+1, allocated, want)
+		}
 	}
-	total := 0
-	for c := range caps {
-		total += c
+	evs := tr.Events()
+	if len(evs) != capacity {
+		t.Fatalf("ring holds %d events, want %d", len(evs), capacity)
 	}
-	if cap(tr.events) != capacity || total >= 2*capacity {
-		t.Errorf("final cap %d, arrays allocated sum to %d events", cap(tr.events), total)
+	for i, ev := range evs {
+		if want := uint64(2*capacity + i); ev.Pkt != want || ev.Seq != want || ev.Stage != StageDMA || ev.Device != "eth0" {
+			t.Fatalf("event %d = %+v, want pkt and seq %d", i, ev, want)
+		}
 	}
-	if evs := tr.Events(); len(evs) != capacity || evs[0].Pkt != 2*capacity || evs[capacity-1].Pkt != 3*capacity-1 {
-		t.Errorf("ring holds %d events, pkts %d..%d", len(evs), evs[0].Pkt, evs[len(evs)-1].Pkt)
+
+	var noPointers func(reflect.Type) bool
+	noPointers = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !noPointers(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		case reflect.Array:
+			return noPointers(ty.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+			reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+			return false
+		}
+		return true
 	}
+	rt := reflect.TypeOf(spanRecord{})
+	if !noPointers(rt) || rt.Size() != 32 {
+		t.Errorf("spanRecord is %d bytes, pointer-free %v; want 32 bytes and no pointers", rt.Size(), noPointers(rt))
+	}
+}
+
+// A handle bound before the pipeline's tracer is replaced interns its
+// name into the new tracer, whose name table starts empty and so assigns
+// different indices.
+func TestStageReinternsAfterTracerSwap(t *testing.T) {
+	p := NewPipeline("s0")
+	nic, br := p.Bind("eth0", StageNIC), p.Bind("br0", StageBridge)
+	var c pkt.WaitCursor
+	nic.Span(1, 0, 10, 20, &c)
+	br.Span(1, 0, 30, 40, &c)
+	old := p.T
+	p.T = NewTracer(16)
+	br.Span(2, 1, 50, 60, &c)
+	p.Drop(70, "veth0", StageShed, 2, 1, &c)
+	nic.Span(3, 0, 80, 90, &c)
+	label := func(evs []Event) (out [][2]string) {
+		for _, ev := range evs {
+			out = append(out, [2]string{ev.Stage, ev.Device})
+		}
+		return out
+	}
+	want := [][2]string{{StageBridge, "br0"}, {StageDrop, "veth0"}, {StageNIC, "eth0"}}
+	if got := label(p.T.Events()); !reflect.DeepEqual(got, want) {
+		t.Errorf("new tracer labels %v, want %v", got, want)
+	}
+	if got, want := label(old.Events()), [][2]string{{StageNIC, "eth0"}, {StageBridge, "br0"}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("old tracer labels %v, want %v", got, want)
+	}
+}
+
+// The name table holds 65,536 distinct (stage, device) pairs, as many as
+// a record's uint16 index can address; one more panics rather than
+// wrapping onto another pair's name.
+func TestTracerNameTableBound(t *testing.T) {
+	tr := NewTracer(1)
+	for i := 0; i <= math.MaxUint16; i++ {
+		tr.intern(StageDrop, strconv.Itoa(i))
+	}
+	if i := tr.intern(StageDrop, "0"); i != 0 {
+		t.Fatalf("re-interning the first pair gave index %d", i)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "name table full") || !strings.Contains(msg, "65537") {
+			t.Errorf("65,537th pair: recovered %q, want a name-table-full panic", msg)
+		}
+	}()
+	tr.intern(StageDrop, "one too many")
 }
