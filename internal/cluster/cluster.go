@@ -333,7 +333,9 @@ func New(cfg Config) (*Cluster, error) {
 				return
 			}
 			n.Injected++
-			n.Up.Send(now, arrive-now, frame)
+			// The host lends its pooled egress buffer only for this
+			// call; the uplink carries the frame across the window.
+			n.Up.Send(now, arrive-now, append([]byte(nil), frame...))
 		}
 	}
 

@@ -41,12 +41,12 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 	return cc
 }
 
-// clusterSpecs builds the experiment workload: one flood sink per host
+// ClusterSpecs builds the experiment workload: one flood sink per host
 // (the cross-host background load), every ninth remaining container a
 // high-priority echo at p.HighRate, the rest best-effort echoes at a
 // fifth of that. Ingress hosts are a deterministic spread, so most flows
 // cross the fabric and many cross racks.
-func clusterSpecs(p Params, hosts, containers int) []cluster.ContainerSpec {
+func ClusterSpecs(p Params, hosts, containers int) []cluster.ContainerSpec {
 	specs := make([]cluster.ContainerSpec, 0, containers)
 	for i := 0; i < containers; i++ {
 		ingress := (i*7 + 3) % hosts
@@ -135,7 +135,7 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 		Placement: pol,
 		Seed:      p.Seed,
 		Host:      BaseSpec(p, prio.ModeSync),
-		Specs:     clusterSpecs(p, cc.Hosts, cc.Containers),
+		Specs:     ClusterSpecs(p, cc.Hosts, cc.Containers),
 		// Slightly below the busiest hosts' offered ingress, so the
 		// bucket visibly shaves best-effort bursts while the reserve
 		// keeps prioritized flows untouched.

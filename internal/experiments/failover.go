@@ -160,7 +160,7 @@ func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (Failover
 		Placement: pol,
 		Seed:      p.Seed,
 		Host:      BaseSpec(p, prio.ModeSync),
-		Specs:     clusterSpecs(p, fc.Hosts, fc.Containers),
+		Specs:     ClusterSpecs(p, fc.Hosts, fc.Containers),
 		Admission: &cluster.Admission{Rate: 55_000, Burst: 96, HiReserve: 0.25},
 		Fabric:    cluster.FabricConfig{Racks: 2},
 		Warmup:    p.Warmup,

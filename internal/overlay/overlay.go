@@ -149,6 +149,8 @@ type Host struct {
 
 	// Tap, when set, observes every wire frame (rx: client→server before
 	// DMA; tx: server→client at transmission). Used by the pcap exporter.
+	// The frame is valid only during the call; a tap that keeps it must
+	// copy it.
 	Tap func(now sim.Time, frame []byte, tx bool)
 
 	// WireTx, when set, takes over outbound wire delivery: instead of
@@ -156,7 +158,9 @@ type Host struct {
 	// hands (departure time, computed arrival time, frame) to the hook.
 	// Parallel topologies (internal/par) use it to carry frames over a
 	// cross-shard link whose lookahead is the wire latency, so the client
-	// machine can live on a different shard than the server.
+	// machine can live on a different shard than the server. The frame is
+	// a pooled egress buffer, valid only during the call: a hook that
+	// keeps it past its return (a link carrying it) must copy it.
 	WireTx func(now, arrive sim.Time, frame []byte)
 
 	// Fault is the host's fault plane (nil when not injecting).
@@ -177,6 +181,10 @@ type Host struct {
 	// copies currently parked.
 	delayPool       pkt.FramePool
 	delayedInFlight int
+
+	// txPool holds encoded egress frames from the send call until the
+	// wire hand-off (WireTx or the remote receiver) returns.
+	txPool pkt.FramePool
 }
 
 // NewHost builds the server. The priority database starts empty and in the
@@ -307,7 +315,8 @@ func (h *Host) AddContainer(name string) *Container {
 }
 
 // AttachRemote registers the callback receiving frames the server
-// transmits toward the client machine.
+// transmits toward the client machine. The frame is valid only during the
+// call; a receiver that keeps it must copy it.
 func (h *Host) AttachRemote(rx func(now sim.Time, frame []byte)) { h.remoteRx = rx }
 
 // InjectFromWire delivers a frame from the link into the NIC at time now
@@ -384,24 +393,38 @@ func (h *Host) QueueFor(frame []byte) int {
 	return int(hash % uint32(queues))
 }
 
-// transmit sends a frame toward the client machine, modelling wire latency
-// and serialization.
-func (h *Host) transmit(now sim.Time, frame []byte) {
+// transmit sends a pooled frame toward the client machine, modelling wire
+// latency and serialization. Tap, WireTx and the remote receiver borrow
+// the bytes only for their call, so the buffer goes back to the tx pool
+// as soon as the last of them returns.
+func (h *Host) transmit(now sim.Time, buf *pkt.Frame) {
+	frame := buf.B
 	h.TxFrames++
 	if h.Tap != nil {
 		h.Tap(now, frame, true)
 	}
 	at := now + h.Costs.WireLatency + h.Costs.Serialization(len(frame))
-	if h.WireTx != nil {
+	switch {
+	case h.WireTx != nil:
 		h.WireTx(now, at, frame)
+	case h.remoteRx != nil:
+		h.Eng.CallAt(at, deliverRemote, h, buf)
 		return
 	}
-	if h.remoteRx == nil {
-		return
-	}
-	rx := h.remoteRx
-	f := frame
-	h.Eng.At(at, func() { rx(at, f) })
+	buf.Release()
+}
+
+// txDone runs when the application thread has paid a send's egress cost:
+// the frame leaves the host. A top-level function, so Thread.Submit
+// schedules it without a closure.
+func txDone(done sim.Time, a1, a2 any) { a1.(*Host).transmit(done, a2.(*pkt.Frame)) }
+
+// deliverRemote hands a transmitted frame to the client machine at its
+// wire arrival and releases the buffer once the receiver returns.
+func deliverRemote(at sim.Time, a1, a2 any) {
+	h, buf := a1.(*Host), a2.(*pkt.Frame)
+	h.remoteRx(at, buf.B)
+	buf.Release()
 }
 
 // Bind binds a UDP or TCP server app inside the container.
@@ -435,16 +458,12 @@ func (c *Container) SendUDP(now sim.Time, dst RemoteEndpoint, srcPort uint16, pa
 	// Encode at call time: payload is only guaranteed valid while the
 	// caller (usually an OnMessage callback) runs — it may alias a pooled
 	// frame that is recycled as soon as the callback returns.
-	inner := pkt.BuildUDPFrame(pkt.UDPFrameSpec{
+	buf := h.txPool.Get(pkt.VXLANOverhead + pkt.UDPFrameOverhead + len(payload))
+	buf.B = pkt.EncapUDPInto(buf.B, c.toClient(dst, srcPort), pkt.UDPFrameSpec{
 		SrcMAC: c.MAC, DstMAC: dst.MAC, SrcIP: c.IP, DstIP: dst.IP,
 		SrcPort: srcPort, DstPort: dst.Port, Payload: payload,
 	})
-	frame := pkt.Encapsulate(pkt.VXLANSpec{
-		OuterSrcMAC: ServerMAC, OuterDstMAC: ClientMAC,
-		OuterSrcIP: ServerIP, OuterDstIP: ClientIP,
-		SrcPort: entropyPort(c.IP, dst.IP, srcPort, dst.Port), VNI: VNI,
-	}, inner)
-	c.Thread.Submit(now, h.Costs.AppTx, func(done sim.Time) { h.transmit(done, frame) })
+	c.Thread.Submit(now, h.Costs.AppTx, txDone, h, buf)
 }
 
 // SendTCP transmits a TCP segment (reply data) from the container,
@@ -452,17 +471,22 @@ func (c *Container) SendUDP(now sim.Time, dst RemoteEndpoint, srcPort uint16, pa
 func (c *Container) SendTCP(now sim.Time, dst RemoteEndpoint, srcPort uint16, seq uint32, payload []byte) {
 	h := c.host
 	// Encoded at call time; see SendUDP.
-	inner := pkt.BuildTCPFrame(pkt.TCPFrameSpec{
+	buf := h.txPool.Get(pkt.VXLANOverhead + pkt.TCPFrameOverhead + len(payload))
+	buf.B = pkt.EncapTCPInto(buf.B, c.toClient(dst, srcPort), pkt.TCPFrameSpec{
 		SrcMAC: c.MAC, DstMAC: dst.MAC, SrcIP: c.IP, DstIP: dst.IP,
 		SrcPort: srcPort, DstPort: dst.Port, Seq: seq,
 		Flags: pkt.TCPAck | pkt.TCPPsh, Payload: payload,
 	})
-	frame := pkt.Encapsulate(pkt.VXLANSpec{
+	c.Thread.Submit(now, h.Costs.AppTx, txDone, h, buf)
+}
+
+// toClient is the outer VXLAN header of the container's replies to dst.
+func (c *Container) toClient(dst RemoteEndpoint, srcPort uint16) pkt.VXLANSpec {
+	return pkt.VXLANSpec{
 		OuterSrcMAC: ServerMAC, OuterDstMAC: ClientMAC,
 		OuterSrcIP: ServerIP, OuterDstIP: ClientIP,
 		SrcPort: entropyPort(c.IP, dst.IP, srcPort, dst.Port), VNI: VNI,
-	}, inner)
-	c.Thread.Submit(now, h.Costs.AppTx, func(done sim.Time) { h.transmit(done, frame) })
+	}
 }
 
 // BindHost binds a server app on the host network (Fig. 10 experiments).
@@ -474,11 +498,12 @@ func (h *Host) BindHost(proto uint8, port uint16, app socket.App, recvCap int) (
 // socket toward the client machine.
 func (h *Host) SendHostUDP(now sim.Time, dstPort, srcPort uint16, payload []byte) {
 	// Encoded at call time; see Container.SendUDP.
-	frame := pkt.BuildUDPFrame(pkt.UDPFrameSpec{
+	buf := h.txPool.Get(pkt.UDPFrameOverhead + len(payload))
+	buf.B = pkt.AppendUDPFrame(buf.B, pkt.UDPFrameSpec{
 		SrcMAC: ServerMAC, DstMAC: ClientMAC, SrcIP: ServerIP, DstIP: ClientIP,
 		SrcPort: srcPort, DstPort: dstPort, Payload: payload,
 	})
-	h.HostThread.Submit(now, h.Costs.AppTx, func(done sim.Time) { h.transmit(done, frame) })
+	h.HostThread.Submit(now, h.Costs.AppTx, txDone, h, buf)
 }
 
 // entropyPort mimics the VXLAN source-port entropy hash (RFC 7348 §5).
@@ -496,54 +521,53 @@ func entropyPort(a, b pkt.IPv4, p1, p2 uint16) uint16 {
 // client container to a server container, VXLAN-wrapped for the underlay.
 // Traffic generators use it.
 func EncapToServer(src RemoteEndpoint, dst *Container, dstPort uint16, payload []byte) []byte {
-	inner := pkt.BuildUDPFrame(pkt.UDPFrameSpec{
+	return EncapToServerInto(nil, src, dst, dstPort, payload)
+}
+
+// EncapToServerInto is EncapToServer writing into buf's backing array when
+// it has the capacity, allocating only on overflow.
+func EncapToServerInto(buf []byte, src RemoteEndpoint, dst *Container, dstPort uint16, payload []byte) []byte {
+	return pkt.EncapUDPInto(buf, toServer(src, dst, dstPort), pkt.UDPFrameSpec{
 		SrcMAC: src.MAC, DstMAC: dst.MAC, SrcIP: src.IP, DstIP: dst.IP,
 		SrcPort: src.Port, DstPort: dstPort, Payload: payload,
 	})
-	return pkt.Encapsulate(pkt.VXLANSpec{
-		OuterSrcMAC: ClientMAC, OuterDstMAC: ServerMAC,
-		OuterSrcIP: ClientIP, OuterDstIP: ServerIP,
-		SrcPort: entropyPort(src.IP, dst.IP, src.Port, dstPort), VNI: VNI,
-	}, inner)
 }
 
 // EncapTCPToServer builds a client→server overlay TCP segment.
 func EncapTCPToServer(src RemoteEndpoint, dst *Container, dstPort uint16, seq uint32, payload []byte) []byte {
-	inner := pkt.BuildTCPFrame(pkt.TCPFrameSpec{
+	return EncapTCPToServerInto(nil, src, dst, dstPort, seq, payload)
+}
+
+// EncapTCPToServerInto is EncapTCPToServer writing into buf's backing
+// array when it has the capacity, allocating only on overflow.
+func EncapTCPToServerInto(buf []byte, src RemoteEndpoint, dst *Container, dstPort uint16, seq uint32, payload []byte) []byte {
+	return pkt.EncapTCPInto(buf, toServer(src, dst, dstPort), pkt.TCPFrameSpec{
 		SrcMAC: src.MAC, DstMAC: dst.MAC, SrcIP: src.IP, DstIP: dst.IP,
 		SrcPort: src.Port, DstPort: dstPort, Seq: seq,
 		Flags: pkt.TCPAck | pkt.TCPPsh, Payload: payload,
 	})
-	return pkt.Encapsulate(pkt.VXLANSpec{
+}
+
+// toServer is the outer VXLAN header of a client container's frames to
+// dst's port.
+func toServer(src RemoteEndpoint, dst *Container, dstPort uint16) pkt.VXLANSpec {
+	return pkt.VXLANSpec{
 		OuterSrcMAC: ClientMAC, OuterDstMAC: ServerMAC,
 		OuterSrcIP: ClientIP, OuterDstIP: ServerIP,
 		SrcPort: entropyPort(src.IP, dst.IP, src.Port, dstPort), VNI: VNI,
-	}, inner)
-}
-
-// EncapTCPToServerInto is EncapTCPToServer encoding into caller-provided
-// scratch: dst receives the outer frame, scratch holds the inner frame
-// while it is wrapped. Both are reused when their capacity allows. It
-// returns the encoded frame and the (possibly grown) inner scratch.
-func EncapTCPToServerInto(dst, scratch []byte, src RemoteEndpoint, dstC *Container,
-	dstPort uint16, seq uint32, payload []byte) (frame, inner []byte) {
-	inner = pkt.AppendTCPFrame(scratch, pkt.TCPFrameSpec{
-		SrcMAC: src.MAC, DstMAC: dstC.MAC, SrcIP: src.IP, DstIP: dstC.IP,
-		SrcPort: src.Port, DstPort: dstPort, Seq: seq,
-		Flags: pkt.TCPAck | pkt.TCPPsh, Payload: payload,
-	})
-	frame = pkt.EncapInto(dst, pkt.VXLANSpec{
-		OuterSrcMAC: ClientMAC, OuterDstMAC: ServerMAC,
-		OuterSrcIP: ClientIP, OuterDstIP: ServerIP,
-		SrcPort: entropyPort(src.IP, dstC.IP, src.Port, dstPort), VNI: VNI,
-	}, inner)
-	return frame, inner
+	}
 }
 
 // HostUDPToServer builds a plain client→server UDP frame for host-network
 // experiments.
 func HostUDPToServer(srcPort, dstPort uint16, payload []byte) []byte {
-	return pkt.BuildUDPFrame(pkt.UDPFrameSpec{
+	return HostUDPToServerInto(nil, srcPort, dstPort, payload)
+}
+
+// HostUDPToServerInto is HostUDPToServer writing into buf's backing array
+// when it has the capacity, allocating only on overflow.
+func HostUDPToServerInto(buf []byte, srcPort, dstPort uint16, payload []byte) []byte {
+	return pkt.AppendUDPFrame(buf, pkt.UDPFrameSpec{
 		SrcMAC: ClientMAC, DstMAC: ServerMAC, SrcIP: ClientIP, DstIP: ServerIP,
 		SrcPort: srcPort, DstPort: dstPort, Payload: payload,
 	})

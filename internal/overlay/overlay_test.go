@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"bytes"
+	"sort"
+	"strings"
 	"testing"
 
 	"prism/internal/cpu"
@@ -23,6 +26,8 @@ type recorder struct {
 
 func (r *recorder) ProcessingCost(socket.Message) sim.Time { return 1000 }
 func (r *recorder) OnMessage(done sim.Time, m socket.Message) {
+	// Payload is valid only during OnMessage; keep a copy.
+	m.Payload = bytes.Clone(m.Payload)
 	r.msgs = append(r.msgs, m)
 }
 
@@ -112,7 +117,7 @@ func TestContainerReplyReachesRemote(t *testing.T) {
 			t.Errorf("reply payload: %v", err)
 			return
 		}
-		replies = append(replies, p)
+		replies = append(replies, bytes.Clone(p)) // the frame is lent for this call only
 		replyAt = now
 	})
 
@@ -172,7 +177,7 @@ func TestHostReplyPath(t *testing.T) {
 			t.Errorf("host reply: %v", err)
 			return
 		}
-		got = p
+		got = bytes.Clone(p) // the frame is lent for this call only
 	})
 	echo := socket.AppFunc{Fn: func(done sim.Time, m socket.Message) {
 		h.SendHostUDP(done, m.From.SrcPort, 8080, []byte("pong"))
@@ -365,5 +370,58 @@ func TestMultiQueueScalesThroughput(t *testing.T) {
 	four := run(4)
 	if four < one*2 {
 		t.Errorf("4-queue rate %.0f pps not ≥ 2x single-queue %.0f pps", four, one)
+	}
+}
+
+// TestEgressBuffersReturnToPool checks the egress ownership rule: every
+// sender's pooled frame goes back to the host's tx pool once the wire
+// hand-off returns, whether a remote receiver, a WireTx hook or nobody
+// takes it, and the borrowed bytes are the reply the app sent.
+func TestEgressBuffersReturnToPool(t *testing.T) {
+	for _, sink := range []string{"remote", "wiretx", "none"} {
+		t.Run(sink, func(t *testing.T) {
+			eng, h := newTestHost(t, prio.ModeVanilla)
+			ctr := h.AddContainer("srv")
+			client := ClientContainer(0, 40000)
+			var got []string
+			keep := func(frame []byte) {
+				inner := frame
+				if pkt.IsVXLAN(frame) {
+					_, inner, _ = pkt.Decapsulate(frame)
+				}
+				p, err := pkt.TransportPayload(inner)
+				if err != nil {
+					t.Errorf("reply: %v", err)
+					return
+				}
+				got = append(got, string(p))
+			}
+			switch sink {
+			case "remote":
+				h.AttachRemote(func(_ sim.Time, frame []byte) { keep(frame) })
+			case "wiretx":
+				h.WireTx = func(_, _ sim.Time, frame []byte) { keep(frame) }
+			}
+			eng.At(0, func() {
+				ctr.SendUDP(0, client, 11211, []byte("udp"))
+				ctr.SendTCP(0, client, 11211, 1, []byte("tcp"))
+				h.SendHostUDP(0, 5000, 8080, []byte("host"))
+			})
+			if err := eng.RunUntilIdle(); err != nil {
+				t.Fatal(err)
+			}
+			if h.TxFrames != 3 {
+				t.Errorf("TxFrames = %d, want 3", h.TxFrames)
+			}
+			if n := h.txPool.Outstanding(); n != 0 {
+				t.Errorf("%d egress buffers outstanding after the drain", n)
+			}
+			// The host thread and the container's thread finish in either
+			// order, so compare the set.
+			sort.Strings(got)
+			if want := []string{"host", "tcp", "udp"}; sink != "none" && strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Errorf("replies = %q, want %q", got, want)
+			}
+		})
 	}
 }

@@ -148,6 +148,81 @@ func FuzzParseTCP(f *testing.F) {
 	})
 }
 
+// FuzzEncapInPlaceMatchesTwoStep holds the one-buffer encoders to their
+// oracle: for any header fields, a payload of 0–2048 bytes and a dst that
+// is nil, too small, exact or larger (pre-filled with stale bytes, as a
+// recycled pool buffer is), EncapUDPInto and EncapTCPInto must equal
+// Encapsulate(BuildUDPFrame/BuildTCPFrame(...)) byte for byte, and must
+// write in place exactly when dst has the capacity.
+func FuzzEncapInPlaceMatchesTwoStep(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint8(0), []byte{})
+	f.Add(fuzzOuter()[:VXLANOverhead], uint16(64), uint8(2), []byte("probe"))
+	f.Add(bytes.Repeat([]byte{0xff}, 64), uint16(2048), uint8(3), []byte{0})
+	f.Add([]byte{1, 2, 3}, uint16(1460), uint8(1), []byte("x"))
+	f.Fuzz(func(t *testing.T, hdr []byte, plen uint16, capMode uint8, fill []byte) {
+		next := func() byte {
+			if len(hdr) == 0 {
+				return 0
+			}
+			b := hdr[0]
+			hdr = hdr[1:]
+			return b
+		}
+		mac := func() (m MAC) {
+			for i := range m {
+				m[i] = next()
+			}
+			return m
+		}
+		ip := func() IPv4 { return IPv4{next(), next(), next(), next()} }
+		u16 := func() uint16 { return uint16(next())<<8 | uint16(next()) }
+		u32 := func() uint32 { return uint32(u16())<<16 | uint32(u16()) }
+
+		payload := make([]byte, int(plen)%2049)
+		for i := range payload {
+			if len(fill) > 0 {
+				payload[i] = fill[i%len(fill)]
+			}
+		}
+		vs := VXLANSpec{OuterSrcMAC: mac(), OuterDstMAC: mac(), OuterSrcIP: ip(), OuterDstIP: ip(),
+			SrcPort: u16(), VNI: u32(), ID: u16()}
+		udp := UDPFrameSpec{SrcMAC: mac(), DstMAC: mac(), SrcIP: ip(), DstIP: ip(),
+			SrcPort: u16(), DstPort: u16(), TOS: next(), ID: u16(), Payload: payload}
+		tcp := TCPFrameSpec{SrcMAC: udp.SrcMAC, DstMAC: udp.DstMAC, SrcIP: udp.SrcIP, DstIP: udp.DstIP,
+			SrcPort: udp.SrcPort, DstPort: udp.DstPort, Seq: u32(), Ack: u32(), Flags: next(),
+			ID: udp.ID, Payload: payload}
+
+		// dstFor returns the destination buffer for a frame of n bytes.
+		dstFor := func(n int) []byte {
+			var c int
+			switch capMode % 4 {
+			case 0:
+				return nil
+			case 1:
+				c = n - 1
+			case 2:
+				c = n
+			case 3:
+				c = n + 1 + int(capMode)
+			}
+			return bytes.Repeat([]byte{0xA5}, c)
+		}
+		check := func(kind string, want []byte, encode func(dst []byte) []byte) {
+			dst := dstFor(len(want))
+			got := encode(dst)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: one-buffer encoding differs from the two-step oracle:\n got %x\nwant %x", kind, got, want)
+			}
+			wantInPlace := cap(dst) >= len(want)
+			if inPlace := cap(dst) > 0 && &got[0] == &dst[:1][0]; inPlace != wantInPlace {
+				t.Fatalf("%s: wrote in place = %v with cap %d for a %d-byte frame", kind, inPlace, cap(dst), len(want))
+			}
+		}
+		check("udp", Encapsulate(vs, BuildUDPFrame(udp)), func(dst []byte) []byte { return EncapUDPInto(dst, vs, udp) })
+		check("tcp", Encapsulate(vs, BuildTCPFrame(tcp)), func(dst []byte) []byte { return EncapTCPInto(dst, vs, tcp) })
+	})
+}
+
 // TestFuzzCorpusCommitted guards the committed seed corpus: each target
 // must ship at least the generator's seeds so `go test` (without -fuzz)
 // always replays them.

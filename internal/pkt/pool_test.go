@@ -188,9 +188,12 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 
 	vs := VXLANSpec{OuterSrcMAC: macB, OuterDstMAC: macA, OuterSrcIP: ipB, OuterDstIP: ipA, SrcPort: 3, VNI: 7}
 	wantOuter := Encapsulate(vs, want)
-	outerScratch := make([]byte, 0, 2048) // EncapInto's dst must not alias inner
-	gotOuter := EncapInto(outerScratch, vs, got)
+	outerScratch := make([]byte, 0, 2048)
+	gotOuter := EncapUDPInto(outerScratch, vs, sp)
 	if !bytes.Equal(gotOuter, wantOuter) {
-		t.Error("EncapInto differs from Encapsulate")
+		t.Error("EncapUDPInto differs from Encapsulate")
+	}
+	if &gotOuter[0] != &outerScratch[:1][0] {
+		t.Error("EncapUDPInto did not reuse the scratch buffer")
 	}
 }

@@ -94,6 +94,13 @@ func (s *SKB) String() string {
 	return fmt.Sprintf("skb#%d[%s %s len=%d stage=%d]", s.ID, prio, s.Flow, s.Len(), s.Stage)
 }
 
+// Header bytes of a plain UDP and a plain TCP frame: an encoded frame is
+// its overhead plus the payload.
+const (
+	UDPFrameOverhead = EthHeaderLen + IPv4HeaderLen + UDPHeaderLen
+	TCPFrameOverhead = EthHeaderLen + IPv4HeaderLen + TCPHeaderLen
+)
+
 // UDPFrameSpec describes a plain (non-encapsulated) Ethernet+IPv4+UDP frame.
 type UDPFrameSpec struct {
 	SrcMAC, DstMAC   MAC
@@ -120,8 +127,13 @@ func BuildUDPFrame(sp UDPFrameSpec) []byte { return AppendUDPFrame(nil, sp) }
 // has the capacity, allocating only on overflow. It returns the encoded
 // frame.
 func AppendUDPFrame(dst []byte, sp UDPFrameSpec) []byte {
-	total := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + len(sp.Payload)
-	b := sized(dst, total)
+	b := sized(dst, UDPFrameOverhead+len(sp.Payload))
+	putUDPFrame(b, sp)
+	return b
+}
+
+// putUDPFrame encodes sp into b, which is exactly the frame's length.
+func putUDPFrame(b []byte, sp UDPFrameSpec) {
 	off := PutEthernet(b, EthernetHeader{Dst: sp.DstMAC, Src: sp.SrcMAC, EtherType: EtherTypeIPv4})
 	off += PutIPv4(b[off:], IPv4Header{
 		TOS:      sp.TOS,
@@ -138,7 +150,6 @@ func AppendUDPFrame(dst []byte, sp UDPFrameSpec) []byte {
 		Length:  uint16(UDPHeaderLen + len(sp.Payload)),
 	})
 	copy(b[off:], sp.Payload)
-	return b
 }
 
 // TCPFrameSpec describes a plain Ethernet+IPv4+TCP frame.
@@ -158,8 +169,13 @@ func BuildTCPFrame(sp TCPFrameSpec) []byte { return AppendTCPFrame(nil, sp) }
 // AppendTCPFrame is BuildTCPFrame writing into dst's backing array when it
 // has the capacity, allocating only on overflow.
 func AppendTCPFrame(dst []byte, sp TCPFrameSpec) []byte {
-	total := EthHeaderLen + IPv4HeaderLen + TCPHeaderLen + len(sp.Payload)
-	b := sized(dst, total)
+	b := sized(dst, TCPFrameOverhead+len(sp.Payload))
+	putTCPFrame(b, sp)
+	return b
+}
+
+// putTCPFrame encodes sp into b, which is exactly the frame's length.
+func putTCPFrame(b []byte, sp TCPFrameSpec) {
 	off := PutEthernet(b, EthernetHeader{Dst: sp.DstMAC, Src: sp.SrcMAC, EtherType: EtherTypeIPv4})
 	off += PutIPv4(b[off:], IPv4Header{
 		TotalLen: uint16(IPv4HeaderLen + TCPHeaderLen + len(sp.Payload)),
@@ -178,7 +194,6 @@ func AppendTCPFrame(dst []byte, sp TCPFrameSpec) []byte {
 		Window:  65535,
 	})
 	copy(b[off:], sp.Payload)
-	return b
 }
 
 // VXLANSpec describes the outer encapsulation of an overlay frame.
@@ -191,17 +206,44 @@ type VXLANSpec struct {
 }
 
 // Encapsulate wraps inner (a complete Ethernet frame) in outer
-// Ethernet+IPv4+UDP+VXLAN headers, as the VXLAN egress path does.
-func Encapsulate(sp VXLANSpec, inner []byte) []byte { return EncapInto(nil, sp, inner) }
+// Ethernet+IPv4+UDP+VXLAN headers, as the VXLAN egress path does. The
+// one-buffer encoders below produce the same bytes without the inner
+// frame; Encapsulate of BuildUDPFrame/BuildTCPFrame is their test oracle.
+func Encapsulate(sp VXLANSpec, inner []byte) []byte {
+	b := make([]byte, VXLANOverhead+len(inner))
+	putVXLANOuter(b, sp, len(inner))
+	copy(b[VXLANOverhead:], inner)
+	return b
+}
 
-// EncapInto is Encapsulate writing into dst's backing array when it has the
-// capacity, allocating only on overflow. inner must not alias dst.
-func EncapInto(dst []byte, sp VXLANSpec, inner []byte) []byte {
-	outerLen := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + VXLANHeaderLen
-	b := sized(dst, outerLen+len(inner))
+// EncapUDPInto encodes Encapsulate(vs, BuildUDPFrame(sp)) in one pass: the
+// outer headers, then the inner frame in place after them — no inner
+// buffer, no copy of it. It writes into dst's backing array when it has
+// the capacity, allocating only on overflow; sp.Payload must not alias
+// dst.
+func EncapUDPInto(dst []byte, vs VXLANSpec, sp UDPFrameSpec) []byte {
+	inner := UDPFrameOverhead + len(sp.Payload)
+	b := sized(dst, VXLANOverhead+inner)
+	putVXLANOuter(b, vs, inner)
+	putUDPFrame(b[VXLANOverhead:], sp)
+	return b
+}
+
+// EncapTCPInto is EncapUDPInto for an inner TCP segment.
+func EncapTCPInto(dst []byte, vs VXLANSpec, sp TCPFrameSpec) []byte {
+	inner := TCPFrameOverhead + len(sp.Payload)
+	b := sized(dst, VXLANOverhead+inner)
+	putVXLANOuter(b, vs, inner)
+	putTCPFrame(b[VXLANOverhead:], sp)
+	return b
+}
+
+// putVXLANOuter writes the VXLANOverhead bytes of outer headers for an
+// inner frame of innerLen bytes at the start of b.
+func putVXLANOuter(b []byte, sp VXLANSpec, innerLen int) {
 	off := PutEthernet(b, EthernetHeader{Dst: sp.OuterDstMAC, Src: sp.OuterSrcMAC, EtherType: EtherTypeIPv4})
 	off += PutIPv4(b[off:], IPv4Header{
-		TotalLen: uint16(IPv4HeaderLen + UDPHeaderLen + VXLANHeaderLen + len(inner)),
+		TotalLen: uint16(IPv4HeaderLen + UDPHeaderLen + VXLANHeaderLen + innerLen),
 		ID:       sp.ID,
 		TTL:      64,
 		Protocol: ProtoUDP,
@@ -211,11 +253,9 @@ func EncapInto(dst []byte, sp VXLANSpec, inner []byte) []byte {
 	off += PutUDP(b[off:], UDPHeader{
 		SrcPort: sp.SrcPort,
 		DstPort: VXLANPort,
-		Length:  uint16(UDPHeaderLen + VXLANHeaderLen + len(inner)),
+		Length:  uint16(UDPHeaderLen + VXLANHeaderLen + innerLen),
 	})
-	off += PutVXLAN(b[off:], VXLANHeader{VNI: sp.VNI})
-	copy(b[off:], inner)
-	return b
+	PutVXLAN(b[off:], VXLANHeader{VNI: sp.VNI})
 }
 
 // Decapsulate validates the outer Ethernet+IPv4+UDP+VXLAN headers of frame

@@ -36,29 +36,15 @@ func NewThread(name string, eng *sim.Engine, core *cpu.Core, wakeup sim.Time) *T
 // Core returns the thread's core.
 func (t *Thread) Core() *cpu.Core { return t.core }
 
-// Runner is a work item that receives its completion time. SubmitTo
-// schedules one without the per-submit closure Submit costs: a long-lived
-// Runner (a socket draining its own message queue) makes the handoff
-// allocation-free.
-type Runner interface {
-	Run(done sim.Time)
-}
-
 // Submit enqueues cost worth of work triggered at now. fn, if non-nil,
-// runs when the work completes, receiving the completion time. Work items
-// execute serially in submission order.
-func (t *Thread) Submit(now sim.Time, cost sim.Time, fn func(done sim.Time)) {
+// runs fn(done, a1, a2) when the work completes — the sim.CallAt form: a
+// top-level fn with pointer-shaped arguments makes the handoff
+// allocation-free, where a capturing closure would cost one allocation
+// per item. Work items execute serially in submission order.
+func (t *Thread) Submit(now, cost sim.Time, fn func(done sim.Time, a1, a2 any), a1, a2 any) {
 	done := t.schedule(now, cost)
 	if fn != nil {
-		t.eng.CallAt(done, runFn, fn, nil)
-	}
-}
-
-// SubmitTo is Submit for a Runner: same serial accounting, no closure.
-func (t *Thread) SubmitTo(now sim.Time, cost sim.Time, r Runner) {
-	done := t.schedule(now, cost)
-	if r != nil {
-		t.eng.CallAt(done, runRunner, r, nil)
+		t.eng.CallAt(done, fn, a1, a2)
 	}
 }
 
@@ -83,7 +69,3 @@ func (t *Thread) Stall(now, dur sim.Time) {
 	start := t.core.Acquire(now)
 	t.core.Consume(start, dur)
 }
-
-func runFn(done sim.Time, a1, _ any) { a1.(func(sim.Time))(done) }
-
-func runRunner(done sim.Time, a1, _ any) { a1.(Runner).Run(done) }

@@ -13,7 +13,7 @@ func TestThreadWakeupFromIdle(t *testing.T) {
 	th := NewThread("app", eng, core, 3000)
 	var done sim.Time
 	eng.At(100, func() {
-		th.Submit(100, 500, func(d sim.Time) { done = d })
+		th.Submit(100, 500, func(d sim.Time, _, _ any) { done = d }, nil, nil)
 	})
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -33,9 +33,9 @@ func TestThreadBackloggedSkipsWakeup(t *testing.T) {
 	th := NewThread("app", eng, core, 3000)
 	var dones []sim.Time
 	eng.At(0, func() {
-		th.Submit(0, 1000, func(d sim.Time) { dones = append(dones, d) })
-		th.Submit(0, 1000, func(d sim.Time) { dones = append(dones, d) })
-		th.Submit(0, 1000, func(d sim.Time) { dones = append(dones, d) })
+		th.Submit(0, 1000, func(d sim.Time, _, _ any) { dones = append(dones, d) }, nil, nil)
+		th.Submit(0, 1000, func(d sim.Time, _, _ any) { dones = append(dones, d) }, nil, nil)
+		th.Submit(0, 1000, func(d sim.Time, _, _ any) { dones = append(dones, d) }, nil, nil)
 	})
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestThreadSerialOrder(t *testing.T) {
 	eng.At(0, func() {
 		for i := 0; i < 10; i++ {
 			i := i
-			th.Submit(0, 100, func(sim.Time) { order = append(order, i) })
+			th.Submit(0, 100, func(sim.Time, any, any) { order = append(order, i) }, nil, nil)
 		}
 	})
 	if err := eng.RunUntilIdle(); err != nil {
@@ -80,7 +80,7 @@ func TestThreadNilCallback(t *testing.T) {
 	eng := sim.NewEngine(1)
 	core := cpu.NewCore(1, nil)
 	th := NewThread("app", eng, core, 0)
-	eng.At(0, func() { th.Submit(0, 100, nil) })
+	eng.At(0, func() { th.Submit(0, 100, nil, nil, nil) })
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestThreadCStateInteraction(t *testing.T) {
 	th := NewThread("app", eng, core, 1000)
 	var done sim.Time
 	at := sim.Time(10 * sim.Millisecond) // long idle: C1 exit applies
-	eng.At(at, func() { th.Submit(at, 500, func(d sim.Time) { done = d }) })
+	eng.At(at, func() { th.Submit(at, 500, func(d sim.Time, _, _ any) { done = d }, nil, nil) })
 	if err := eng.RunUntilIdle(); err != nil {
 		t.Fatal(err)
 	}

@@ -123,14 +123,16 @@ func (s *Socket) push(now sim.Time, m Message, f *pkt.Frame) bool {
 		s.head = 0
 	}
 	s.pending = append(s.pending, pendingMsg{m: m, f: f})
-	s.Thread.SubmitTo(now, s.app.ProcessingCost(m), s)
+	s.Thread.Submit(now, s.app.ProcessingCost(m), runApp, s, nil)
 	return true
 }
 
-// Run implements sched.Runner: the app-thread completion path. The thread
-// executes work serially in submission order, so this run's message is the
-// pending FIFO's head.
-func (s *Socket) Run(done sim.Time) {
+// runApp is the app-thread completion path, a top-level function so the
+// handoff to the thread allocates nothing. The thread executes work
+// serially in submission order, so this run's message is the pending
+// FIFO's head.
+func runApp(done sim.Time, a1, _ any) {
+	s := a1.(*Socket)
 	p := s.pending[s.head]
 	s.pending[s.head] = pendingMsg{}
 	s.head++

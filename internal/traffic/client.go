@@ -25,6 +25,20 @@ const (
 	DefaultClientRx = 22 * sim.Microsecond
 )
 
+// zeroPayload backs every generator payload: the generators send zero
+// bytes (an echo request's probe is written into its encoded frame), and
+// the encoders only read it, so one read-only array serves every flow on
+// every shard.
+var zeroPayload [pkt.MTU]byte
+
+// zeros returns an n-byte zero payload, shared when n fits zeroPayload.
+func zeros(n int) []byte {
+	if n <= len(zeroPayload) {
+		return zeroPayload[:n]
+	}
+	return make([]byte, n)
+}
+
 // Client demuxes frames the server transmits back over the wire, routing
 // them to per-port handlers (one per generator). Register handlers before
 // attaching traffic.

@@ -133,7 +133,7 @@ func (f *UDPFlood) emitBurst() {
 	}
 	now := f.Eng.Now()
 	if f.frame == nil {
-		payload := make([]byte, f.PayloadLen)
+		payload := zeros(f.PayloadLen)
 		if f.Target != nil {
 			f.frame = overlay.EncapToServer(f.Src, f.Target, f.DstPort, payload)
 		} else {
@@ -201,13 +201,9 @@ type TCPStream struct {
 
 	// Segment frames live from encode until the NIC's DMA copy, so a
 	// whole message's train is in flight at once; a free-list pool keeps
-	// that from costing one heap frame per segment. payload and inner are
-	// encode scratch reused across segments (payload is all zeros; inner
-	// is consumed by EncapInto before the next segment overwrites it).
-	pool    pkt.FramePool
-	payload []byte
-	inner   []byte
-	emitFn  func()
+	// that from costing one heap frame per segment.
+	pool   pkt.FramePool
+	emitFn func()
 }
 
 // NewTCPStream constructs the Fig. 13 background: 64 KB messages.
@@ -260,30 +256,18 @@ func injectStreamFrame(at sim.Time, a1, a2 any) {
 	buf.Release()
 }
 
-// encodeSegment writes one MSS-sized segment into a pooled frame buffer.
-// The cross-shard Inject path never lands here — it needs a retained
-// frame, not a recycled one.
-func (t *TCPStream) encodeSegment(size int) *pkt.Frame {
-	if cap(t.payload) < t.MSS {
-		t.payload = make([]byte, t.MSS)
-	}
-	payload := t.payload[:size]
-	innerLen := pkt.EthHeaderLen + pkt.IPv4HeaderLen + pkt.TCPHeaderLen + size
+// encode writes the next segment, carrying size zero bytes, into buf's
+// backing array when it has the capacity, allocating only on overflow.
+func (t *TCPStream) encode(buf []byte, size int) []byte {
 	if t.Target != nil {
-		buf := t.pool.Get(innerLen + pkt.VXLANOverhead)
-		frame, inner := overlay.EncapTCPToServerInto(buf.B, t.inner,
-			t.Src, t.Target, t.DstPort, t.seq, payload)
-		t.inner, buf.B = inner, frame
-		return buf
+		return overlay.EncapTCPToServerInto(buf, t.Src, t.Target, t.DstPort, t.seq, zeros(size))
 	}
-	buf := t.pool.Get(innerLen)
-	buf.B = pkt.AppendTCPFrame(buf.B, pkt.TCPFrameSpec{
+	return pkt.AppendTCPFrame(buf, pkt.TCPFrameSpec{
 		SrcMAC: overlay.ClientMAC, DstMAC: overlay.ServerMAC,
 		SrcIP: overlay.ClientIP, DstIP: overlay.ServerIP,
 		SrcPort: t.Src.Port, DstPort: t.DstPort, Seq: t.seq,
-		Flags: pkt.TCPAck | pkt.TCPPsh, Payload: payload,
+		Flags: pkt.TCPAck | pkt.TCPPsh, Payload: zeros(size),
 	})
-	return buf
 }
 
 func (t *TCPStream) emitMessage() {
@@ -299,22 +283,18 @@ func (t *TCPStream) emitMessage() {
 			size = t.MsgSize - i*t.MSS
 		}
 		if t.Inject != nil {
-			var frame []byte
-			if t.Target != nil {
-				frame = overlay.EncapTCPToServer(t.Src, t.Target, t.DstPort, t.seq, make([]byte, size))
-			} else {
-				frame = pkt.BuildTCPFrame(pkt.TCPFrameSpec{
-					SrcMAC: overlay.ClientMAC, DstMAC: overlay.ServerMAC,
-					SrcIP: overlay.ClientIP, DstIP: overlay.ServerIP,
-					SrcPort: t.Src.Port, DstPort: t.DstPort, Seq: t.seq,
-					Flags: pkt.TCPAck | pkt.TCPPsh, Payload: make([]byte, size),
-				})
-			}
+			// The hook may keep the frame, so it gets its own.
+			frame := t.encode(nil, size)
 			t.seq += uint32(size)
 			arrive += t.Host.Costs.Serialization(len(frame))
 			t.Inject(now, arrive, frame)
 		} else {
-			buf := t.encodeSegment(size)
+			n := pkt.TCPFrameOverhead + size
+			if t.Target != nil {
+				n += pkt.VXLANOverhead
+			}
+			buf := t.pool.Get(n)
+			buf.B = t.encode(buf.B, size)
 			t.seq += uint32(size)
 			arrive += t.Host.Costs.Serialization(len(buf.B))
 			t.Eng.CallAt(arrive, injectStreamFrame, t, buf)

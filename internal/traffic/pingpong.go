@@ -38,6 +38,10 @@ type PingPong struct {
 	// frame with its departure and computed arrival time to the hook.
 	// The multi-host cluster routes it over the fabric, so the generator
 	// can run on its ingress host's shard while the target runs elsewhere.
+	// Each request gets its own exact-size frame, which the hook may keep
+	// (a link carries it; a deferred delivery holds it until arrival);
+	// the default path instead recycles one pooled buffer per request in
+	// flight, because InjectFromWire only borrows the bytes.
 	Inject func(now, arrive sim.Time, frame []byte)
 
 	// OnSample, when set, observes every post-warmup latency sample in
@@ -62,6 +66,10 @@ type PingPong struct {
 	// counters and readers sum them at quiescent points.
 	homes []*echoHome
 
+	// pool recycles the default wire path's request frames; it is made on
+	// the first such send, so flows on the Inject path carry none.
+	pool    *pkt.FramePool
+	sendFn  func()
 	stopped bool
 }
 
@@ -153,7 +161,8 @@ func (p *PingPong) recordKernel(home *echoHome, m socket.Message) {
 // time at. The flow runs until Stop or the simulation horizon.
 func (p *PingPong) Start(client *Client, at sim.Time) {
 	client.Register(p.Src.Port, p.onReply)
-	p.Eng.At(at, p.sendNext)
+	p.sendFn = p.sendNext
+	p.Eng.At(at, p.sendFn)
 }
 
 // Stop ceases sending after the current request.
@@ -167,29 +176,55 @@ func (p *PingPong) interval() sim.Time {
 	return mean
 }
 
+// encode writes the next request, carrying a zero payload, into buf's
+// backing array when it has the capacity, allocating only on overflow.
+func (p *PingPong) encode(buf []byte) []byte {
+	if p.Target != nil {
+		return overlay.EncapToServerInto(buf, p.Src, p.Target, p.DstPort, zeros(p.PayloadLen))
+	}
+	return overlay.HostUDPToServerInto(buf, p.Src.Port, p.DstPort, zeros(p.PayloadLen))
+}
+
+// injectPing delivers one pooled request to the wire and releases its
+// buffer: InjectFromWire has copied the bytes by the time it returns.
+// Top-level for sim.CallAt.
+func injectPing(at sim.Time, a1, a2 any) {
+	p, buf := a1.(*PingPong), a2.(*pkt.Frame)
+	p.Host.InjectFromWire(at, buf.B)
+	buf.Release()
+}
+
 func (p *PingPong) sendNext() {
 	if p.stopped {
 		return
 	}
 	now := p.Eng.Now()
-	payload := make([]byte, p.PayloadLen)
-	pkt.PutProbe(payload, p.Sent, now)
+	var buf *pkt.Frame
+	var frame []byte
+	if p.Inject != nil {
+		frame = p.encode(nil)
+	} else {
+		if p.pool == nil {
+			p.pool = new(pkt.FramePool)
+		}
+		n := pkt.UDPFrameOverhead + p.PayloadLen
+		if p.Target != nil {
+			n += pkt.VXLANOverhead
+		}
+		buf = p.pool.Get(n)
+		buf.B = p.encode(buf.B)
+		frame = buf.B
+	}
+	pkt.PutProbe(frame[len(frame)-p.PayloadLen:], p.Sent, now)
 	p.Sent++
 
-	var frame []byte
-	if p.Target != nil {
-		frame = overlay.EncapToServer(p.Src, p.Target, p.DstPort, payload)
-	} else {
-		frame = overlay.HostUDPToServer(p.Src.Port, p.DstPort, payload)
-	}
 	arrive := now + p.ClientTx + p.Host.Costs.WireLatency + p.Host.Costs.Serialization(len(frame))
-	if p.Inject != nil {
+	if buf == nil {
 		p.Inject(now, arrive, frame)
 	} else {
-		f := frame
-		p.Eng.At(arrive, func() { p.Host.InjectFromWire(p.Eng.Now(), f) })
+		p.Eng.CallAt(arrive, injectPing, p, buf)
 	}
-	p.Eng.At(now+p.interval(), p.sendNext)
+	p.Eng.At(now+p.interval(), p.sendFn)
 }
 
 func (p *PingPong) onReply(now sim.Time, payload []byte, _ pkt.FlowKey) {

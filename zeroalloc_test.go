@@ -38,6 +38,39 @@ func TestSteadyStateRxPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEchoRoundTripZeroAlloc extends the RX-path gate to the flow the
+// paper prioritises: a 20 kpps sockperf echo beside the saturating flood.
+// Each round trip encodes its request into a pooled generator buffer,
+// crosses the receive path, encodes the reply into the host's pooled
+// egress buffer, hands it to the client and records the sample — and once
+// warmed up, none of it may touch the heap.
+func TestEchoRoundTripZeroAlloc(t *testing.T) {
+	for _, mode := range []prism.Mode{prism.ModeVanilla, prism.ModeBatch, prism.ModeSync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, _ := newFlood(prism.WithMode(mode))
+			echo := s.AddContainer("echo")
+			s.MarkHighPriority(echo.IP, 11211)
+			lf := s.NewLatencyFlow(echo, 11211, 20_000)
+
+			// Warm up past the deepest queue excursions, as the RX gate does.
+			s.Run(200_000_000)
+			if lf.Received() == 0 {
+				t.Fatal("warmup completed no round trip")
+			}
+
+			before := lf.Received()
+			if avg := testing.AllocsPerRun(10, func() {
+				s.Run(1_000_000)
+			}); avg != 0 {
+				t.Errorf("echo round trip allocates: %.1f allocs per 1ms of virtual time", avg)
+			}
+			if lf.Received() == before {
+				t.Error("the measured runs completed no round trip")
+			}
+		})
+	}
+}
+
 // newFlood builds a one-container simulation under a saturating 600 kpps
 // flood of prioritized traffic: the receive steady state the zero-alloc
 // gate and the poll-loop benchmark drive.
