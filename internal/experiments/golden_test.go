@@ -54,48 +54,90 @@ func captureGolden(t *testing.T) goldenFile {
 	}
 }
 
-// TestGoldenDatapathEquivalence asserts the current datapath reproduces
-// the committed pre-refactor figure fixtures bit-identically, as full
-// JSON.
-func TestGoldenDatapathEquivalence(t *testing.T) {
-	got := captureGolden(t)
-
+// readGolden returns the committed fixture at path decoded into want,
+// or, under -update-golden, rewrites it from got and returns false.
+func readGolden(t *testing.T, path string, got, want any) bool {
+	t.Helper()
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "\t")
 		if err != nil {
 			t.Fatalf("marshal golden: %v", err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatalf("mkdir testdata: %v", err)
 		}
-		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatalf("write golden: %v", err)
 		}
-		t.Logf("golden fixtures rewritten: %s", goldenPath)
-		return
+		t.Logf("golden fixtures rewritten: %s", path)
+		return false
 	}
-
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
 	}
-	var want goldenFile
-	if err := json.Unmarshal(raw, &want); err != nil {
+	if err := json.Unmarshal(raw, want); err != nil {
 		t.Fatalf("parse golden: %v", err)
 	}
+	return true
+}
 
-	// Compare in JSON space so the on-disk fixture is the single source of
-	// truth (avoids surprises from unexported state or float re-encoding).
-	check := func(name string, wantPart, gotPart any) {
-		w, g := mustJSON(t, wantPart), mustJSON(t, gotPart)
-		if string(w) != string(g) {
-			t.Errorf("%s diverged from golden fixture\nwant: %s\ngot:  %s", name, w, g)
-		}
+// checkGolden compares one fixture part in JSON space, so the on-disk
+// fixture is the single source of truth (no surprises from unexported
+// state or float re-encoding).
+func checkGolden(t *testing.T, name string, wantPart, gotPart any) {
+	t.Helper()
+	w, g := mustJSON(t, wantPart), mustJSON(t, gotPart)
+	if string(w) != string(g) {
+		t.Errorf("%s diverged from golden fixture\nwant: %s\ngot:  %s", name, w, g)
 	}
-	check("Fig3", want.Fig3, got.Fig3)
-	check("Fig8", want.Fig8, got.Fig8)
-	check("Fig9", want.Fig9, got.Fig9)
-	check("Fig11", want.Fig11, got.Fig11)
+}
+
+// TestGoldenDatapathEquivalence asserts the current datapath reproduces
+// the committed pre-refactor figure fixtures bit-identically, as full
+// JSON.
+func TestGoldenDatapathEquivalence(t *testing.T) {
+	got := captureGolden(t)
+	var want goldenFile
+	if !readGolden(t, goldenPath, got, &want) {
+		return
+	}
+	checkGolden(t, "Fig3", want.Fig3, got.Fig3)
+	checkGolden(t, "Fig8", want.Fig8, got.Fig8)
+	checkGolden(t, "Fig9", want.Fig9, got.Fig9)
+	checkGolden(t, "Fig11", want.Fig11, got.Fig11)
+}
+
+const driversGoldenPath = "testdata/drivers_golden.json"
+
+// driversGolden pins the single-host drivers the datapath fixture does
+// not reach: Fig. 10's host-network path, the NAPI batch-weight
+// ablation, the §VII-1 driver-priority extension and RSS scaling.
+type driversGolden struct {
+	Fig10         Fig9Result
+	AblationBatch AblationBatchResult
+	ExtDriver     ExtDriverResult
+	Scaling       ScalingResult
+}
+
+// TestGoldenDrivers asserts those drivers reproduce their committed
+// fixture bit-identically at determinism-test scale.
+func TestGoldenDrivers(t *testing.T) {
+	p := detParams()
+	got := driversGolden{
+		Fig10:         Fig10(p),
+		AblationBatch: AblationBatch(p, []int{16, 64}),
+		ExtDriver:     ExtDriver(p),
+		Scaling:       Scaling(p, []int{1, 2}),
+	}
+	var want driversGolden
+	if !readGolden(t, driversGoldenPath, got, &want) {
+		return
+	}
+	checkGolden(t, "Fig10", want.Fig10, got.Fig10)
+	checkGolden(t, "AblationBatch", want.AblationBatch, got.AblationBatch)
+	checkGolden(t, "ExtDriver", want.ExtDriver, got.ExtDriver)
+	checkGolden(t, "Scaling", want.Scaling, got.Scaling)
 }
 
 // TestGoldenCoversAllModes guards the fixture's reach: the figure results
