@@ -6,7 +6,7 @@ import (
 
 	"prism/internal/prio"
 	"prism/internal/sim"
-	"prism/internal/traffic"
+	"prism/internal/testbed"
 )
 
 // BatchPoint is one (batch size) measurement of the §II-A1/§III-B
@@ -35,7 +35,7 @@ func AblationBatch(p Params, sizes []int) AblationBatchResult {
 	}
 	var res AblationBatchResult
 	for _, size := range sizes {
-		kpps := batchThroughput(p, size)
+		kpps := maxThroughput(p, prio.ModeVanilla, false, WithBatchSize(size))
 		// Measure latency at equal *relative* load (75% of this batch
 		// size's capacity); at a fixed absolute rate, small batches would
 		// just run hotter and the utilization effect would mask the
@@ -53,32 +53,11 @@ func AblationBatch(p Params, sizes []int) AblationBatchResult {
 
 func batchLatency(p Params, batch int) sim.Time {
 	r := NewRig(p, prio.ModeVanilla, WithBatchSize(batch))
-	hi := r.Host.AddContainer("hi-srv")
-	pp := traffic.NewPingPong(r.Eng, r.Host, hi, clientSrc(0), PortHighPrio, p.HighRate)
-	pp.Warmup = p.Warmup
-	mustNoErr(pp.InstallEcho(p.EchoCost))
-	pp.Start(r.Client, 0)
-
-	bg := r.Host.AddContainer("bg-srv")
-	fl := traffic.NewUDPFlood(r.Eng, r.Host, bg, clientSrc(1), PortBackgrnd, p.BGRate)
-	fl.Burst = p.BGBurst
-	fl.Poisson = false
-	mustNoErr(fl.InstallSink(p.SinkCost))
-	fl.Start(0)
-
+	bg := bgFlood(p, "bg-srv", 1, p.BGRate)
+	bg.JitterFrac = nil
+	pp := r.start(p, testbed.Flow{Kind: testbed.Echo, Container: "hi-srv", Port: PortHighPrio, Rate: p.HighRate}, bg)[0].PP
 	mustNoErr(r.Run(p))
 	return pp.Hist.Mean()
-}
-
-func batchThroughput(p Params, batch int) float64 {
-	r := NewRig(p, prio.ModeVanilla, WithBatchSize(batch))
-	ctr := r.Host.AddContainer("srv")
-	fl := traffic.NewUDPFlood(r.Eng, r.Host, ctr, clientSrc(1), PortBackgrnd, 900_000)
-	mustNoErr(fl.InstallSink(p.SinkCost))
-	r.Eng.At(p.Warmup, func() { fl.Delivered.Start(p.Warmup) })
-	fl.Start(0)
-	mustNoErr(r.Run(p))
-	return fl.Delivered.Kpps(r.Eng.Now())
 }
 
 // String renders the sweep.

@@ -14,7 +14,7 @@ import (
 	"prism/internal/prio"
 	"prism/internal/sim"
 	"prism/internal/stats"
-	"prism/internal/traffic"
+	"prism/internal/testbed"
 )
 
 // PortLowPrio is the chaos experiment's unprioritized latency flow: same
@@ -130,60 +130,35 @@ func chaosPoint(p Params, v PolicyVariant, rate float64) ChaosRow {
 		lv.SetClassifier(chaosClassify)
 		r.Host.Tap = lv.HostTap(label)
 		streamer := obs.NewStreamer(lv, pipe)
-		r.tb.SetCheckpoint(lv.Interval, func(at sim.Time) { streamer.Checkpoint(at) })
+		r.SetCheckpoint(lv.Interval, func(at sim.Time) { streamer.Checkpoint(at) })
 	}
 
-	hi := r.Host.AddContainer("hi-srv")
-	ppHigh := traffic.NewPingPong(r.Eng, r.Host, hi, clientSrc(0), PortHighPrio, p.HighRate)
-	r.Host.DB.Add(prio.Rule{IP: hi.IP, Port: PortHighPrio})
-	ppHigh.Warmup = p.Warmup
-	mustNoErr(ppHigh.InstallEcho(p.EchoCost))
-	ppHigh.Start(r.Client, 0)
-
-	lo := r.Host.AddContainer("lo-srv")
-	ppLow := traffic.NewPingPong(r.Eng, r.Host, lo, clientSrc(1), PortLowPrio, p.HighRate)
-	ppLow.Warmup = p.Warmup
-	mustNoErr(ppLow.InstallEcho(p.EchoCost))
-	ppLow.Start(r.Client, 0)
-
-	bg := r.Host.AddContainer("bg-srv")
-	fl := traffic.NewUDPFlood(r.Eng, r.Host, bg, clientSrc(2), PortBackgrnd, p.BGRate)
-	fl.Burst = p.BGBurst
-	fl.Poisson = false
-	fl.JitterFrac = 0.25
-	mustNoErr(fl.InstallSink(p.SinkCost))
-	fl.Start(0)
-
+	srcs := r.start(p,
+		testbed.Flow{Kind: testbed.Echo, Container: "hi-srv", Hi: true, Port: PortHighPrio, Rate: p.HighRate},
+		testbed.Flow{Kind: testbed.Echo, Container: "lo-srv", Port: PortLowPrio, Client: 1, Rate: p.HighRate},
+		bgFlood(p, "bg-srv", 2, p.BGRate))
 	mustNoErr(r.Run(p))
 	util := r.Utilization()
-	ppHigh.Stop()
-	ppLow.Stop()
-	fl.Stop()
-	mustNoErr(r.Drain())
-	mustNoErr(r.CheckInvariants())
+	mustNoErr(r.Settle())
 	if p.Live != nil {
-		r.tb.SetCheckpoint(0, nil)
+		r.SetCheckpoint(0, nil)
 		r.Host.Tap = nil
 	}
 
+	hi, lo := srcs[0].PP, srcs[1].PP
 	row := ChaosRow{
 		Variant:   v,
 		FaultRate: rate,
-		High:      ppHigh.Hist.Summarize(),
-		Low:       ppLow.Hist.Summarize(),
-		HighRecv:  ppHigh.Received,
-		LowRecv:   ppLow.Received,
-		BGRecv:    fl.Delivered.Count(),
-		Faults:    r.FaultStats(),
+		High:      hi.Hist.Summarize(),
+		Low:       lo.Hist.Summarize(),
+		HighRecv:  hi.Received,
+		LowRecv:   lo.Received,
+		BGRecv:    srcs[2].Delivered().Count(),
+		Faults:    r.Plane.Stats(),
+		Shed:      r.Shed(),
 		Util:      util,
 	}
 	row.Rescues = row.Faults.WatchdogRescues
-	for _, n := range r.Host.NICs {
-		row.Shed += n.ShedDrops
-	}
-	for _, rx := range r.Host.Rxs {
-		row.Shed += rx.Stats().Shed
-	}
 	// Not obs.Digests: that re-sorts the stream by MergeEvents, and the
 	// committed digest hashes this single stream in recording order.
 	row.MetricsSHA = digest([]byte(obs.PrometheusText(pipe.M)))

@@ -129,13 +129,15 @@ func Cluster(p Params, cc ClusterConfig) ClusterResult {
 	return res
 }
 
-func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow, int) {
-	cfg := cluster.Config{
-		Hosts:     cc.Hosts,
+// clusterConfig is the cluster and failover experiments' shared point:
+// PRISM-sync hosts running the ClusterSpecs workload under placement pol.
+func clusterConfig(p Params, hosts, containers int, pol cluster.Placement) cluster.Config {
+	return cluster.Config{
+		Hosts:     hosts,
 		Placement: pol,
 		Seed:      p.Seed,
 		Host:      BaseSpec(p, prio.ModeSync),
-		Specs:     ClusterSpecs(p, cc.Hosts, cc.Containers),
+		Specs:     ClusterSpecs(p, hosts, containers),
 		// Slightly below the busiest hosts' offered ingress, so the
 		// bucket visibly shaves best-effort bursts while the reserve
 		// keeps prioritized flows untouched.
@@ -144,33 +146,60 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 		EchoCost:  p.EchoCost,
 		SinkCost:  p.SinkCost,
 	}
-	c, err := cluster.New(cfg)
+}
+
+func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow, int) {
+	var racks int
+	row, err := RunCluster(p, clusterConfig(p, cc.Hosts, cc.Containers, pol), "cluster/"+pol.String(), true,
+		nil, func(c *cluster.Cluster) { racks = c.Cfg.Fabric.Racks })
 	mustNoErr(err)
+	return row, racks
+}
 
-	detach := attachLive(p.Live, c, "cluster/"+pol.String(), cfg.Warmup+p.Duration)
+// RunCluster is the one path every cluster run takes. It builds cfg,
+// attaches the live surface (when p.Live is set) under the name run,
+// calls prepare, runs p.Duration past the warmup on p.Workers workers,
+// then calls measure and records the fabric-wide row at the horizon:
+// latency, flow counts, admission and fabric load, and the digests of
+// every host and switch pipeline in shard order, which the determinism
+// gates compare across worker counts. Last it detaches the surface,
+// settles the cluster and checks its invariants (strict: zero-leak).
+// prepare and measure may be nil.
+func RunCluster(p Params, cfg cluster.Config, run string, strict bool, prepare, measure func(*cluster.Cluster)) (ClusterRow, error) {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return ClusterRow{}, err
+	}
+	detach := attachLive(p.Live, c, run, cfg.Warmup+p.Duration)
+	if prepare != nil {
+		prepare(c)
+	}
+	if err := c.Run(p.Duration, p.Workers); err != nil {
+		return ClusterRow{}, err
+	}
+	if measure != nil {
+		measure(c)
+	}
 
-	mustNoErr(c.Run(p.Duration, p.Workers))
-
-	row := ClusterRow{Placement: pol.String(), Windows: c.Group.Windows}
+	row := ClusterRow{Placement: cfg.Placement.String(), Windows: c.Group.Windows}
 	hiH, loH := c.LatencyHists()
 	row.Hi, row.Lo = hiH.Summarize(), loH.Summarize()
 	row.HiSent, row.HiRecv, row.LoSent, row.LoRecv, _, row.FloodRecv = c.FlowCounts()
 	row.AdmitDenied = c.AdmissionDenied()
 	row.FabricDrops, row.FabricShed = c.FabricDrops()
 	row.FabricUtilMax, row.FabricUtilMean = c.FabricUtilization(c.Horizon())
-
-	// Digest the full observability surface at the measured horizon, in
-	// shard order: the determinism gates compare these across worker
-	// counts.
-	row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...)
-	mustNoErr(err)
-
+	if row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...); err != nil {
+		return row, err
+	}
 	detach()
 
-	// Tear down cleanly and enforce the zero-leak invariants cluster-wide.
-	mustNoErr(c.Settle(0, p.Workers))
-	mustNoErr(c.CheckInvariants(true))
-	return row, c.Cfg.Fabric.Racks
+	if err := c.Settle(0, p.Workers); err != nil {
+		return row, err
+	}
+	if err := c.CheckInvariants(strict); err != nil {
+		return row, fmt.Errorf("conservation check failed: %w", err)
+	}
+	return row, nil
 }
 
 // attachLive attaches the live operator surface lv, when one is listening,

@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"prism/internal/cluster"
-	"prism/internal/obs"
-	"prism/internal/prio"
 	rec "prism/internal/recover"
 	"prism/internal/sim"
 	"prism/internal/stats"
@@ -155,101 +153,75 @@ func phaseIndex(at, crash, recovered sim.Time) int {
 func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (FailoverRow, int) {
 	crashAt := p.Warmup + fc.CrashAfter
 	recovered := crashAt + fc.RecoverWindow
-	cfg := cluster.Config{
-		Hosts:     fc.Hosts,
-		Placement: pol,
-		Seed:      p.Seed,
-		Host:      BaseSpec(p, prio.ModeSync),
-		Specs:     ClusterSpecs(p, fc.Hosts, fc.Containers),
-		Admission: &cluster.Admission{Rate: 55_000, Burst: 96, HiReserve: 0.25},
-		Fabric:    cluster.FabricConfig{Racks: 2},
-		Warmup:    p.Warmup,
-		EchoCost:  p.EchoCost,
-		SinkCost:  p.SinkCost,
-		Recovery: &cluster.RecoveryConfig{
-			Script: rec.Script{{
-				Kind: rec.HostCrash, Host: fc.CrashHost,
-				At: crashAt, Until: crashAt + fc.Downtime,
-			}},
-			RetryMax:         3,
-			DegradeAdmission: true,
-		},
+	cfg := clusterConfig(p, fc.Hosts, fc.Containers, pol)
+	cfg.Fabric = cluster.FabricConfig{Racks: 2}
+	cfg.Recovery = &cluster.RecoveryConfig{
+		Script: rec.Script{{
+			Kind: rec.HostCrash, Host: fc.CrashHost,
+			At: crashAt, Until: crashAt + fc.Downtime,
+		}},
+		RetryMax:         3,
+		DegradeAdmission: true,
 	}
-	c, err := cluster.New(cfg)
-	mustNoErr(err)
-
-	// The live surface lets an operator watch the crash and recovery
-	// (fabric load shifting, /capture of the migrated flows) without
-	// perturbing the digests.
-	detach := attachLive(p.Live, c, "failover/"+pol.String(), cfg.Warmup+p.Duration)
 
 	// Per-flow three-phase histograms, fed from the echo sample hook.
 	// The hook runs in event context on the flow's ingress shard, so the
 	// ingress engine's clock is the sample time and every write is
 	// shard-local — no synchronization needed, merged only after Run.
-	type phased struct {
-		hi bool
-		h  [3]*stats.Histogram
-	}
-	var phasedFlows []*phased
-	for _, f := range c.Flows {
-		if f.PP == nil {
-			continue
-		}
-		ph := &phased{hi: f.Spec.Hi}
-		for i := range ph.h {
-			ph.h[i] = stats.NewHistogram()
-		}
-		eng := c.Nodes[f.Ingress].Shard.Eng
-		pp := f.PP
-		pp.OnSample = func(seq uint64, lat sim.Time) {
-			ph.h[phaseIndex(eng.Now(), crashAt, recovered)].Record(lat)
-		}
-		phasedFlows = append(phasedFlows, ph)
-	}
-
-	mustNoErr(c.Run(p.Duration, p.Workers))
-
-	row := FailoverRow{Placement: pol.String(), Windows: c.Group.Windows}
 	var hi, lo [3][]*stats.Histogram
-	for _, ph := range phasedFlows {
-		for i := range ph.h {
-			if ph.hi {
-				hi[i] = append(hi[i], ph.h[i])
-			} else {
-				lo[i] = append(lo[i], ph.h[i])
+	prepare := func(c *cluster.Cluster) {
+		for _, f := range c.Flows {
+			if f.PP == nil {
+				continue
+			}
+			var h [3]*stats.Histogram
+			for i := range h {
+				h[i] = stats.NewHistogram()
+				if f.Spec.Hi {
+					hi[i] = append(hi[i], h[i])
+				} else {
+					lo[i] = append(lo[i], h[i])
+				}
+			}
+			eng := c.Nodes[f.Ingress].Shard.Eng
+			f.PP.OnSample = func(seq uint64, lat sim.Time) {
+				h[phaseIndex(eng.Now(), crashAt, recovered)].Record(lat)
 			}
 		}
 	}
-	row.HiBefore = stats.MergeHistograms(hi[0]...).Summarize()
-	row.HiDuring = stats.MergeHistograms(hi[1]...).Summarize()
-	row.HiAfter = stats.MergeHistograms(hi[2]...).Summarize()
-	row.LoBefore = stats.MergeHistograms(lo[0]...).Summarize()
-	row.LoDuring = stats.MergeHistograms(lo[1]...).Summarize()
-	row.LoAfter = stats.MergeHistograms(lo[2]...).Summarize()
 
-	dets := c.Detections()
-	row.Detections = len(dets)
-	if len(dets) > 0 {
-		row.DetectLat = dets[0].SuspectAt - dets[0].DownAt
+	row := FailoverRow{Placement: pol.String()}
+	var racks int
+	measure := func(c *cluster.Cluster) {
+		row.HiBefore = stats.MergeHistograms(hi[0]...).Summarize()
+		row.HiDuring = stats.MergeHistograms(hi[1]...).Summarize()
+		row.HiAfter = stats.MergeHistograms(hi[2]...).Summarize()
+		row.LoBefore = stats.MergeHistograms(lo[0]...).Summarize()
+		row.LoDuring = stats.MergeHistograms(lo[1]...).Summarize()
+		row.LoAfter = stats.MergeHistograms(lo[2]...).Summarize()
+		dets := c.Detections()
+		row.Detections = len(dets)
+		if len(dets) > 0 {
+			row.DetectLat = dets[0].SuspectAt - dets[0].DownAt
+		}
+		row.Migrated = len(c.Migrations())
+		row.SnapVersion = c.Snapshot().Version
+		row.CrashRx, row.CrashTx = c.CrashDrops()
+		row.EpochDrops = c.EpochDrops()
+		row.AdmitRetries = c.RecoveryRetries()
+		racks = c.Cfg.Fabric.Racks
 	}
-	row.Migrated = len(c.Migrations())
-	row.SnapVersion = c.Snapshot().Version
-	row.CrashRx, row.CrashTx = c.CrashDrops()
-	row.EpochDrops = c.EpochDrops()
-	row.AdmitRetries = c.RecoveryRetries()
 
-	row.MetricsSHA, row.SpansSHA, err = obs.Digests(c.Pipes()...)
+	// The live surface lets an operator watch the crash and recovery
+	// (fabric load shifting, /capture of the migrated flows) without
+	// perturbing the digests. Settle drains in-flight frames (the
+	// migrated flows keep serving), then the strict cluster check must
+	// close every ledger — including the crash, epoch-drop and
+	// per-migration conservation terms.
+	cr, err := RunCluster(p, cfg, "failover/"+pol.String(), true, prepare, measure)
 	mustNoErr(err)
-
-	detach()
-
-	// Settle drains in-flight frames (the migrated flows keep serving),
-	// then the strict cluster check must close every ledger — including
-	// the crash, epoch-drop and per-migration conservation terms.
-	mustNoErr(c.Settle(0, p.Workers))
-	mustNoErr(c.CheckInvariants(true))
-	return row, c.Cfg.Fabric.Racks
+	row.Windows, row.MetricsSHA, row.SpansSHA = cr.Windows, cr.MetricsSHA, cr.SpansSHA
+	return row, racks
 }
 
 // String renders the recovery timeline per placement.

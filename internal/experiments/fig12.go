@@ -7,7 +7,7 @@ import (
 	"prism/internal/apps/memcached"
 	"prism/internal/prio"
 	"prism/internal/stats"
-	"prism/internal/traffic"
+	"prism/internal/testbed"
 )
 
 // Fig12Row is one (mode, busy?) memcached measurement.
@@ -55,10 +55,7 @@ func fig12Run(p Params, mode prio.Mode, busy bool) Fig12Row {
 	ms.Start(r.Client, 0)
 
 	if busy {
-		bg := r.Host.AddContainer("bg-srv")
-		fl := traffic.NewUDPFlood(r.Eng, r.Host, bg, clientSrc(1), PortBackgrnd, p.BGRate)
-		mustNoErr(fl.InstallSink(p.SinkCost))
-		fl.Start(0)
+		r.start(p, testbed.Flow{Kind: testbed.Flood, Container: "bg-srv", Port: PortBackgrnd, Client: 1, Rate: p.BGRate})
 	}
 	mustNoErr(r.Run(p))
 	return Fig12Row{

@@ -7,7 +7,7 @@ import (
 	"prism/internal/apps/webserver"
 	"prism/internal/prio"
 	"prism/internal/stats"
-	"prism/internal/traffic"
+	"prism/internal/testbed"
 )
 
 // Fig13Row is one (mode, busy?) web-serving measurement.
@@ -62,10 +62,7 @@ func fig13Run(p Params, mode prio.Mode, busy bool) Fig13Row {
 	w.Start(r.Client, 0)
 
 	if busy {
-		bg := r.Host.AddContainer("bg-srv")
-		st := traffic.NewTCPStream(r.Eng, r.Host, bg, clientSrc(1), PortTCPStream, Fig13TCPBGRate)
-		mustNoErr(st.InstallSink(p.SinkCost))
-		st.Start(0)
+		r.start(p, testbed.Flow{Kind: testbed.TCP, Container: "bg-srv", Port: PortTCPStream, Client: 1, Rate: Fig13TCPBGRate})
 	}
 	mustNoErr(r.Run(p))
 	return Fig13Row{

@@ -7,6 +7,7 @@ import (
 	"prism/internal/overlay"
 	"prism/internal/prio"
 	"prism/internal/stats"
+	"prism/internal/testbed"
 	"prism/internal/traffic"
 )
 
@@ -48,7 +49,8 @@ func Fig3(p Params) Fig3Result {
 	return res
 }
 
-// latencyUnderLoad is the shared Fig. 3/9/10 rig: a 1 kpps high-priority
+// latencyUnderLoad is the shared Fig. 3/9/10/11 workload (also Stages,
+// Policies and ExtDriver): a 1 kpps high-priority
 // ping-pong flow to one container, optionally competing with a bgRate
 // background flood to a second container, all processed on one core.
 // overlayPath selects container overlay vs host network; opts tweak the
@@ -57,35 +59,15 @@ func Fig3(p Params) Fig3Result {
 // processing-core utilization.
 func latencyUnderLoad(p Params, mode prio.Mode, bgRate float64, overlayPath bool, opts ...RigOption) (*stats.Histogram, *traffic.PingPong, float64) {
 	r := NewRig(p, mode, opts...)
-
-	var pp *traffic.PingPong
-	if overlayPath {
-		hi := r.Host.AddContainer("hi-srv")
-		pp = traffic.NewPingPong(r.Eng, r.Host, hi, clientSrc(0), PortHighPrio, p.HighRate)
-		r.Host.DB.Add(prio.Rule{IP: hi.IP, Port: PortHighPrio})
-	} else {
-		pp = traffic.NewPingPong(r.Eng, r.Host, nil, clientSrc(0), PortHighPrio, p.HighRate)
-		r.Host.DB.Add(prio.Rule{Port: PortHighPrio})
+	hi, bg := "hi-srv", "bg-srv"
+	if !overlayPath {
+		hi, bg = "", ""
 	}
-	pp.Warmup = p.Warmup
-	mustNoErr(pp.InstallEcho(p.EchoCost))
-	pp.Start(r.Client, 0)
-
+	flows := []testbed.Flow{{Kind: testbed.Echo, Container: hi, Hi: true, Port: PortHighPrio, Rate: p.HighRate}}
 	if bgRate > 0 {
-		var fl *traffic.UDPFlood
-		if overlayPath {
-			bg := r.Host.AddContainer("bg-srv")
-			fl = traffic.NewUDPFlood(r.Eng, r.Host, bg, clientSrc(1), PortBackgrnd, bgRate)
-		} else {
-			fl = traffic.NewUDPFlood(r.Eng, r.Host, nil, clientSrc(1), PortBackgrnd, bgRate)
-		}
-		fl.Burst = p.BGBurst
-		fl.Poisson = false
-		fl.JitterFrac = 0.25
-		mustNoErr(fl.InstallSink(p.SinkCost))
-		fl.Start(0)
+		flows = append(flows, bgFlood(p, bg, 1, bgRate))
 	}
-
+	pp := r.start(p, flows...)[0].PP
 	mustNoErr(r.Run(p))
 	return pp.Hist, pp, r.Utilization()
 }

@@ -6,7 +6,7 @@ import (
 
 	"prism/internal/prio"
 	"prism/internal/stats"
-	"prism/internal/traffic"
+	"prism/internal/testbed"
 )
 
 // Fig8Row is one mode's latency and single-core throughput without
@@ -36,7 +36,7 @@ func Fig8(p Params) Fig8Result {
 		res.Rows = append(res.Rows, Fig8Row{
 			Mode:        mode,
 			Latency:     lat,
-			MaxKpps:     fig8MaxThroughput(p, mode),
+			MaxKpps:     maxThroughput(p, mode, true),
 			OfferedUtil: util,
 		})
 	}
@@ -47,29 +47,19 @@ func Fig8(p Params) Fig8Result {
 // flow marked high-priority (in PRISM modes).
 func fig8Latency(p Params, mode prio.Mode) (stats.Summary, float64) {
 	r := NewRig(p, mode)
-	ctr := r.Host.AddContainer("srv")
-	r.Host.DB.Add(prio.Rule{IP: ctr.IP, Port: PortHighPrio})
-	pp := traffic.NewPingPong(r.Eng, r.Host, ctr, clientSrc(0), PortHighPrio, p.LoadRate)
-	pp.Warmup = p.Warmup
-	mustNoErr(pp.InstallEcho(p.EchoCost))
-	pp.Start(r.Client, 0)
+	pp := r.start(p, testbed.Flow{Kind: testbed.Echo, Container: "srv", Hi: true, Port: PortHighPrio, Rate: p.LoadRate})[0].PP
 	mustNoErr(r.Run(p))
 	return pp.Hist.Summarize(), r.Utilization()
 }
 
-// fig8MaxThroughput overloads the server (2x vanilla capacity) with a
-// one-way flood of small packets marked high-priority (so PRISM's sync
-// path is exercised) and reports the delivered rate.
-func fig8MaxThroughput(p Params, mode prio.Mode) float64 {
-	r := NewRig(p, mode)
-	ctr := r.Host.AddContainer("srv")
-	r.Host.DB.Add(prio.Rule{IP: ctr.IP, Port: PortBackgrnd})
-	fl := traffic.NewUDPFlood(r.Eng, r.Host, ctr, clientSrc(1), PortBackgrnd, 900_000)
-	mustNoErr(fl.InstallSink(p.SinkCost))
-	r.Eng.At(p.Warmup, func() { fl.Delivered.Start(p.Warmup) })
-	fl.Start(0)
+// maxThroughput overloads the server (2x vanilla capacity) with a one-way
+// flood of small packets and reports the delivered rate. Fig. 8 marks
+// the flood high-priority (hi), so PRISM's sync path is exercised.
+func maxThroughput(p Params, mode prio.Mode, hi bool, opts ...RigOption) float64 {
+	r := NewRig(p, mode, opts...)
+	fl := r.start(p, testbed.Flow{Kind: testbed.Flood, Container: "srv", Hi: hi, Port: PortBackgrnd, Client: 1, Rate: 900_000})[0]
 	mustNoErr(r.Run(p))
-	return fl.Delivered.Kpps(r.Eng.Now())
+	return fl.Delivered().Kpps(r.Eng.Now())
 }
 
 // String renders the table.

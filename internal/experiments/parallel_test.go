@@ -52,7 +52,7 @@ func TestScalingParallelDeterministic(t *testing.T) {
 	}
 	for _, w := range []int{2, 4} {
 		if got := run(w); !reflect.DeepEqual(seq, got) {
-			t.Errorf("Scaling with %d workers diverged from sequential\nseq: %+v\ngot: %+v", w, got, seq)
+			t.Errorf("Scaling with %d workers diverged from sequential\nseq: %+v\ngot: %+v", w, seq, got)
 		}
 	}
 }

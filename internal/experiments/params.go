@@ -11,11 +11,9 @@ import (
 	"prism/internal/live"
 	"prism/internal/nic"
 	"prism/internal/obs"
-	"prism/internal/overlay"
 	"prism/internal/prio"
 	"prism/internal/sim"
 	"prism/internal/testbed"
-	"prism/internal/traffic"
 )
 
 // Well-known ports used across experiments, mirroring the real tools.
@@ -167,13 +165,10 @@ func BaseSpec(p Params, mode prio.Mode) testbed.Spec {
 	}
 }
 
-// Rig is one fully wired single-engine testbed instance.
+// Rig is one fully wired single-engine testbed built from BaseSpec, run
+// and measured on a Params block.
 type Rig struct {
-	Eng    *sim.Engine
-	Host   *overlay.Host
-	Client *traffic.Client
-
-	tb *testbed.Testbed
+	*testbed.Testbed
 }
 
 // NewRig builds the standard monolithic testbed for a mode; options opt
@@ -183,14 +178,13 @@ func NewRig(p Params, mode prio.Mode, opts ...RigOption) *Rig {
 	for _, opt := range opts {
 		opt(&spec)
 	}
-	tb := testbed.New(spec)
-	return &Rig{Eng: tb.Eng, Host: tb.Host, Client: tb.Client, tb: tb}
+	return &Rig{testbed.New(spec)}
 }
 
 // Run executes warmup + duration and resets the utilization window at the
 // end of warmup so Utilization reflects only the measured interval.
 func (r *Rig) Run(p Params) error {
-	return r.tb.Run(p.Warmup, p.Duration)
+	return r.Testbed.Run(p.Warmup, p.Duration)
 }
 
 // Utilization returns the processing core's busy fraction over the
@@ -199,18 +193,24 @@ func (r *Rig) Utilization() float64 {
 	return r.Host.ProcCore.Utilization(r.Eng.Now())
 }
 
-// Drain runs the rig's engine to idle after the horizon, letting the
-// fault plane's watchdog rescue devices stranded by lost IRQs. Stop the
-// traffic generators first.
-func (r *Rig) Drain() error { return r.tb.Drain() }
+// start wires flows with p's warmup and echo/sink costs (see
+// testbed.Testbed.Start).
+func (r *Rig) start(p Params, flows ...testbed.Flow) []*testbed.Source {
+	srcs, err := r.Start(p.Warmup, p.EchoCost, p.SinkCost, flows...)
+	mustNoErr(err)
+	return srcs
+}
 
-// CheckInvariants verifies packet conservation and pool balance; after a
-// Drain the strict zero-leak form applies.
-func (r *Rig) CheckInvariants() error { return r.tb.CheckInvariants() }
-
-// FaultStats returns the fault plane's counters (zero when the rig was
-// built without WithFault).
-func (r *Rig) FaultStats() fault.Counters { return r.tb.Plane.Stats() }
+// bgFlood is the calibrated background load: a PortBackgrnd flood into
+// ctr from client index client, in steady p.BGBurst-frame trains with
+// ±25% jitter.
+func bgFlood(p Params, ctr string, client int, rate float64) testbed.Flow {
+	steady, jitter := false, 0.25
+	return testbed.Flow{
+		Kind: testbed.Flood, Container: ctr, Port: PortBackgrnd, Client: client, Rate: rate,
+		Burst: p.BGBurst, Poisson: &steady, JitterFrac: &jitter,
+	}
+}
 
 // Modes lists the three compared configurations in presentation order.
 var Modes = []prio.Mode{prio.ModeVanilla, prio.ModeBatch, prio.ModeSync}

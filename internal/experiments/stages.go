@@ -8,7 +8,6 @@ import (
 	"prism/internal/par"
 	"prism/internal/prio"
 	"prism/internal/stats"
-	"prism/internal/traffic"
 )
 
 // StageModeRow is one engine mode's fully instrumented run: the complete
@@ -51,26 +50,7 @@ func Stages(p Params) StagesResult {
 	par.ForEach(len(Modes), p.Workers, func(i int) {
 		mode := Modes[i]
 		pipe := obs.NewPipeline(mode.String())
-		r := NewRig(p, mode, WithObs(pipe))
-
-		hi := r.Host.AddContainer("hi-srv")
-		pp := traffic.NewPingPong(r.Eng, r.Host, hi, clientSrc(0), PortHighPrio, p.HighRate)
-		r.Host.DB.Add(prio.Rule{IP: hi.IP, Port: PortHighPrio})
-		pp.Warmup = p.Warmup
-		mustNoErr(pp.InstallEcho(p.EchoCost))
-		pp.Start(r.Client, 0)
-
-		if p.BGRate > 0 {
-			bg := r.Host.AddContainer("bg-srv")
-			fl := traffic.NewUDPFlood(r.Eng, r.Host, bg, clientSrc(1), PortBackgrnd, p.BGRate)
-			fl.Burst = p.BGBurst
-			fl.Poisson = false
-			fl.JitterFrac = 0.25
-			mustNoErr(fl.InstallSink(p.SinkCost))
-			fl.Start(0)
-		}
-
-		mustNoErr(r.Run(p))
+		latencyUnderLoad(p, mode, p.BGRate, true, WithObs(pipe))
 		res.Rows[i] = StageModeRow{
 			Mode:          mode,
 			Pipeline:      pipe,

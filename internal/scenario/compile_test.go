@@ -119,3 +119,43 @@ func TestCustomCompile(t *testing.T) {
 		}
 	})
 }
+
+// TestWorkloadFlowsKeepExplicitShaping guards the lowering onto
+// testbed flows: an explicit `poisson: true` or `jitter_frac: 0` must
+// reach the generator although it equals a default or is zero, unset
+// shaping must stay unset, and client indices must run across groups
+// and senders.
+func TestWorkloadFlowsKeepExplicitShaping(t *testing.T) {
+	s := mustParse(t, `scenario: v1
+topology:
+  split: monolithic
+workload:
+  - name: burst
+    type: flood
+    rate: 1000
+    senders: 3
+    poisson: true
+    jitter_frac: 0
+  - name: plain
+    type: flood
+    rate: 1000
+  - name: hi
+    type: echo
+    priority: hi
+    rate: 100
+    port: 11111
+`)
+	flows := workloadFlows(s.Workload)
+	if f := flows[0]; f.Poisson == nil || !*f.Poisson || f.JitterFrac == nil || *f.JitterFrac != 0 {
+		t.Errorf("explicit shaping lost: poisson=%v jitter=%v", f.Poisson, f.JitterFrac)
+	}
+	if f := flows[1]; f.Poisson != nil || f.JitterFrac != nil {
+		t.Errorf("unset shaping became explicit: poisson=%v jitter=%v", f.Poisson, f.JitterFrac)
+	}
+	if flows[1].Port != 15001 || flows[2].Port != 11111 {
+		t.Errorf("ports = %d, %d; want the 15000+index default and the explicit 11111", flows[1].Port, flows[2].Port)
+	}
+	if flows[1].Client != 3 || flows[2].Client != 4 || !flows[2].Hi {
+		t.Errorf("clients = %d, %d (hi=%v); want 3 and 4 after a 3-sender group", flows[1].Client, flows[2].Client, flows[2].Hi)
+	}
+}

@@ -9,12 +9,8 @@ import (
 	"prism/internal/cluster"
 	"prism/internal/experiments"
 	"prism/internal/obs"
-	"prism/internal/overlay"
-	"prism/internal/prio"
-	"prism/internal/sim"
 	"prism/internal/stats"
 	"prism/internal/testbed"
-	"prism/internal/traffic"
 )
 
 // Result is one executed scenario: a flat metric namespace (the SLO
@@ -244,26 +240,35 @@ func (p *Plan) runExperiment() (*Result, error) {
 	return res, nil
 }
 
-// generator is one wired traffic source and the handles the metric and
-// teardown passes need.
-type generator struct {
-	group Group
-	pp    *traffic.PingPong
-	flood *traffic.UDPFlood // first sender (owns the shared sink counter)
-	subs  []*traffic.UDPFlood
-	tcp   *traffic.TCPStream
-}
+var flowKinds = map[string]testbed.FlowKind{"echo": testbed.Echo, "flood": testbed.Flood, "tcp": testbed.TCP}
 
-func (g *generator) stop() {
-	if g.pp != nil {
-		g.pp.Stop()
+// workloadFlows lowers single-host workload groups onto testbed flows.
+// Every group gets its own container and every sender its own client
+// container; client indices run across groups. Shaping the file sets
+// explicitly reaches the generator even when it equals a default.
+func workloadFlows(groups []Group) []testbed.Flow {
+	flows := make([]testbed.Flow, len(groups))
+	client := 0
+	for i, g := range groups {
+		f := testbed.Flow{
+			Kind: flowKinds[g.Type], Container: g.Name, Hi: g.Priority == "hi",
+			Port: uint16(g.Port), Client: client, Rate: g.Rate,
+			Senders: g.Senders, Burst: g.Burst, PayloadLen: g.PayloadLen, MsgSize: g.MsgSize,
+			Phases: g.Phases, StopAt: g.StopAt,
+		}
+		if f.Port == 0 {
+			f.Port = uint16(15000 + i)
+		}
+		if g.poissonSet {
+			f.Poisson = &g.Poisson
+		}
+		if g.jitterSet {
+			f.JitterFrac = &g.JitterFrac
+		}
+		flows[i] = f
+		client += g.Senders
 	}
-	for _, f := range g.subs {
-		f.Stop()
-	}
-	if g.tcp != nil {
-		g.tcp.Stop()
-	}
+	return flows
 }
 
 // runCustom wires and runs a single-machine topology from the declared
@@ -278,128 +283,37 @@ func (p *Plan) runCustom() (*Result, error) {
 	}
 	spec.Pipe = obs.NewPipeline(name)
 	tb := testbed.New(spec)
-	eng, host := tb.Eng, tb.Host
 
-	gens := make([]*generator, len(s.Workload))
-	// Every sender is its own client container; indices run across groups.
-	srcIdx := 0
-	nextSrc := func() overlay.RemoteEndpoint {
-		ep := overlay.ClientContainer(srcIdx, uint16(40000+srcIdx))
-		srcIdx++
-		return ep
+	srcs, err := tb.Start(pm.Warmup, pm.EchoCost, pm.SinkCost, workloadFlows(s.Workload)...)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	for i, g := range s.Workload {
-		ctr := host.AddContainer(g.Name)
-		port := uint16(g.Port)
-		if port == 0 {
-			port = uint16(15000 + i)
-		}
-		if g.Priority == "hi" {
-			host.DB.Add(prio.Rule{IP: ctr.IP, Port: port})
-		}
-		gen := &generator{group: g}
-		switch g.Type {
-		case "echo":
-			pp := traffic.NewPingPong(eng, host, ctr, nextSrc(), port, g.Rate)
-			pp.Warmup = pm.Warmup
-			if err := pp.InstallEcho(pm.EchoCost); err != nil {
-				return nil, fmt.Errorf("scenario: group %s: %w", g.Name, err)
-			}
-			pp.Start(tb.Client, 0)
-			gen.pp = pp
-			schedulePhases(eng, g, g.Rate, func(r float64) { pp.Rate = r })
-			if g.StopAt > 0 {
-				eng.At(g.StopAt, pp.Stop)
-			}
-		case "flood":
-			perSender := g.Rate / float64(g.Senders)
-			for k := 0; k < g.Senders; k++ {
-				fl := traffic.NewUDPFlood(eng, host, ctr, nextSrc(), port, perSender)
-				if g.Burst > 0 {
-					fl.Burst = g.Burst
-				}
-				if g.poissonSet {
-					fl.Poisson = g.Poisson
-				}
-				if g.jitterSet {
-					fl.JitterFrac = g.JitterFrac
-				}
-				if g.PayloadLen > 0 {
-					fl.PayloadLen = g.PayloadLen
-				}
-				if k == 0 {
-					// One shared sink: the first sender's counter tallies
-					// every delivery to the port, whoever sent it.
-					if err := fl.InstallSink(pm.SinkCost); err != nil {
-						return nil, fmt.Errorf("scenario: group %s: %w", g.Name, err)
-					}
-					host.Eng.At(pm.Warmup, func() { fl.Delivered.Start(pm.Warmup) })
-					gen.flood = fl
-				}
-				fl.Start(0)
-				gen.subs = append(gen.subs, fl)
-				flc := fl
-				schedulePhases(eng, g, perSender, func(r float64) { flc.Rate = r })
-				if g.StopAt > 0 {
-					eng.At(g.StopAt, flc.Stop)
-				}
-			}
-		case "tcp":
-			ts := traffic.NewTCPStream(eng, host, ctr, nextSrc(), port, g.Rate)
-			if g.MsgSize > 0 {
-				ts.MsgSize = g.MsgSize
-			}
-			if err := ts.InstallSink(pm.SinkCost); err != nil {
-				return nil, fmt.Errorf("scenario: group %s: %w", g.Name, err)
-			}
-			host.Eng.At(pm.Warmup, func() { ts.Delivered.Start(pm.Warmup) })
-			ts.Start(0)
-			gen.tcp = ts
-			schedulePhases(eng, g, g.Rate, func(r float64) { ts.MsgRate = r })
-			if g.StopAt > 0 {
-				eng.At(g.StopAt, ts.Stop)
-			}
-		}
-		gens[i] = gen
-	}
-
 	if err := tb.Run(pm.Warmup, pm.Duration); err != nil {
 		return nil, err
 	}
 
-	res := &Result{Metrics: map[string]float64{}, Digests: map[string]string{}}
-	m := res.Metrics
-	now := eng.Now()
-	m["util"] = host.ProcCore.Utilization(now)
-	var shed uint64
-	for _, n := range host.NICs {
-		shed += n.ShedDrops
-	}
-	for _, rx := range host.Rxs {
-		shed += rx.Stats().Shed
-	}
-	m["shed"] = float64(shed)
-	for _, gen := range gens {
-		g := gen.group
+	now := tb.Eng.Now()
+	m := map[string]float64{"util": tb.Host.ProcCore.Utilization(now), "shed": float64(tb.Shed())}
+	for i, src := range srcs {
+		k := s.Workload[i].Name
 		switch {
-		case gen.pp != nil:
-			addSummary(m, g.Name, gen.pp.Hist.Summarize())
-			m[g.Name+"_kernel_p99_us"] = gen.pp.KernelHist.Summarize().P99.Micros()
-			m[g.Name+"_sent"] = float64(gen.pp.Sent)
-			m[g.Name+"_recv"] = float64(gen.pp.Received)
-		case gen.flood != nil:
+		case src.PP != nil:
+			addSummary(m, k, src.PP.Hist.Summarize())
+			m[k+"_kernel_p99_us"] = src.PP.KernelHist.Summarize().P99.Micros()
+			m[k+"_sent"] = float64(src.PP.Sent)
+			m[k+"_recv"] = float64(src.PP.Received)
+			continue
+		case src.TCP != nil:
+			m[k+"_sent_pkts"] = float64(src.TCP.SentPkts)
+		default:
 			var sent uint64
-			for _, f := range gen.subs {
+			for _, f := range src.Floods {
 				sent += f.Sent
 			}
-			m[g.Name+"_sent"] = float64(sent)
-			m[g.Name+"_delivered"] = float64(gen.flood.Delivered.Count())
-			m[g.Name+"_kpps"] = gen.flood.Delivered.Kpps(now)
-		case gen.tcp != nil:
-			m[g.Name+"_sent_pkts"] = float64(gen.tcp.SentPkts)
-			m[g.Name+"_delivered"] = float64(gen.tcp.Delivered.Count())
-			m[g.Name+"_kpps"] = gen.tcp.Delivered.Kpps(now)
+			m[k+"_sent"] = float64(sent)
 		}
+		m[k+"_delivered"] = float64(src.Delivered().Count())
+		m[k+"_kpps"] = src.Delivered().Kpps(now)
 	}
 	if tb.Plane != nil {
 		c := tb.Plane.Stats()
@@ -408,19 +322,12 @@ func (p *Plan) runCustom() (*Result, error) {
 	}
 
 	if s.Conservation {
-		for _, gen := range gens {
-			gen.stop()
-		}
-		if err := tb.Drain(); err != nil {
-			return nil, err
-		}
-		if err := tb.CheckInvariants(); err != nil {
+		if err := tb.Settle(); err != nil {
 			return nil, fmt.Errorf("scenario: conservation check failed: %w", err)
 		}
 		m["conservation_ok"] = 1
 	}
-
-	var err error
+	res := &Result{Metrics: m, Digests: map[string]string{}}
 	res.Digests["metrics"], res.Digests["spans"], err = obs.Digests(tb.Pipe)
 	if err != nil {
 		return nil, err
@@ -428,75 +335,44 @@ func (p *Plan) runCustom() (*Result, error) {
 	return res, nil
 }
 
-// schedulePhases arms the diurnal rate timeline: at each phase boundary
-// the generator's rate becomes base × rate_x. The mutations run on the
-// generator's own engine, so they are deterministic at any worker count.
-func schedulePhases(eng *sim.Engine, g Group, base float64, set func(rate float64)) {
-	for _, ph := range g.Phases {
-		x := ph.RateX
-		eng.At(ph.At, func() { set(base * x) })
-	}
-}
-
-// runCustomCluster runs a declared multi-host topology, mirroring the
-// cluster experiment's measurement pass.
+// runCustomCluster runs a declared multi-host topology through the
+// cluster experiment's run path.
 func (p *Plan) runCustomCluster() (*Result, error) {
 	s := p.Scenario
-	pm := p.Params
-	c, err := cluster.New(*p.ClusterRun)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Run(pm.Duration, pm.Workers); err != nil {
-		return nil, err
-	}
-
-	res := &Result{Metrics: map[string]float64{}, Digests: map[string]string{}}
-	m := res.Metrics
-	hiH, loH := c.LatencyHists()
-	addSummary(m, "hi", hiH.Summarize())
-	addSummary(m, "lo", loH.Summarize())
-	hiSent, hiRecv, loSent, loRecv, _, floodRecv := c.FlowCounts()
-	m["hi_sent"], m["hi_recv"] = float64(hiSent), float64(hiRecv)
-	m["lo_sent"], m["lo_recv"] = float64(loSent), float64(loRecv)
-	m["flood_recv"] = float64(floodRecv)
-	m["admit_denied"] = float64(c.AdmissionDenied())
-	drops, shed := c.FabricDrops()
-	m["fabric_drops"], m["fabric_shed"] = float64(drops), float64(shed)
-	max, mean := c.FabricUtilization(c.Horizon())
-	m["fabric_util_max"], m["fabric_util_mean"] = max, mean
-	m["windows"] = float64(c.Group.Windows)
-	m["racks"] = float64(c.Cfg.Fabric.Racks)
-	if p.ClusterRun.Recovery != nil {
-		m["detections"] = float64(len(c.Detections()))
-		m["migrated"] = float64(len(c.Migrations()))
-		m["snapshot_version"] = float64(c.Snapshot().Version)
-		rx, tx := c.CrashDrops()
-		m["crash_dropped"] = float64(rx + tx)
-		m["epoch_dropped"] = float64(c.EpochDrops())
-		m["admit_retries"] = float64(c.RecoveryRetries())
-	}
-	if c.Cfg.Host.Fault != nil {
-		var injected uint64
-		for _, n := range c.Nodes {
-			injected += n.Plane.Stats().Injected()
+	m := map[string]float64{}
+	row, err := experiments.RunCluster(p.Params, *p.ClusterRun, "", s.Conservation, nil, func(c *cluster.Cluster) {
+		m["racks"] = float64(c.Cfg.Fabric.Racks)
+		if p.ClusterRun.Recovery != nil {
+			m["detections"] = float64(len(c.Detections()))
+			m["migrated"] = float64(len(c.Migrations()))
+			m["snapshot_version"] = float64(c.Snapshot().Version)
+			rx, tx := c.CrashDrops()
+			m["crash_dropped"] = float64(rx + tx)
+			m["epoch_dropped"] = float64(c.EpochDrops())
+			m["admit_retries"] = float64(c.RecoveryRetries())
 		}
-		m["faults_injected"] = float64(injected)
-	}
-
-	res.Digests["metrics"], res.Digests["spans"], err = obs.Digests(c.Pipes()...)
+		if c.Cfg.Host.Fault != nil {
+			var injected uint64
+			for _, n := range c.Nodes {
+				injected += n.Plane.Stats().Injected()
+			}
+			m["faults_injected"] = float64(injected)
+		}
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-
-	if err := c.Settle(0, pm.Workers); err != nil {
-		return nil, err
-	}
-	if err := c.CheckInvariants(s.Conservation); err != nil {
-		return nil, fmt.Errorf("scenario: conservation check failed: %w", err)
-	}
+	addSummary(m, "hi", row.Hi)
+	addSummary(m, "lo", row.Lo)
+	m["hi_sent"], m["hi_recv"] = float64(row.HiSent), float64(row.HiRecv)
+	m["lo_sent"], m["lo_recv"] = float64(row.LoSent), float64(row.LoRecv)
+	m["flood_recv"] = float64(row.FloodRecv)
+	m["admit_denied"] = float64(row.AdmitDenied)
+	m["fabric_drops"], m["fabric_shed"] = float64(row.FabricDrops), float64(row.FabricShed)
+	m["fabric_util_max"], m["fabric_util_mean"] = row.FabricUtilMax, row.FabricUtilMean
+	m["windows"] = float64(row.Windows)
 	if s.Conservation {
 		m["conservation_ok"] = 1
 	}
-	return res, nil
+	return &Result{Metrics: m, Digests: map[string]string{"metrics": row.MetricsSHA, "spans": row.SpansSHA}}, nil
 }

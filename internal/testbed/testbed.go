@@ -70,6 +70,7 @@ type Testbed struct {
 	// injecting). Run arms its timeline.
 	Plane *fault.Plane
 
+	sources    []*Source // every flow Start wired, for Settle
 	ckptEvery  sim.Time
 	ckptTicker *par.Ticker
 }
@@ -172,6 +173,19 @@ func (t *Testbed) Run(warmup, duration sim.Time) error {
 	}
 	t.ckptTicker.Flush(horizon)
 	return nil
+}
+
+// Shed counts the low-priority victims the overload policy evicted: NIC
+// ring evictions plus stage-queue sheds.
+func (t *Testbed) Shed() uint64 {
+	var n uint64
+	for _, nc := range t.Host.NICs {
+		n += nc.ShedDrops
+	}
+	for _, rx := range t.Host.Rxs {
+		n += rx.Stats().Shed
+	}
+	return n
 }
 
 // Drain runs the testbed to event-queue idle after the horizon,

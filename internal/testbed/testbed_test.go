@@ -89,3 +89,45 @@ func TestInvariantsCatchLeaks(t *testing.T) {
 		t.Errorf("balance not restored: %v", err)
 	}
 }
+
+// TestStartAppliesFlowShaping checks that an explicit flood shaping value
+// reaches the generator even when it is the zero value (jitter 0) or
+// the generator's default (Poisson on), that unset fields keep the
+// generator's defaults, and that Settle stops and drains every flow.
+func TestStartAppliesFlowShaping(t *testing.T) {
+	tb := New(Spec{Seed: 5, Mode: prio.ModeSync})
+	on, zero := true, 0.0
+	srcs, err := tb.Start(sim.Millisecond, 500, 600,
+		Flow{Kind: Echo, Container: "hi", Hi: true, Port: 11111, Rate: 1000},
+		Flow{Kind: Flood, Container: "bg", Port: 5001, Client: 1, Rate: 20_000, Senders: 2,
+			Burst: 8, Poisson: &on, JitterFrac: &zero},
+		Flow{Kind: Flood, Container: "def", Port: 5002, Client: 3, Rate: 10_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := srcs[1].Floods
+	if len(bg) != 2 || bg[1].Src.Port != 40002 || bg[0].Rate != 10_000 {
+		t.Fatalf("senders not fanned out over clients 1 and 2 at half rate each: %+v", bg)
+	}
+	for _, fl := range bg {
+		if !fl.Poisson || fl.JitterFrac != 0 || fl.Burst != 8 {
+			t.Errorf("explicit shaping lost: poisson=%v jitter=%v burst=%d", fl.Poisson, fl.JitterFrac, fl.Burst)
+		}
+	}
+	def := srcs[2].Floods[0]
+	if !def.Poisson || def.JitterFrac != 0.2 || def.Burst != 64 {
+		t.Errorf("defaults not kept: poisson=%v jitter=%v burst=%d", def.Poisson, def.JitterFrac, def.Burst)
+	}
+	if err := tb.Run(sim.Millisecond, 5*sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if srcs[0].PP.Received == 0 || srcs[1].Delivered().Count() == 0 {
+		t.Fatal("flows delivered nothing")
+	}
+	if err := tb.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Eng.Pending() != 0 {
+		t.Error("Settle left events pending")
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"prism/internal/socket"
 	"prism/internal/softirq"
 	"prism/internal/stats"
+	"prism/internal/testbed"
 	"prism/internal/traffic"
 )
 
@@ -161,8 +162,8 @@ func NewSimulation(opts ...Option) *Simulation {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	eng := sim.NewEngine(cfg.seed)
-	host := overlay.NewHost(eng, overlay.Config{
+	tb := testbed.New(testbed.Spec{
+		Seed:       cfg.seed,
 		Mode:       cfg.mode,
 		Policy:     cfg.policy,
 		Costs:      cfg.costs,
@@ -170,7 +171,7 @@ func NewSimulation(opts ...Option) *Simulation {
 		AppCStates: cfg.cstates,
 		NIC:        cfg.nic,
 	})
-	return &Simulation{eng: eng, host: host, client: traffic.NewClient(host)}
+	return &Simulation{eng: tb.Eng, host: tb.Host, client: tb.Client}
 }
 
 // AddContainer creates a container on the overlay with its own
@@ -282,7 +283,7 @@ func (s *Simulation) NewBackgroundFlood(target *Container, port uint16, pps floa
 	return &BackgroundFlood{fl: fl}
 }
 
-// DeliveredKpps reports the delivered background rate at time now.
+// Delivered reports how many background messages the sink has received.
 func (b *BackgroundFlood) Delivered() uint64 { return b.fl.Delivered.Count() }
 
 // Bind installs a custom application on a container port (UDP).
