@@ -311,18 +311,19 @@ func New(cfg Config) (*Cluster, error) {
 		c.Spine.Pipe.T.SetSampling(cfg.ObsSampling)
 	}
 
-	// Host↔ToR links and the ToRs' downlink port maps.
-	torDown := make([]map[int]*Port, fc.Racks)
+	// Host↔ToR links and the ToRs' downlink ports, indexed by host ID
+	// (nil for the hosts of other racks).
+	torDown := make([][]*Port, fc.Racks)
 	for r := range torDown {
-		torDown[r] = make(map[int]*Port)
+		torDown[r] = make([]*Port, cfg.Hosts)
 	}
 	for _, n := range c.Nodes {
 		n := n
 		r := c.rackOf(n.ID)
 		tor := c.Tors[r]
 		n.Up = c.connect(n.Shard, tor.Shard, fc.HostLink, tor.Receive)
-		down := c.connect(tor.Shard, n.Shard, fc.HostLink, func(at sim.Time, frame []byte) {
-			c.deliverToNode(n, at, frame)
+		down := c.connect(tor.Shard, n.Shard, fc.HostLink, func(at sim.Time, frame []byte, port uint32) {
+			c.deliverToNode(n, at, frame, port)
 		})
 		torDown[r][n.ID] = tor.addPort(fmt.Sprintf("%s->%s", tor.Name, n.Name), down, fc.HostLink)
 
@@ -335,7 +336,7 @@ func New(cfg Config) (*Cluster, error) {
 			n.Injected++
 			// The host lends its pooled egress buffer only for this
 			// call; the uplink carries the frame across the window.
-			n.Up.Send(now, arrive-now, append([]byte(nil), frame...))
+			n.Up.Send(now, arrive-now, append([]byte(nil), frame...), portOf(frame))
 		}
 	}
 
@@ -353,7 +354,7 @@ func New(cfg Config) (*Cluster, error) {
 
 			down := torDown[r]
 			tor.portFor = func(rt Route) *Port {
-				if p, ok := down[rt.Host]; ok {
+				if p := down[rt.Host]; p != nil {
 					return p
 				}
 				return torUp
@@ -426,7 +427,7 @@ func admissionOrZero(a *Admission) Admission {
 
 // connect wraps Group.Connect, remembering the link for in-flight
 // accounting.
-func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(at sim.Time, frame []byte)) *par.Link {
+func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(at sim.Time, frame []byte, port uint32)) *par.Link {
 	l := c.Group.Connect(src, dst, lookahead, deliver)
 	c.links = append(c.links, l)
 	return l
@@ -436,11 +437,11 @@ func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(
 func (c *Cluster) rackOf(host int) int { return host / c.perRack }
 
 // injectVia builds the generator hook for a flow entering at node in: the
-// admission decision, then the uplink. Runs in event context on the
-// ingress shard.
+// route key, the admission decision, then the uplink. Runs in event
+// context on the ingress shard.
 func (c *Cluster) injectVia(in *Node, hi bool) func(now, arrive sim.Time, frame []byte) {
 	return func(now, arrive sim.Time, frame []byte) {
-		c.inject(in, hi, now, arrive, frame, 0)
+		c.inject(in, hi, now, arrive, frame, portOf(frame), 0)
 	}
 }
 
@@ -452,7 +453,7 @@ func (c *Cluster) injectVia(in *Node, hi bool) func(now, arrive sim.Time, frame 
 // departure→arrival delta, so the re-sent frame still satisfies the
 // uplink's lookahead contract. Runs in event context on the ingress
 // shard.
-func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, attempt int) {
+func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, port uint32, attempt int) {
 	if in.down {
 		in.CrashTx++
 		return
@@ -467,12 +468,12 @@ func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, 
 		in.Retries++
 		in.Shard.Eng.At(now+delay, func() {
 			nn := in.Shard.Eng.Now()
-			c.inject(in, hi, nn, nn+wait, frame, attempt+1)
+			c.inject(in, hi, nn, nn+wait, frame, port, attempt+1)
 		})
 		return
 	}
 	in.Injected++
-	in.Up.Send(now, arrive-now, frame)
+	in.Up.Send(now, arrive-now, frame, port)
 }
 
 // deliverToNode terminates a fabric downlink: requests enter the host's
@@ -481,12 +482,12 @@ func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, 
 // frame whose route no longer points here was in flight across a
 // snapshot swap: with recovery armed it is an epoch drop (counted, never
 // silent); otherwise the fabric genuinely misrouted it.
-func (c *Cluster) deliverToNode(n *Node, at sim.Time, frame []byte) {
+func (c *Cluster) deliverToNode(n *Node, at sim.Time, frame []byte, port uint32) {
 	if n.down {
 		n.CrashRx++
 		return
 	}
-	rt, ok := classify(c.snap.Load(), frame)
+	rt, ok := route(c.snap.Load(), port)
 	if !ok || rt.Host != n.ID {
 		if ok && c.rec != nil {
 			n.EpochDrops++
@@ -570,15 +571,7 @@ func (c *Cluster) SetTap(fn func(host string, now sim.Time, frame []byte, tx boo
 // reply frames, its source port — indexes the container spec. Safe to call
 // concurrently; the flow table is immutable after New.
 func (c *Cluster) ClassifyFrame(frame []byte) (container string, hi bool, ok bool) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			return "", false, false
-		}
-		inner = in
-	}
-	fl, err := pkt.ParseFlow(inner)
+	_, fl, err := pkt.InnerFlow(frame)
 	if err != nil {
 		return "", false, false
 	}

@@ -77,9 +77,11 @@ func (c FabricConfig) serialization(bytes int) sim.Time {
 	return sim.Time(float64(bytes*8) / c.LinkGbps)
 }
 
-// queued is one frame waiting at an egress port.
+// queued is one frame waiting at an egress port, with the route key it
+// travels with.
 type queued struct {
 	frame   []byte
+	port    uint32
 	hi      bool
 	arrived sim.Time
 }
@@ -138,9 +140,10 @@ func (p *Port) Utilization(now sim.Time) float64 {
 	return float64(p.busyNs) / float64(now-p.winStart)
 }
 
-// Switch is one ToR or spine: classify against the control-plane
-// snapshot, pick the egress port, queue, serialize, forward. It lives on
-// its own shard; Receive runs in event context on that shard.
+// Switch is one ToR or spine: look the frame's route key up in the
+// control-plane snapshot, pick the egress port, queue, serialize,
+// forward. It lives on its own shard; Receive runs in event context on
+// that shard.
 type Switch struct {
 	Name  string
 	Shard *par.Shard
@@ -157,8 +160,8 @@ type Switch struct {
 	portFor func(Route) *Port
 	Ports   []*Port
 
-	// RxFrames counts arrivals; Unroutable counts frames whose inner
-	// destination port has no snapshot entry.
+	// RxFrames counts arrivals; Unroutable counts frames whose route key
+	// (the inner destination port) has no snapshot entry.
 	RxFrames   uint64
 	Unroutable uint64
 	seq        uint64
@@ -183,36 +186,44 @@ func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
 	return p
 }
 
-// classify resolves a wire frame to its snapshot route by the inner
-// destination port (the globally unique flow identity — container IPs
-// repeat across hosts, ports never do).
-func classify(snap *Snapshot, frame []byte) (Route, bool) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			return Route{}, false
-		}
-		inner = in
-	}
-	fl, err := pkt.ParseFlow(inner)
+// noPort is the route key of a frame whose inner flow does not parse: it
+// lies outside the uint16 port space, so no snapshot routes it.
+const noPort = uint32(1 << 16)
+
+// portOf is a wire frame's route key: the destination port of its inner
+// flow, the globally unique flow identity (container IPs repeat across
+// hosts, ports never do), or noPort. A host computes it once, where it
+// hands the frame to its uplink, and the frame carries it through the
+// fabric, so no hop parses the frame again.
+func portOf(frame []byte) uint32 {
+	_, fl, err := pkt.InnerFlow(frame)
 	if err != nil {
-		return Route{}, false
+		return noPort
 	}
-	return snap.Lookup(fl.DstPort)
+	return uint32(fl.DstPort)
 }
 
-// Receive handles one frame arriving at the switch at time at (event
-// context on the switch's shard).
-func (s *Switch) Receive(at sim.Time, frame []byte) {
+// route resolves a carried route key against the current snapshot. The
+// lookup runs at every hop, so a snapshot swap reroutes frames in
+// flight.
+func route(snap *Snapshot, port uint32) (Route, bool) {
+	if port == noPort {
+		return Route{}, false
+	}
+	return snap.Lookup(uint16(port))
+}
+
+// Receive handles one frame arriving at the switch at time at with its
+// route key (event context on the switch's shard).
+func (s *Switch) Receive(at sim.Time, frame []byte, port uint32) {
 	s.RxFrames++
-	rt, ok := classify(s.snap.Load(), frame)
+	rt, ok := route(s.snap.Load(), port)
 	if !ok {
 		s.Unroutable++
 		s.Pipe.FabricDrop(at, s.Name, "unroutable", 0)
 		return
 	}
-	s.enqueue(at, s.portFor(rt), queued{frame: frame, hi: rt.Hi, arrived: at})
+	s.enqueue(at, s.portFor(rt), queued{frame: frame, port: port, hi: rt.Hi, arrived: at})
 }
 
 func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
@@ -282,7 +293,7 @@ func (s *Switch) finishTx(done sim.Time, p *Port) {
 	}
 	p.obs.Fabric(s.seq, prio, q.arrived, done)
 	s.seq++
-	p.link.Send(done, p.prop, q.frame)
+	p.link.Send(done, p.prop, q.frame, q.port)
 	p.Forwarded++
 	p.busy = false
 	if p.depth() > 0 {

@@ -22,7 +22,7 @@ type hopSource struct {
 func hopTick(now sim.Time, a1, _ any) {
 	s := a1.(*hopSource)
 	for _, f := range s.frames {
-		s.link.Send(now, s.link.Lookahead, f)
+		s.link.Send(now, s.link.Lookahead, f, portOf(f))
 	}
 	s.eng.CallAt(now+s.period, hopTick, s, nil)
 }
@@ -43,7 +43,7 @@ func TestSwitchHopZeroAlloc(t *testing.T) {
 	sw := newSwitch(g, "tor", 2, cfg.TorLatency, cfg, &snap)
 	sink := g.Add("sink", sim.NewEngine(3))
 	delivered := 0
-	port := sw.addPort("tor->sink", g.Connect(sw.Shard, sink, cfg.HostLink, func(sim.Time, []byte) { delivered++ }), cfg.HostLink)
+	port := sw.addPort("tor->sink", g.Connect(sw.Shard, sink, cfg.HostLink, func(sim.Time, []byte, uint32) { delivered++ }), cfg.HostLink)
 	sw.portFor = func(Route) *Port { return port }
 
 	frame := func(dport uint16) []byte {
@@ -92,7 +92,7 @@ func TestPortEvictsYoungestBestEffort(t *testing.T) {
 	sw := newSwitch(g, "tor", 1, cfg.TorLatency, cfg, &snap)
 	sink := g.Add("sink", sim.NewEngine(2))
 	var got []byte
-	link := g.Connect(sw.Shard, sink, cfg.HostLink, func(_ sim.Time, f []byte) { got = append(got, f[0]) })
+	link := g.Connect(sw.Shard, sink, cfg.HostLink, func(_ sim.Time, f []byte, _ uint32) { got = append(got, f[0]) })
 	p := sw.addPort("tor->sink", link, cfg.HostLink)
 
 	sw.Shard.Eng.At(0, func() {

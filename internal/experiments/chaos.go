@@ -173,15 +173,7 @@ func chaosPoint(p Params, v PolicyVariant, rate float64) ChaosRow {
 // the experiment's well-known ports, so the inner flow's destination port
 // — or, for reply frames, its source port — names the workload.
 func chaosClassify(frame []byte) (container string, hi bool, ok bool) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			return "", false, false
-		}
-		inner = in
-	}
-	fl, err := pkt.ParseFlow(inner)
+	_, fl, err := pkt.InnerFlow(frame)
 	if err != nil {
 		return "", false, false
 	}

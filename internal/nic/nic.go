@@ -275,11 +275,7 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 // flow steering (PriorityRings) and the shed policy's admission check use
 // it; handle()'s software classification is idempotent with it.
 func (n *NIC) classify(frame []byte, skb *pkt.SKB) bool {
-	inner, ok := innerFrame(frame)
-	if !ok {
-		return false
-	}
-	flow, err := pkt.ParseFlow(inner)
+	_, flow, err := pkt.InnerFlow(frame)
 	if err != nil {
 		return false
 	}
@@ -289,19 +285,6 @@ func (n *NIC) classify(frame []byte, skb *pkt.SKB) bool {
 		return true
 	}
 	return false
-}
-
-// innerFrame strips VXLAN encapsulation for classification, returning the
-// frame whose flow identifies the application.
-func innerFrame(frame []byte) ([]byte, bool) {
-	if !pkt.IsVXLAN(frame) {
-		return frame, true
-	}
-	_, inner, err := pkt.Decapsulate(frame)
-	if err != nil {
-		return nil, false
-	}
-	return inner, true
 }
 
 // fireHighIRQ raises an interrupt for the high-priority ring, telling the
@@ -385,23 +368,14 @@ func (n *NIC) SpuriousIRQ(now sim.Time) {
 func (n *NIC) handle(now sim.Time, skb *pkt.SKB) netdev.Result {
 	// Identify the flow this packet belongs to. For VXLAN traffic the
 	// priority database is matched against the *inner* flow — that is
-	// what identifies the container application (§IV-A).
-	encapsulated := pkt.IsVXLAN(skb.Data)
-	var inner []byte
-	if encapsulated {
-		vni, in, err := pkt.Decapsulate(skb.Data)
-		if err != nil {
-			return netdev.Result{Verdict: netdev.VerdictDrop, Cost: n.costs.NICPacket}
-		}
-		_ = vni // a single-VNI fabric; multi-VNI demux lives in the bridge FDB
-		inner = in
-	} else {
-		inner = skb.Data
-	}
-	flow, ferr := pkt.ParseFlow(inner)
-	if ferr != nil {
+	// what identifies the container application (§IV-A). The fabric is
+	// single-VNI; multi-VNI demux lives in the bridge FDB.
+	inner, flow, err := pkt.InnerFlow(skb.Data)
+	if err != nil {
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: n.costs.NICPacket}
 	}
+	// Decapsulation strips at least the 50 outer header bytes.
+	encapsulated := len(inner) < len(skb.Data)
 	skb.Flow = flow
 	skb.Encapsulated = encapsulated
 	// Priority classification happens exactly once, at SKB allocation in
@@ -440,12 +414,15 @@ func (n *NIC) handle(now sim.Time, skb *pkt.SKB) netdev.Result {
 		if n.bridge == nil {
 			return netdev.Result{Verdict: netdev.VerdictDrop, Cost: n.costs.NICPacket}
 		}
-		// Strip the outer headers: the inner frame proceeds to stage 2.
+		// Strip the outer headers: the inner frame proceeds to stage 2,
+		// stamped with the parse the later stages trust.
 		skb.Data = inner
 		skb.Encapsulated = false
+		skb.Parsed = true
 		return netdev.Result{Verdict: netdev.VerdictForward, Cost: n.costs.NICPacket, Next: n.bridge}
 	}
 
 	// Host network: single-stage receive straight to the socket.
+	skb.Parsed = true
 	return socket.DeliverToTable(n.hostSockets, n.costs.HostPacket, skb)
 }

@@ -3,9 +3,11 @@ package nic
 import (
 	"testing"
 
+	"prism/internal/cpu"
 	"prism/internal/netdev"
 	"prism/internal/pkt"
 	"prism/internal/prio"
+	"prism/internal/sched"
 	"prism/internal/sim"
 	"prism/internal/socket"
 )
@@ -201,6 +203,42 @@ func TestHandleHostPathDelivers(t *testing.T) {
 	}
 	if res.Cost != costs.HostPacket {
 		t.Errorf("cost = %v, want HostPacket", res.Cost)
+	}
+}
+
+// TestHandleStampsParsedSKB pins stage 1's stamp: a frame that decodes
+// leaves the NIC stamped, on the overlay path and on the host path, and
+// a frame that does not is dropped unstamped. The host-path frame is a
+// TCP segment whose IPv4 total length ends inside its header: ParseFlow
+// accepts it, and the stamped delivery must drop it, not panic.
+func TestHandleStampsParsedSKB(t *testing.T) {
+	_, _, n, _, _ := newNIC(t, Config{})
+	skb := &pkt.SKB{Data: overlayFrame(1000, []byte("req")), GROSegs: 1}
+	if res := n.handle(0, skb); res.Verdict != netdev.VerdictForward || !skb.Parsed {
+		t.Fatalf("overlay: verdict %v, parsed %v; want a stamped forward", res.Verdict, skb.Parsed)
+	}
+	f := overlayFrame(1, nil)
+	bad := &pkt.SKB{Data: f[:len(f)-20], GROSegs: 1}
+	if res := n.handle(0, bad); res.Verdict != netdev.VerdictDrop || bad.Parsed {
+		t.Fatalf("truncated: verdict %v, parsed %v; want an unstamped drop", res.Verdict, bad.Parsed)
+	}
+
+	eng := sim.NewEngine(1)
+	tbl := socket.NewTable("host")
+	if _, err := tbl.Bind(pkt.ProtoTCP, 200, sched.NewThread("app", eng, cpu.NewCore(1, nil), 0), socket.AppFunc{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	host := New(eng, &fakeSched{}, netdev.DefaultCosts(), prio.NewDB(), tbl, Config{Name: "eth0", HostIP: hostIP})
+	frame := pkt.BuildTCPFrame(pkt.TCPFrameSpec{
+		SrcMAC: peerMAC, DstMAC: hostMAC, SrcIP: peerIP, DstIP: hostIP,
+		SrcPort: 100, DstPort: 200, Payload: []byte("host"),
+	})
+	pkt.PutIPv4(frame[pkt.EthHeaderLen:], pkt.IPv4Header{
+		TotalLen: 30, TTL: 64, Protocol: pkt.ProtoTCP, Src: peerIP, Dst: hostIP,
+	})
+	short := &pkt.SKB{Data: frame, GROSegs: 1}
+	if res := host.handle(0, short); res.Verdict != netdev.VerdictDrop || !short.Parsed {
+		t.Fatalf("short tcp: verdict %v, parsed %v; want a stamped drop", res.Verdict, short.Parsed)
 	}
 }
 

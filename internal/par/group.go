@@ -96,9 +96,10 @@ func (g *Group) Shards() []*Shard { return g.shards }
 
 // Connect creates a link from src to dst whose frames take at least
 // lookahead to arrive; deliver runs on the destination shard, in event
-// context at the frame's delivery time. Conservative synchronization is
+// context at the frame's delivery time, with the tag the frame was sent
+// with. Conservative synchronization is
 // impossible with zero lookahead, so it panics.
-func (g *Group) Connect(src, dst *Shard, lookahead sim.Time, deliver func(at sim.Time, frame []byte)) *Link {
+func (g *Group) Connect(src, dst *Shard, lookahead sim.Time, deliver func(at sim.Time, frame []byte, tag uint32)) *Link {
 	if lookahead <= 0 {
 		panic("par: conservative synchronization requires positive link lookahead")
 	}
@@ -268,12 +269,13 @@ func (s *Shard) drain(par int) {
 }
 
 // deliverFrame is the top-level trampoline injected messages dispatch
-// through: a1 is the *Link, whose due FIFO holds the frame. Scheduling it
-// via CallAt reuses a pooled event record and boxes nothing — no
-// capturing closure, no interface conversion of the frame.
+// through: a1 is the *Link, whose due FIFO holds the frame and its tag.
+// Scheduling it via CallAt reuses a pooled event record and boxes
+// nothing — no capturing closure, no interface conversion of the frame.
 func deliverFrame(at sim.Time, a1, _ any) {
 	l := a1.(*Link)
-	l.deliver(at, l.due.Pop())
+	d := l.due.Pop()
+	l.deliver(at, d.frame, d.tag)
 }
 
 // inject moves every inbox message due before end into the engine. The
@@ -294,7 +296,7 @@ func (s *Shard) inject(end sim.Time) {
 	for i < len(s.inbox) && s.inbox[i].at < end {
 		m := &s.inbox[i]
 		b.CallAt(m.at, deliverFrame, m.link, nil)
-		m.link.due.Push(m.frame)
+		m.link.due.Push(m.delivery)
 		i++
 	}
 	if i > 0 {

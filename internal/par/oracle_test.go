@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -73,8 +74,8 @@ func refRun(g *Group, horizon sim.Time) error {
 func refInject(s *Shard, end sim.Time) {
 	i := 0
 	for ; i < len(s.inbox) && s.inbox[i].at < end; i++ {
-		l, at, frame := s.inbox[i].link, s.inbox[i].at, s.inbox[i].frame
-		s.Eng.At(at, func() { l.deliver(at, frame) })
+		l, at, d := s.inbox[i].link, s.inbox[i].at, s.inbox[i].delivery
+		s.Eng.At(at, func() { l.deliver(at, d.frame, d.tag) })
 	}
 	s.inbox = append(s.inbox[:0], s.inbox[i:]...)
 }
@@ -137,11 +138,14 @@ func refCollect(g *Group) error {
 // period and sends on a random subset of its outgoing links, and every
 // delivery may be forwarded on. Periods and delays are multiples of a
 // common grain, so messages from several sources collide on one
-// timestamp at their destination.
+// timestamp at their destination. Every send is tagged with its frame's
+// CRC, and every delivery checks that the tag arrived with its frame.
 type meshModel struct {
 	group *Group
 	logs  [][]string // per shard: "at src frame" in delivery order
 	out   [][]*Link
+	// badTags counts deliveries whose tag is not their frame's.
+	badTags int
 }
 
 type meshSpec struct {
@@ -174,12 +178,15 @@ func buildMesh(sp meshSpec) *meshModel {
 				look = grain * sim.Time(1+rng.Intn(4))
 			}
 			src, dst := src, dst
-			l := m.group.Connect(shards[src], shards[dst], look, func(at sim.Time, frame []byte) {
+			l := m.group.Connect(shards[src], shards[dst], look, func(at sim.Time, frame []byte, tag uint32) {
 				m.logs[dst] = append(m.logs[dst], fmt.Sprintf("%d %d %s", at, src, frame))
+				if tag != crc32.ChecksumIEEE(frame) {
+					m.badTags++
+				}
 				e := shards[dst].Eng
 				if e.RNG().Intn(4) == 0 {
 					fw := m.out[dst][e.RNG().Intn(len(m.out[dst]))]
-					fw.Send(at, fw.Lookahead+sim.Time(e.RNG().Intn(3))*grain, fmt.Appendf(nil, "fw%d@%d", dst, at))
+					m.send(fw, at, fw.Lookahead+sim.Time(e.RNG().Intn(3))*grain, fmt.Appendf(nil, "fw%d@%d", dst, at))
 				}
 			})
 			m.out[src] = append(m.out[src], l)
@@ -189,7 +196,7 @@ func buildMesh(sp meshSpec) *meshModel {
 		i, s := i, s
 		// Construction-time sends, before any event has run.
 		for _, l := range m.out[i] {
-			l.Send(0, l.Lookahead+grain*sim.Time(rng.Intn(3)), fmt.Appendf(nil, "init%d", i))
+			m.send(l, 0, l.Lookahead+grain*sim.Time(rng.Intn(3)), fmt.Appendf(nil, "init%d", i))
 		}
 		period := grain * sim.Time(1+rng.Intn(5))
 		var tick func()
@@ -197,7 +204,7 @@ func buildMesh(sp meshSpec) *meshModel {
 			now := s.Eng.Now()
 			for j, l := range m.out[i] {
 				if s.Eng.RNG().Intn(3) != 0 {
-					l.Send(now, l.Lookahead+grain*sim.Time(s.Eng.RNG().Intn(4)), fmt.Appendf(nil, "s%d.%d@%d", i, j, now))
+					m.send(l, now, l.Lookahead+grain*sim.Time(s.Eng.RNG().Intn(4)), fmt.Appendf(nil, "s%d.%d@%d", i, j, now))
 				}
 			}
 			s.Eng.After(period, tick)
@@ -211,9 +218,15 @@ func buildMesh(sp meshSpec) *meshModel {
 	return m
 }
 
+// send sends frame on l tagged with the frame's CRC.
+func (m *meshModel) send(l *Link, now, delay sim.Time, frame []byte) {
+	l.Send(now, delay, frame, crc32.ChecksumIEEE(frame))
+}
+
 // meshState is everything a scheduler must reproduce after a Run.
 type meshState struct {
 	err      string
+	badTags  int
 	logs     [][]string
 	executed []uint64
 	inflight []int // per shard: Buffered() of its incoming links + InboxLen()
@@ -222,7 +235,7 @@ type meshState struct {
 }
 
 func (m *meshModel) state(err error) meshState {
-	st := meshState{windows: m.group.Windows, active: m.group.activeShardWindows}
+	st := meshState{windows: m.group.Windows, active: m.group.activeShardWindows, badTags: m.badTags}
 	if err != nil {
 		st.err = err.Error()
 	}
@@ -266,6 +279,9 @@ func TestRunMatchesCentralizedScheduler(t *testing.T) {
 			}
 		}
 		last := want[len(want)-1]
+		if last.badTags != 0 {
+			t.Fatalf("seed %d: reference delivered %d frames with another frame's tag", seed, last.badTags)
+		}
 		if sp.haltShard != nil && !strings.Contains(last.err, "shard 1 (mesh-1)") {
 			t.Fatalf("seed %d: err %q, want the halt of shard 1", seed, last.err)
 		}
@@ -328,7 +344,7 @@ func TestFullMeshSendsEveryWindow(t *testing.T) {
 			for dst := range shards {
 				if src != dst {
 					dst := dst
-					out[src] = append(out[src], g.Connect(shards[src], shards[dst], look, func(at sim.Time, frame []byte) {
+					out[src] = append(out[src], g.Connect(shards[src], shards[dst], look, func(at sim.Time, frame []byte, _ uint32) {
 						logs[dst] = append(logs[dst], fmt.Sprintf("%d %s", at, frame))
 					}))
 				}
@@ -340,7 +356,7 @@ func TestFullMeshSendsEveryWindow(t *testing.T) {
 			tick = func() {
 				now := s.Eng.Now()
 				for _, l := range out[i] {
-					l.Send(now, look+sim.Time(s.Eng.RNG().Intn(2*look)), fmt.Appendf(nil, "%d@%d", i, now))
+					l.Send(now, look+sim.Time(s.Eng.RNG().Intn(2*look)), fmt.Appendf(nil, "%d@%d", i, now), 0)
 				}
 				s.Eng.After(look, tick)
 			}

@@ -18,7 +18,7 @@ func TestMinimalLookaheadTieOrdering(t *testing.T) {
 		g := NewGroup()
 		sink := g.Add("sink", sim.NewEngine(9))
 		var got []string
-		record := func(at sim.Time, frame []byte) {
+		record := func(at sim.Time, frame []byte, _ uint32) {
 			got = append(got, fmt.Sprintf("%d %s", at, frame))
 		}
 		for i := 1; i <= 3; i++ {
@@ -29,8 +29,8 @@ func TestMinimalLookaheadTieOrdering(t *testing.T) {
 			// (they fire at the same virtual time) so any accidental
 			// execution-order dependence would invert the expected order.
 			src.Eng.At(0, func() {
-				l.Send(0, 40, fmt.Appendf(nil, "s%d#0", i))
-				l.Send(0, 40, fmt.Appendf(nil, "s%d#1", i))
+				l.Send(0, 40, fmt.Appendf(nil, "s%d#0", i), 0)
+				l.Send(0, 40, fmt.Appendf(nil, "s%d#1", i), 0)
 			})
 		}
 		if err := g.Run(100, workers); err != nil {
@@ -65,7 +65,7 @@ func TestIdleShardCrossesEmptyWindows(t *testing.T) {
 		src := g.Add("busy", sim.NewEngine(1))
 		idle := g.Add("idle", sim.NewEngine(2))
 		var got []sim.Time
-		l := g.Connect(src, idle, 5, func(at sim.Time, frame []byte) {
+		l := g.Connect(src, idle, 5, func(at sim.Time, frame []byte, _ uint32) {
 			if idle.Eng.Now() != at {
 				t.Errorf("workers=%d: delivered at engine time %v, stamp %v", workers, idle.Eng.Now(), at)
 			}
@@ -76,7 +76,7 @@ func TestIdleShardCrossesEmptyWindows(t *testing.T) {
 		tick = func() {
 			now := src.Eng.Now()
 			if now%500 == 0 {
-				l.Send(now, 7, nil)
+				l.Send(now, 7, nil, 0)
 			}
 			src.Eng.After(10, tick)
 		}
@@ -108,8 +108,8 @@ func TestBurstyShardSilentWindows(t *testing.T) {
 		steady := g.Add("steady", sim.NewEngine(2))
 		sink := g.Add("sink", sim.NewEngine(3))
 		logs := make([][]string, 2)
-		record := func(i int) func(at sim.Time, frame []byte) {
-			return func(at sim.Time, frame []byte) {
+		record := func(i int) func(at sim.Time, frame []byte, _ uint32) {
+			return func(at sim.Time, frame []byte, _ uint32) {
 				logs[i] = append(logs[i], fmt.Sprintf("%d %s", at, frame))
 			}
 		}
@@ -119,12 +119,12 @@ func TestBurstyShardSilentWindows(t *testing.T) {
 		// again — thousands of windows pass with this shard empty.
 		for i := 0; i < 10; i++ {
 			at := sim.Time(10 * i)
-			bursty.Eng.At(at, func() { lb.Send(at, 25, fmt.Appendf(nil, "burst@%d", at)) })
+			bursty.Eng.At(at, func() { lb.Send(at, 25, fmt.Appendf(nil, "burst@%d", at), 0) })
 		}
 		var tick func()
 		tick = func() {
 			now := steady.Eng.Now()
-			ls.Send(now, 20+sim.Time(steady.Eng.RNG().Intn(90)), fmt.Appendf(nil, "steady@%d", now))
+			ls.Send(now, 20+sim.Time(steady.Eng.RNG().Intn(90)), fmt.Appendf(nil, "steady@%d", now), 0)
 			steady.Eng.After(37, tick)
 		}
 		steady.Eng.At(0, tick)
@@ -161,13 +161,13 @@ func TestWindowBoundaryMessage(t *testing.T) {
 		a := g.Add("a", sim.NewEngine(1))
 		b := g.Add("b", sim.NewEngine(2))
 		var got []sim.Time
-		l := g.Connect(a, b, 50, func(at sim.Time, frame []byte) { got = append(got, at) })
+		l := g.Connect(a, b, 50, func(at sim.Time, frame []byte, _ uint32) { got = append(got, at) })
 		a.Eng.At(0, func() {
-			l.Send(0, 50, []byte("boundary")) // arrives exactly at first window end (0+lookahead)
+			l.Send(0, 50, []byte("boundary"), 0) // arrives exactly at first window end (0+lookahead)
 		})
 		a.Eng.At(950, func() {
-			l.Send(950, 50, []byte("at-horizon"))   // arrives exactly at horizon 1000
-			l.Send(950, 60, []byte("past-horizon")) // arrives at 1010 — beyond the run
+			l.Send(950, 50, []byte("at-horizon"), 0)   // arrives exactly at horizon 1000
+			l.Send(950, 60, []byte("past-horizon"), 0) // arrives at 1010 — beyond the run
 		})
 		if err := g.Run(1000, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

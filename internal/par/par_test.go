@@ -29,7 +29,7 @@ func buildRing(k int, lookahead sim.Time) *ringModel {
 	for i := 0; i < k; i++ {
 		dst := (i + 1) % k
 		links[i] = m.group.Connect(shards[i], shards[dst], lookahead,
-			func(at sim.Time, frame []byte) {
+			func(at sim.Time, frame []byte, _ uint32) {
 				m.logs[dst] = append(m.logs[dst],
 					fmt.Sprintf("%d %s", at, frame))
 			})
@@ -44,7 +44,7 @@ func buildRing(k int, lookahead sim.Time) *ringModel {
 			// Jitter the delivery beyond the lookahead using the shard's
 			// own deterministic RNG.
 			extra := sim.Time(s.Eng.RNG().Intn(2500))
-			links[i].Send(now, lookahead+extra, fmt.Appendf(nil, "s%d@%d", i, now))
+			links[i].Send(now, lookahead+extra, fmt.Appendf(nil, "s%d@%d", i, now), 0)
 			s.Eng.After(period, tick)
 		}
 		s.Eng.At(sim.Time(50*i), tick)
@@ -94,14 +94,14 @@ func TestLinkDeliveryTiming(t *testing.T) {
 	a := g.Add("a", sim.NewEngine(1))
 	b := g.Add("b", sim.NewEngine(2))
 	var gotAt, engNow sim.Time
-	l := g.Connect(a, b, 40, func(at sim.Time, frame []byte) {
+	l := g.Connect(a, b, 40, func(at sim.Time, frame []byte, _ uint32) {
 		gotAt = at
 		engNow = b.Eng.Now()
 		if string(frame) != "ping" {
 			t.Errorf("frame = %q", frame)
 		}
 	})
-	a.Eng.At(100, func() { l.Send(100, 50, []byte("ping")) })
+	a.Eng.At(100, func() { l.Send(100, 50, []byte("ping"), 0) })
 	if err := g.Run(1000, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +121,15 @@ func TestCausalChainAcrossWindows(t *testing.T) {
 		b := g.Add("b", sim.NewEngine(2))
 		bounces := 0
 		var ab, ba *Link
-		ab = g.Connect(a, b, lookahead, func(at sim.Time, frame []byte) {
+		ab = g.Connect(a, b, lookahead, func(at sim.Time, frame []byte, _ uint32) {
 			bounces++
-			ba.Send(at, lookahead, nil)
+			ba.Send(at, lookahead, nil, 0)
 		})
-		ba = g.Connect(b, a, lookahead, func(at sim.Time, frame []byte) {
+		ba = g.Connect(b, a, lookahead, func(at sim.Time, frame []byte, _ uint32) {
 			bounces++
-			ab.Send(at, lookahead, nil)
+			ab.Send(at, lookahead, nil, 0)
 		})
-		a.Eng.At(0, func() { ab.Send(0, lookahead, nil) })
+		a.Eng.At(0, func() { ab.Send(0, lookahead, nil, 0) })
 		if err := g.Run(10_000, workers); err != nil {
 			t.Fatal(err)
 		}
@@ -146,9 +146,9 @@ func TestConstructionTimeSendDelivered(t *testing.T) {
 	a := g.Add("a", sim.NewEngine(1))
 	b := g.Add("b", sim.NewEngine(2))
 	got := false
-	l := g.Connect(a, b, 10, func(at sim.Time, frame []byte) { got = at == 10 })
+	l := g.Connect(a, b, 10, func(at sim.Time, frame []byte, _ uint32) { got = at == 10 })
 	// Sent during topology construction, before any event ran.
-	l.Send(0, 10, nil)
+	l.Send(0, 10, nil, 0)
 	if err := g.Run(100, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,8 @@ func TestConnectValidation(t *testing.T) {
 	b := g.Add("b", sim.NewEngine(2))
 	mustPanic(t, "zero lookahead", func() { g.Connect(a, b, 0, nil) })
 	mustPanic(t, "self link", func() { g.Connect(a, a, 5, nil) })
-	l := g.Connect(a, b, 5, func(sim.Time, []byte) {})
-	mustPanic(t, "sub-lookahead send", func() { l.Send(0, 4, nil) })
+	l := g.Connect(a, b, 5, func(sim.Time, []byte, uint32) {})
+	mustPanic(t, "sub-lookahead send", func() { l.Send(0, 4, nil, 0) })
 }
 
 func mustPanic(t *testing.T, name string, fn func()) {

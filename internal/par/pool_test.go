@@ -46,7 +46,7 @@ func TestPoolGoroutinesDoNotOutliveRun(t *testing.T) {
 			s.Eng.At(10, s.Eng.Halt)
 		}
 	}
-	g.Connect(g.shards[0], g.shards[2], 100, func(sim.Time, []byte) {})
+	g.Connect(g.shards[0], g.shards[2], 100, func(sim.Time, []byte, uint32) {})
 	err := g.Run(1000, 4)
 	if !errors.Is(err, sim.ErrHalted) || !strings.Contains(err.Error(), "shard 1 (s1)") {
 		t.Fatalf("err = %v, want ErrHalted naming shard 1", err)
@@ -166,12 +166,12 @@ func frameRing(k int) *Group {
 	links := make([]*Link, k)
 	for i := range links {
 		next := (i + 1) % k
-		links[i] = g.Connect(shards[i], shards[next], sim.Microsecond, func(at sim.Time, frame []byte) {
-			links[next].Send(at, sim.Microsecond+sim.Time(frame[0]), frame)
+		links[i] = g.Connect(shards[i], shards[next], sim.Microsecond, func(at sim.Time, frame []byte, _ uint32) {
+			links[next].Send(at, sim.Microsecond+sim.Time(frame[0]), frame, 0)
 		})
 	}
 	for i, l := range links {
-		l.Send(0, sim.Microsecond, []byte{byte(17 * i)})
+		l.Send(0, sim.Microsecond, []byte{byte(17 * i)}, 0)
 	}
 	return g
 }

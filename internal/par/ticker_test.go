@@ -51,14 +51,14 @@ func TestGroupOnBarrier(t *testing.T) {
 		g := NewGroup()
 		a := g.Add("a", sim.NewEngine(1))
 		b := g.Add("b", sim.NewEngine(2))
-		la := g.Connect(a, b, 10, func(at sim.Time, frame []byte) {})
+		la := g.Connect(a, b, 10, func(at sim.Time, frame []byte, _ uint32) {})
 		count := 0
 		a.Eng.At(0, func() {})
 		var rec func(at sim.Time)
 		rec = func(at sim.Time) {
 			count++
 			if count < 5 {
-				la.Send(a.Eng.Now(), 10, nil)
+				la.Send(a.Eng.Now(), 10, nil, 0)
 				a.Eng.At(a.Eng.Now()+7, func() { rec(a.Eng.Now()) })
 			}
 		}

@@ -54,3 +54,7 @@ func ParseEthernet(b []byte) (EthernetHeader, error) {
 		EtherType: uint16(b[12])<<8 | uint16(b[13]),
 	}, nil
 }
+
+// etherType reads the EtherType of a frame at least EthHeaderLen bytes
+// long.
+func etherType(b []byte) uint16 { return uint16(b[12])<<8 | uint16(b[13]) }

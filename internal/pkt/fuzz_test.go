@@ -79,6 +79,11 @@ func FuzzParseIPv4(f *testing.F) {
 	f.Add([]byte{0x45})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := ParseIPv4(b)
+		// The per-packet parsers' shortcut must accept exactly what
+		// ParseIPv4 accepts.
+		if validIPv4(b) != (err == nil) {
+			t.Fatalf("validIPv4 = %v, ParseIPv4 error %v", validIPv4(b), err)
+		}
 		if err != nil {
 			return
 		}
@@ -223,11 +228,43 @@ func FuzzEncapInPlaceMatchesTwoStep(f *testing.F) {
 	})
 }
 
+// FuzzValidatedPayloadMatchesTransportPayload holds the stamped path to
+// the full validation: on any frame, TransportPayload must not panic, and
+// whenever ParseFlow accepts the frame — directly or inside VXLAN, as the
+// NIC stage stamps it — ValidatedPayload must not panic and must return
+// what TransportPayload returns: the same error outcome and the same
+// slice of the frame.
+func FuzzValidatedPayloadMatchesTransportPayload(f *testing.F) {
+	f.Add(fuzzOuter())
+	f.Add(fuzzInner())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		check := func(frame []byte) {
+			want, wantErr := TransportPayload(frame)
+			if _, err := ParseFlow(frame); err != nil {
+				return
+			}
+			got, err := ValidatedPayload(frame)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("ValidatedPayload error %v, TransportPayload error %v", err, wantErr)
+			}
+			if err == nil && (!bytes.Equal(got, want) || len(got) > 0 && &got[0] != &want[0]) {
+				t.Fatalf("ValidatedPayload = %x, TransportPayload = %x", got, want)
+			}
+		}
+		check(frame)
+		if inner, _, err := InnerFlow(frame); err == nil {
+			check(inner)
+		}
+	})
+}
+
 // TestFuzzCorpusCommitted guards the committed seed corpus: each target
 // must ship at least the generator's seeds so `go test` (without -fuzz)
 // always replays them.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzDecapsulate", "FuzzParseIPv4", "FuzzParseUDP", "FuzzParseTCP"} {
+	for _, target := range []string{"FuzzDecapsulate", "FuzzParseIPv4", "FuzzParseUDP", "FuzzParseTCP",
+		"FuzzValidatedPayloadMatchesTransportPayload"} {
 		dir := "testdata/fuzz/" + target
 		entries, err := os.ReadDir(dir)
 		if err != nil || len(entries) == 0 {

@@ -42,16 +42,28 @@ func main() {
 		return m
 	}
 
+	// shortTCP is tcp with an IPv4 total length of 30, re-checksummed:
+	// ParseFlow accepts it, yet its total length ends inside the TCP
+	// header.
+	shortTCP := append([]byte(nil), tcp...)
+	pkt.PutIPv4(shortTCP[pkt.EthHeaderLen:], pkt.IPv4Header{
+		TotalLen: 30, TTL: 64, Protocol: pkt.ProtoTCP,
+		Src: pkt.IPv4{10, 0, 0, 1}, Dst: pkt.IPv4{10, 0, 0, 2},
+	})
+
+	frames := [][]byte{
+		outer,                 // accepting path
+		inner,                 // not VXLAN: rejected at the UDP port check
+		outer[:len(outer)-10], // truncated inner frame
+		outer[:pkt.EthHeaderLen+pkt.IPv4HeaderLen],            // ends at the UDP header
+		flip(outer, 12*8),                                     // corrupted outer ethertype
+		flip(outer, (pkt.EthHeaderLen+2)*8),                   // corrupted outer IP total length
+		flip(outer, (pkt.EthHeaderLen+pkt.IPv4HeaderLen+4)*8), // corrupted UDP length
+	}
 	corpora := map[string][][]byte{
-		"FuzzDecapsulate": {
-			outer,                 // accepting path
-			inner,                 // not VXLAN: rejected at the UDP port check
-			outer[:len(outer)-10], // truncated inner frame
-			outer[:pkt.EthHeaderLen+pkt.IPv4HeaderLen],            // ends at the UDP header
-			flip(outer, 12*8),                                     // corrupted outer ethertype
-			flip(outer, (pkt.EthHeaderLen+2)*8),                   // corrupted outer IP total length
-			flip(outer, (pkt.EthHeaderLen+pkt.IPv4HeaderLen+4)*8), // corrupted UDP length
-		},
+		"FuzzDecapsulate": frames,
+		// Every frame above, plus whole TCP frames.
+		"FuzzValidatedPayloadMatchesTransportPayload": append(frames[:len(frames):len(frames)], tcp, shortTCP),
 		"FuzzParseIPv4": {
 			inner[pkt.EthHeaderLen:],
 			inner[pkt.EthHeaderLen : pkt.EthHeaderLen+pkt.IPv4HeaderLen],

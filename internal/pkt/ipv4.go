@@ -77,6 +77,16 @@ func ParseIPv4(b []byte) (IPv4Header, error) {
 	return h, nil
 }
 
+// validIPv4 reports whether ParseIPv4 accepts b, without building the
+// header: the per-packet parsers call ParseIPv4 only for its error.
+func validIPv4(b []byte) bool {
+	if len(b) < IPv4HeaderLen || b[0] != 0x45 || ipChecksum20(b) != 0 {
+		return false
+	}
+	n := int(b[2])<<8 | int(b[3])
+	return n >= IPv4HeaderLen && n <= len(b)
+}
+
 // ipChecksum computes the RFC 1071 internet checksum over b. Over a header
 // whose checksum field holds the correct value, the result is zero.
 func ipChecksum(b []byte) uint16 {
@@ -97,7 +107,7 @@ func ipChecksum(b []byte) uint16 {
 }
 
 // ipChecksum20 is ipChecksum unrolled for the option-less 20-byte header —
-// the only shape this stack emits, validated on every hop of every packet.
+// the only shape this stack emits, validated for every packet at stage 1.
 // b must hold at least IPv4HeaderLen bytes.
 func ipChecksum20(b []byte) uint16 {
 	b = b[:IPv4HeaderLen]

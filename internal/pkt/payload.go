@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"prism/internal/sim"
@@ -56,8 +57,35 @@ func TransportPayload(frame []byte) ([]byte, error) {
 		if end > len(frame) {
 			end = len(frame)
 		}
+		if end < tOff+TCPHeaderLen {
+			return nil, errTCPTruncated
+		}
 		return frame[tOff+TCPHeaderLen : end], nil
 	default:
 		return nil, fmt.Errorf("pkt: protocol %d has no transport payload", ip.Protocol)
 	}
+}
+
+// errTCPTruncated rejects a TCP segment whose IPv4 total length or frame
+// ends inside its header. ParseFlow accepts such a frame: it reads the
+// ports from the buffer without checking them against the total length.
+var errTCPTruncated = errors.New("pkt: tcp segment ends inside its header")
+
+// ValidatedPayload is TransportPayload for a frame ParseFlow accepted:
+// it trusts the headers that parse validated and only slices the payload
+// out of them, so a stage holding a stamped SKB need not check the IPv4
+// header again. On a frame ParseFlow rejects its result is undefined. It
+// still fails a TCP segment that ends inside its header, as
+// TransportPayload does.
+func ValidatedPayload(frame []byte) ([]byte, error) {
+	const tOff = EthHeaderLen + IPv4HeaderLen
+	if frame[EthHeaderLen+9] == ProtoUDP {
+		n := int(frame[tOff+4])<<8 | int(frame[tOff+5])
+		return frame[tOff+UDPHeaderLen : tOff+n], nil
+	}
+	end := min(EthHeaderLen+(int(frame[EthHeaderLen+2])<<8|int(frame[EthHeaderLen+3])), len(frame))
+	if end < tOff+TCPHeaderLen {
+		return nil, errTCPTruncated
+	}
+	return frame[tOff+TCPHeaderLen : end], nil
 }

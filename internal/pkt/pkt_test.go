@@ -334,6 +334,84 @@ func TestParseFlowErrors(t *testing.T) {
 	}
 }
 
+// shortTCPFrame is a TCP frame whose IPv4 total length (30) ends inside
+// its TCP header, under a valid header checksum. ParseFlow accepts it: it
+// reads the ports from the buffer, which holds the whole header.
+func shortTCPFrame() []byte {
+	f := BuildTCPFrame(TCPFrameSpec{
+		SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+		SrcPort: 40000, DstPort: 5201, Flags: TCPAck, Payload: []byte("payload"),
+	})
+	ip := f[EthHeaderLen : EthHeaderLen+IPv4HeaderLen]
+	ip[2], ip[3] = 0, 30
+	ip[10], ip[11] = 0, 0
+	cs := ipChecksum(ip)
+	ip[10], ip[11] = byte(cs>>8), byte(cs)
+	return f
+}
+
+func TestTransportPayloadShortTCPTotalLength(t *testing.T) {
+	f := shortTCPFrame()
+	flow, err := ParseFlow(f)
+	if err != nil || flow.Proto != ProtoTCP || flow.DstPort != 5201 {
+		t.Fatalf("ParseFlow = %v, %v; want the accepted TCP flow", flow, err)
+	}
+	if p, err := TransportPayload(f); err == nil {
+		t.Errorf("TransportPayload = %q, want an error", p)
+	}
+	if p, err := ValidatedPayload(f); err == nil {
+		t.Errorf("ValidatedPayload = %q, want an error", p)
+	}
+	// A frame that ends inside the TCP header fails the same way.
+	if _, err := TransportPayload(f[:EthHeaderLen+IPv4HeaderLen+4]); err == nil {
+		t.Error("TransportPayload accepted a frame ending inside the TCP header")
+	}
+}
+
+func TestValidatedPayloadMatchesTransportPayload(t *testing.T) {
+	frames := [][]byte{
+		BuildUDPFrame(UDPFrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+			SrcPort: 1, DstPort: 2, Payload: []byte("udp-payload")}),
+		BuildUDPFrame(UDPFrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB}),
+		BuildTCPFrame(TCPFrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+			SrcPort: 1, DstPort: 2, Payload: []byte("tcp-payload")}),
+		// Padded to the Ethernet minimum: the pad is not payload.
+		append(BuildTCPFrame(TCPFrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB}), 0, 0, 0, 0, 0, 0),
+	}
+	for i, f := range frames {
+		want, err := TransportPayload(f)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got, err := ValidatedPayload(f)
+		if err != nil || !bytes.Equal(got, want) || len(got) > 0 && &got[0] != &want[0] {
+			t.Errorf("frame %d: ValidatedPayload = %q, %v; want %q aliasing the frame", i, got, err, want)
+		}
+	}
+}
+
+func TestInnerFlow(t *testing.T) {
+	plain := BuildUDPFrame(UDPFrameSpec{SrcMAC: macA, DstMAC: macB, SrcIP: ipA, DstIP: ipB,
+		SrcPort: 1, DstPort: 2, Payload: []byte("x")})
+	outer := Encapsulate(VXLANSpec{OuterSrcIP: ipB, OuterDstIP: ipA, SrcPort: 3, VNI: 7}, plain)
+	for _, f := range [][]byte{plain, outer} {
+		inner, flow, err := InnerFlow(f)
+		if err != nil || !bytes.Equal(inner, plain) || flow.SrcIP != ipA || flow.DstPort != 2 {
+			t.Errorf("InnerFlow(%d bytes) = %d bytes, %v, %v", len(f), len(inner), flow, err)
+		}
+	}
+	bad := bytes.Clone(outer)
+	bad[VXLANOverhead+EthHeaderLen+10] ^= 1 // inner IPv4 checksum
+	if _, _, err := InnerFlow(bad); err == nil {
+		t.Error("InnerFlow accepted a bad inner checksum")
+	}
+	bad = bytes.Clone(outer)
+	bad[EthHeaderLen+10] ^= 1 // outer IPv4 checksum
+	if _, _, err := InnerFlow(bad); err == nil {
+		t.Error("InnerFlow accepted a bad outer checksum")
+	}
+}
+
 func TestProbeRoundTrip(t *testing.T) {
 	buf := make([]byte, 64)
 	PutProbe(buf, 77, 123456*sim.Nanosecond)

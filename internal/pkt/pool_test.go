@@ -61,6 +61,7 @@ func TestSKBPoolRecyclesAndBumpsGen(t *testing.T) {
 	gen := s.Gen()
 	s.ID = 7
 	s.Stage = 3
+	s.Parsed = true
 	p.Put(s)
 	r := p.Get()
 	if r != s {
@@ -69,7 +70,7 @@ func TestSKBPoolRecyclesAndBumpsGen(t *testing.T) {
 	if r.Gen() != gen+1 {
 		t.Errorf("gen = %d, want %d", r.Gen(), gen+1)
 	}
-	if r.ID == 7 || r.Stage == 3 {
+	if r.ID == 7 || r.Stage == 3 || r.Parsed {
 		t.Error("recycled SKB kept stale metadata")
 	}
 }

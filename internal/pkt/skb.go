@@ -34,6 +34,13 @@ type SKB struct {
 	// processing (set before decapsulation, cleared after).
 	Encapsulated bool
 
+	// Parsed is stage 1's stamp: the NIC poll validated Data's Ethernet,
+	// IPv4 and transport headers with ParseFlow and cached the result in
+	// Flow. Later stages trust it instead of validating the same headers
+	// again; delivery validates an unstamped SKB in full. The pool reset
+	// clears it.
+	Parsed bool
+
 	// Arrived is when the NIC DMA'd the frame into the ring.
 	Arrived sim.Time
 
@@ -261,19 +268,19 @@ func putVXLANOuter(b []byte, sp VXLANSpec, innerLen int) {
 // Decapsulate validates the outer Ethernet+IPv4+UDP+VXLAN headers of frame
 // and returns the VNI and the inner Ethernet frame (a sub-slice, no copy).
 func Decapsulate(frame []byte) (vni uint32, inner []byte, err error) {
-	eth, err := ParseEthernet(frame)
-	if err != nil {
+	if len(frame) < EthHeaderLen {
+		return 0, nil, errEthernetShort
+	}
+	if et := etherType(frame); et != EtherTypeIPv4 {
+		return 0, nil, fmt.Errorf("pkt: outer ethertype 0x%04x is not IPv4", et)
+	}
+	ip := frame[EthHeaderLen:]
+	if !validIPv4(ip) {
+		_, err := ParseIPv4(ip)
 		return 0, nil, err
 	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return 0, nil, fmt.Errorf("pkt: outer ethertype 0x%04x is not IPv4", eth.EtherType)
-	}
-	ip, err := ParseIPv4(frame[EthHeaderLen:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if ip.Protocol != ProtoUDP {
-		return 0, nil, fmt.Errorf("pkt: outer protocol %d is not UDP", ip.Protocol)
+	if proto := ip[9]; proto != ProtoUDP {
+		return 0, nil, fmt.Errorf("pkt: outer protocol %d is not UDP", proto)
 	}
 	udpOff := EthHeaderLen + IPv4HeaderLen
 	udp, err := ParseUDP(frame[udpOff:])
@@ -306,7 +313,7 @@ func IsVXLAN(frame []byte) bool {
 	}
 	// EtherType IPv4, protocol UDP, destination port VXLAN — straight byte
 	// compares; this runs once per frame in the stage-1 poll.
-	if uint16(frame[12])<<8|uint16(frame[13]) != EtherTypeIPv4 {
+	if etherType(frame) != EtherTypeIPv4 {
 		return false
 	}
 	if frame[EthHeaderLen+9] != ProtoUDP {
@@ -316,23 +323,45 @@ func IsVXLAN(frame []byte) bool {
 	return dport == VXLANPort
 }
 
+// InnerFlow strips VXLAN encapsulation when frame carries it and parses
+// the flow key of the frame inside: the flow that identifies the
+// container application. It returns that inner frame (frame itself when
+// it is not VXLAN, a sub-slice otherwise) and fails when either the
+// outer headers or the inner flow do not validate.
+func InnerFlow(frame []byte) (inner []byte, flow FlowKey, err error) {
+	inner = frame
+	if IsVXLAN(frame) {
+		if _, inner, err = Decapsulate(frame); err != nil {
+			return nil, FlowKey{}, err
+		}
+	}
+	if flow, err = ParseFlow(inner); err != nil {
+		return nil, FlowKey{}, err
+	}
+	return inner, flow, nil
+}
+
 // ParseFlow extracts the transport flow key from an Ethernet frame. For
 // non-IPv4 or non-UDP/TCP frames it returns an error.
+//
+// It and Decapsulate validate what ParseEthernet and ParseIPv4 validate,
+// with the same errors, but read only the fields they use: building the
+// full header structs cost more than the checksum on every packet.
 func ParseFlow(frame []byte) (FlowKey, error) {
-	eth, err := ParseEthernet(frame)
-	if err != nil {
+	if len(frame) < EthHeaderLen {
+		return FlowKey{}, errEthernetShort
+	}
+	if et := etherType(frame); et != EtherTypeIPv4 {
+		return FlowKey{}, fmt.Errorf("pkt: ethertype 0x%04x has no flow key", et)
+	}
+	ip := frame[EthHeaderLen:]
+	if !validIPv4(ip) {
+		_, err := ParseIPv4(ip)
 		return FlowKey{}, err
 	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return FlowKey{}, fmt.Errorf("pkt: ethertype 0x%04x has no flow key", eth.EtherType)
-	}
-	ip, err := ParseIPv4(frame[EthHeaderLen:])
-	if err != nil {
-		return FlowKey{}, err
-	}
-	k := FlowKey{SrcIP: ip.Src, DstIP: ip.Dst, Proto: ip.Protocol}
+	k := FlowKey{SrcIP: IPv4(ip[12:16]), DstIP: IPv4(ip[16:20]), Proto: ip[9]}
 	tOff := EthHeaderLen + IPv4HeaderLen
-	switch ip.Protocol {
+	switch k.Proto {
 	case ProtoUDP:
 		u, err := ParseUDP(frame[tOff:])
 		if err != nil {
@@ -346,7 +375,7 @@ func ParseFlow(frame []byte) (FlowKey, error) {
 		}
 		k.SrcPort, k.DstPort = t.SrcPort, t.DstPort
 	default:
-		return FlowKey{}, fmt.Errorf("pkt: protocol %d has no flow key", ip.Protocol)
+		return FlowKey{}, fmt.Errorf("pkt: protocol %d has no flow key", k.Proto)
 	}
 	return k, nil
 }

@@ -12,7 +12,8 @@ import (
 // stage): transport demux and payload validation happen here, at handler
 // time — so drops are attributed to the stage — and the socket itself is
 // the result's Sink, consuming the SKB at its completion time without a
-// per-packet closure.
+// per-packet closure. A stamped SKB (skb.Parsed) has its payload sliced
+// from the headers stage 1 validated; any other gets the full validation.
 func DeliverToTable(tbl *Table, cost sim.Time, skb *pkt.SKB) netdev.Result {
 	if tbl == nil {
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: cost}
@@ -22,7 +23,13 @@ func DeliverToTable(tbl *Table, cost sim.Time, skb *pkt.SKB) netdev.Result {
 		// No listener: ICMP port-unreachable territory; count as a drop.
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: cost}
 	}
-	payload, err := pkt.TransportPayload(skb.Data)
+	var payload []byte
+	var err error
+	if skb.Parsed {
+		payload, err = pkt.ValidatedPayload(skb.Data)
+	} else {
+		payload, err = pkt.TransportPayload(skb.Data)
+	}
 	if err != nil {
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: cost}
 	}

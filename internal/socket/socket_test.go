@@ -180,3 +180,72 @@ func TestDeliverToTableBadPayload(t *testing.T) {
 		t.Errorf("verdict = %v, want drop for truncated frame", res.Verdict)
 	}
 }
+
+// shortTCPSKB carries a TCP frame whose IPv4 total length (30) ends
+// inside its TCP header under a valid checksum: ParseFlow accepts it, so
+// stage 1 would stamp it, but it has no payload to deliver.
+func shortTCPSKB(t *testing.T, dstPort uint16) *pkt.SKB {
+	t.Helper()
+	frame := pkt.BuildTCPFrame(pkt.TCPFrameSpec{
+		SrcMAC: pkt.MAC{1}, DstMAC: pkt.MAC{2},
+		SrcIP: pkt.Addr(10, 0, 0, 1), DstIP: pkt.Addr(10, 0, 0, 2),
+		SrcPort: 9999, DstPort: dstPort, Flags: pkt.TCPAck, Payload: []byte("payload"),
+	})
+	pkt.PutIPv4(frame[pkt.EthHeaderLen:], pkt.IPv4Header{
+		TotalLen: 30, TTL: 64, Protocol: pkt.ProtoTCP,
+		Src: pkt.Addr(10, 0, 0, 1), Dst: pkt.Addr(10, 0, 0, 2),
+	})
+	flow, err := pkt.ParseFlow(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pkt.SKB{Data: frame, Flow: flow}
+}
+
+// TestDeliverToTableShortTCPDrops pins the regression where payload
+// extraction panicked on such a frame: stamped or not, delivery drops it.
+func TestDeliverToTableShortTCPDrops(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tbl := NewTable("host")
+	if _, err := tbl.Bind(pkt.ProtoTCP, 5201, newThread(eng), AppFunc{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, parsed := range []bool{false, true} {
+		skb := shortTCPSKB(t, 5201)
+		skb.Parsed = parsed
+		if res := DeliverToTable(tbl, 700, skb); res.Verdict != netdev.VerdictDrop {
+			t.Errorf("parsed=%v: verdict = %v, want drop", parsed, res.Verdict)
+		}
+	}
+}
+
+// TestDeliverToTableStampedTrustsHeaders pins both sides of the stamp:
+// an unstamped SKB with a bad IPv4 checksum is dropped, and the same
+// bytes stamped by stage 1 are delivered without validating the header
+// again.
+func TestDeliverToTableStampedTrustsHeaders(t *testing.T) {
+	eng := sim.NewEngine(1)
+	tbl := NewTable("host")
+	var got []string
+	app := AppFunc{Fn: func(_ sim.Time, m Message) { got = append(got, string(m.Payload)) }}
+	if _, err := tbl.Bind(pkt.ProtoUDP, 5555, newThread(eng), app, 0); err != nil {
+		t.Fatal(err)
+	}
+	bad := buildSKB(t, 5555)
+	bad.Data[pkt.EthHeaderLen+10] ^= 0xff // IPv4 header checksum
+	if res := DeliverToTable(tbl, 700, bad); res.Verdict != netdev.VerdictDrop {
+		t.Errorf("unstamped bad checksum: verdict = %v, want drop", res.Verdict)
+	}
+	bad.Parsed = true
+	res := DeliverToTable(tbl, 700, bad)
+	if res.Verdict != netdev.VerdictDeliver {
+		t.Fatalf("stamped: verdict = %v, want deliver", res.Verdict)
+	}
+	eng.At(1000, func() { res.Sink.DeliverSKB(1000, bad) })
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "payload" {
+		t.Errorf("stamped payloads = %q", got)
+	}
+}

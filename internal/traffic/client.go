@@ -69,16 +69,7 @@ func (c *Client) Register(port uint16, fn func(now sim.Time, payload []byte, flo
 func (c *Client) Deliver(now sim.Time, frame []byte) { c.rx(now, frame) }
 
 func (c *Client) rx(now sim.Time, frame []byte) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			c.Unrouted++
-			return
-		}
-		inner = in
-	}
-	flow, err := pkt.ParseFlow(inner)
+	inner, flow, err := pkt.InnerFlow(frame)
 	if err != nil {
 		c.Unrouted++
 		return
@@ -88,7 +79,7 @@ func (c *Client) rx(now sim.Time, frame []byte) {
 		c.Unrouted++
 		return
 	}
-	payload, err := pkt.TransportPayload(inner)
+	payload, err := pkt.ValidatedPayload(inner)
 	if err != nil {
 		c.Unrouted++
 		return

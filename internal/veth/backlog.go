@@ -56,8 +56,5 @@ func (b *Backlog) handle(now sim.Time, skb *pkt.SKB) netdev.Result {
 		b.Misaddressed++
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: b.costs.VethPacket}
 	}
-	if _, err := pkt.ParseIPv4(skb.Data[pkt.EthHeaderLen:]); err != nil {
-		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: b.costs.VethPacket}
-	}
 	return socket.DeliverToTable(ep.sockets, b.costs.VethPacket, skb)
 }

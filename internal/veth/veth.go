@@ -52,10 +52,7 @@ func (v *Veth) handle(now sim.Time, skb *pkt.SKB) netdev.Result {
 		v.Misaddressed++
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: v.costs.VethPacket}
 	}
-	// Validate the inner IP header the way ip_rcv does; the flow key was
-	// already parsed and cached at stage 1.
-	if _, err := pkt.ParseIPv4(skb.Data[pkt.EthHeaderLen:]); err != nil {
-		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: v.costs.VethPacket}
-	}
+	// The inner IP header is validated the way ip_rcv does at stage 1,
+	// which stamps the SKB; DeliverToTable validates an unstamped one.
 	return socket.DeliverToTable(v.sockets, v.costs.VethPacket, skb)
 }

@@ -167,3 +167,36 @@ func TestBacklogServesMultipleEndpoints(t *testing.T) {
 		t.Errorf("garbage verdict = %v", res.Verdict)
 	}
 }
+
+// TestVethStampSkipsIPv4Validation pins both sides of stage 1's stamp: a
+// hand-built, unstamped SKB whose IPv4 checksum is bad is still dropped
+// by the veth stage and by the shared backlog (their delivery validates
+// it in full), while the same bytes stamped Parsed are trusted and
+// delivered.
+func TestVethStampSkipsIPv4Validation(t *testing.T) {
+	eng := sim.NewEngine(1)
+	v, tbl, _ := newVeth(t, eng)
+	b := NewBacklog("backlog0", netdev.DefaultCosts())
+	b.Register(ctrMAC, ctrIP, tbl)
+	stages := []struct {
+		name   string
+		handle func(sim.Time, *pkt.SKB) netdev.Result
+	}{{"veth", v.handle}, {"backlog", b.handle}}
+	for _, st := range stages {
+		skb := frame(t, ctrMAC, 11211)
+		skb.Data[pkt.EthHeaderLen+10] ^= 0xff // IPv4 header checksum
+		if res := st.handle(0, skb); res.Verdict != netdev.VerdictDrop {
+			t.Errorf("%s: unstamped bad checksum verdict = %v, want drop", st.name, res.Verdict)
+		}
+		skb.Parsed = true
+		if res := st.handle(0, skb); res.Verdict != netdev.VerdictDeliver {
+			t.Errorf("%s: stamped verdict = %v, want deliver", st.name, res.Verdict)
+		}
+		// The MAC check still runs on a stamped SKB.
+		foreign := frame(t, pkt.MAC{9, 9, 9, 9, 9, 9}, 11211)
+		foreign.Parsed = true
+		if res := st.handle(0, foreign); res.Verdict != netdev.VerdictDrop {
+			t.Errorf("%s: stamped foreign MAC verdict = %v, want drop", st.name, res.Verdict)
+		}
+	}
+}

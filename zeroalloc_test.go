@@ -159,13 +159,13 @@ func TestCrossShardInjectZeroAlloc(t *testing.T) {
 	sb := g.Add("b", sim.NewEngine(2))
 	const lookahead = sim.Microsecond
 	var ab, ba *par.Link
-	ab = g.Connect(sa, sb, lookahead, func(at sim.Time, frame []byte) {
-		ba.Send(at, lookahead, frame)
+	ab = g.Connect(sa, sb, lookahead, func(at sim.Time, frame []byte, _ uint32) {
+		ba.Send(at, lookahead, frame, 0)
 	})
-	ba = g.Connect(sb, sa, lookahead, func(at sim.Time, frame []byte) {
-		ab.Send(at, lookahead, frame)
+	ba = g.Connect(sb, sa, lookahead, func(at sim.Time, frame []byte, _ uint32) {
+		ab.Send(at, lookahead, frame, 0)
 	})
-	ab.Send(0, lookahead, make([]byte, 64))
+	ab.Send(0, lookahead, make([]byte, 64), 0)
 
 	// Warm up the link buffers, inbox slices, due FIFOs and both engines'
 	// free lists.
