@@ -1,28 +1,31 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"prism/internal/experiments"
 )
 
-// The registry is the single source of truth for -exp: names must be
-// unique and non-empty, every runner wired, and the usage string derived
-// from it must list each one.
+// The experiment table is the single source of truth for -exp: names
+// must be unique and non-empty, every runner wired, and the usage string
+// derived from it must list each one.
 func TestRegistryWellFormed(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range registry {
-		if e.name == "" {
+	for _, e := range experiments.Experiments {
+		if e.Name == "" {
 			t.Error("registry entry with empty name")
 		}
-		if e.name == "all" {
+		if e.Name == "all" {
 			t.Error(`"all" is reserved for the whole registry and cannot name an entry`)
 		}
-		if seen[e.name] {
-			t.Errorf("duplicate registry entry %q", e.name)
+		if seen[e.Name] {
+			t.Errorf("duplicate registry entry %q", e.Name)
 		}
-		seen[e.name] = true
-		if e.run == nil {
-			t.Errorf("registry entry %q has no runner", e.name)
+		seen[e.Name] = true
+		if e.Run == nil {
+			t.Errorf("registry entry %q has no runner", e.Name)
 		}
 	}
 	if !seen["cluster"] {
@@ -30,21 +33,21 @@ func TestRegistryWellFormed(t *testing.T) {
 	}
 
 	usage := expNames()
-	for _, e := range registry {
-		if !strings.Contains(usage, e.name) {
-			t.Errorf("usage string %q omits experiment %q", usage, e.name)
+	for _, e := range experiments.Experiments {
+		if !strings.Contains(usage, e.Name) {
+			t.Errorf("usage string %q omits experiment %q", usage, e.Name)
 		}
 	}
 }
 
 func TestSelectExperiments(t *testing.T) {
 	all, err := selectExperiments("all")
-	if err != nil || len(all) != len(registry) {
+	if err != nil || len(all) != len(experiments.Experiments) {
 		t.Fatalf(`selectExperiments("all") = %d entries, err %v; want the full registry`, len(all), err)
 	}
 
 	one, err := selectExperiments("cluster")
-	if err != nil || len(one) != 1 || one[0].name != "cluster" {
+	if err != nil || len(one) != 1 || one[0].Name != "cluster" {
 		t.Fatalf(`selectExperiments("cluster") = %v, err %v`, one, err)
 	}
 
@@ -52,5 +55,25 @@ func TestSelectExperiments(t *testing.T) {
 		t.Fatal("unknown experiment name accepted")
 	} else if msg := err.Error(); !strings.Contains(msg, "fig99") || !strings.Contains(msg, "cluster") {
 		t.Fatalf("error should name the bad input and list valid experiments, got: %v", msg)
+	}
+}
+
+// Bad grid knobs are rejected before any experiment runs: exit 2 and one
+// line naming the value, never a panic from inside a harness.
+func TestBadArgsExitTwo(t *testing.T) {
+	for _, tc := range []struct{ argv []string }{
+		{[]string{"-exp", "policies", "-policy", "bogus"}},
+		{[]string{"-exp", "cluster", "-placement", "bogus"}},
+		{[]string{"-exp", "failover", "-placement", "bogus"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(tc.argv, &stdout, &stderr)
+		msg := stderr.String()
+		if code != 2 || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", tc.argv, code, stdout.String())
+		}
+		if !strings.Contains(msg, `"bogus"`) || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "panic") {
+			t.Errorf("%v: stderr %q; want one line naming \"bogus\"", tc.argv, msg)
+		}
 	}
 }

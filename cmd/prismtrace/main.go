@@ -29,7 +29,6 @@ import (
 
 	"prism/internal/experiments"
 	"prism/internal/napi"
-	"prism/internal/trace"
 )
 
 // jsonObservation is the machine-readable form of one poll iteration;
@@ -75,15 +74,14 @@ func main() {
 	p := experiments.Default()
 	res := experiments.Fig6(p)
 
-	clip := func(obs []napi.PollObservation) []napi.PollObservation {
-		if len(obs) > *iters {
-			obs = obs[:*iters]
+	clip := func(t experiments.PollTrace) experiments.PollTrace {
+		if len(t) > *iters {
+			t = t[:*iters]
 		}
-		return obs
+		return t
 	}
-	show := func(title string, obs []napi.PollObservation) {
-		rec := &trace.Recorder{Observations: clip(obs)}
-		fmt.Println(rec.Table(title))
+	show := func(title string, t experiments.PollTrace) {
+		fmt.Println(clip(t).Table(title))
 	}
 
 	if *asJSON {

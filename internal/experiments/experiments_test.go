@@ -20,14 +20,14 @@ func TestFig6ReproducesPaperTables(t *testing.T) {
 		t.Error("prism order not streamlined (paper Fig. 6b)")
 	}
 	wantVan := []string{"eth0", "br0", "eth0", "veth0", "br0", "eth0"}
-	gotVan := order(res.Vanilla)
+	gotVan := devices(res.Vanilla)
 	for i := range wantVan {
 		if gotVan[i] != wantVan[i] {
 			t.Fatalf("vanilla order = %v, want prefix %v", gotVan, wantVan)
 		}
 	}
 	wantPr := []string{"eth0", "br0", "veth0", "eth0", "br0", "veth0"}
-	gotPr := order(res.Prism)
+	gotPr := devices(res.Prism)
 	for i := range wantPr {
 		if gotPr[i] != wantPr[i] {
 			t.Fatalf("prism order = %v, want prefix %v", gotPr, wantPr)

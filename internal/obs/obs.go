@@ -501,7 +501,7 @@ func (t *Tracer) appendEvents(out []Event, from int) []Event {
 // (time, stream index, per-stream sequence). Pass streams in shard ID
 // order; the stream index breaks cross-shard timestamp ties the same way
 // every run, so the merged stream is deterministic regardless of worker
-// count — the same discipline as trace.Merge and stats.MergeHistograms.
+// count — the same discipline as stats.MergeHistograms.
 //
 // A full sort (not a k-way merge) is required: within one engine, spans
 // of a poll batch are emitted with start times ahead of the simulation

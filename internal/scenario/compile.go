@@ -26,11 +26,8 @@ type Plan struct {
 	// cluster) or "custom/<split>".
 	Kind string
 
-	// Experiment dispatch (nil for custom topologies).
-	Fig11Loads []float64
-	ChaosRates []float64
-	Variants   []experiments.PolicyVariant
-	ClusterCfg experiments.ClusterConfig
+	// Args are the experiment's grid knobs (zero for custom topologies).
+	Args experiments.Args
 
 	// Custom topology targets: Spec for single-host runs, Cluster for
 	// multi-host runs. Exactly one is non-nil on a custom plan.
@@ -77,24 +74,9 @@ func Compile(s *Scenario) (*Plan, error) {
 	plan := &Plan{Scenario: s, Params: p}
 
 	if e := s.Experiment; e != nil {
-		plan.Kind = e.Kind
-		switch e.Kind {
-		case "fig11":
-			plan.Fig11Loads = e.Loads
-		case "chaos":
-			plan.ChaosRates = e.Rates
-		case "policies":
-			plan.Variants = experiments.PolicyByName(e.Policy)
-		case "cluster":
-			cc := experiments.ClusterConfig{Hosts: e.Hosts, Containers: e.Containers}
-			for _, name := range e.Placements {
-				pol, err := cluster.ParsePlacement(name)
-				if err != nil {
-					return nil, fmt.Errorf("scenario.experiment.placements: %w", err)
-				}
-				cc.Placements = append(cc.Placements, pol)
-			}
-			plan.ClusterCfg = cc
+		plan.Kind, plan.Args = e.Kind, e.Args
+		if err := e.Args.Validate(); err != nil {
+			return nil, fmt.Errorf("scenario.experiment.%w", err)
 		}
 		return plan, nil
 	}

@@ -50,16 +50,20 @@ func TestFigureScenariosCompileToGoldenParams(t *testing.T) {
 }
 
 func TestFigureScenarioGrids(t *testing.T) {
-	if got := loadCorpus(t, "fig11.yaml").Fig11Loads; !reflect.DeepEqual(got, []float64{0, 100_000, 300_000}) {
+	if got := loadCorpus(t, "fig11.yaml").Args.Loads; !reflect.DeepEqual(got, []float64{0, 100_000, 300_000}) {
 		t.Errorf("fig11 loads = %v", got)
 	}
-	if got := loadCorpus(t, "chaos.yaml").ChaosRates; !reflect.DeepEqual(got, []float64{0, 0.2, 0.4}) {
+	if got := loadCorpus(t, "chaos.yaml").Args.Rates; !reflect.DeepEqual(got, []float64{0, 0.2, 0.4}) {
 		t.Errorf("chaos rates = %v", got)
 	}
-	cc := loadCorpus(t, "cluster.yaml").ClusterCfg
+	a := loadCorpus(t, "cluster.yaml").Args
 	want := experiments.DefaultClusterConfig()
-	if !reflect.DeepEqual(cc, want) {
-		t.Errorf("cluster config = %+v, want %+v", cc, want)
+	var wantPlacements []string
+	for _, pol := range want.Placements {
+		wantPlacements = append(wantPlacements, pol.String())
+	}
+	if a.Hosts != want.Hosts || a.Containers != want.Containers || !reflect.DeepEqual(a.Placements, wantPlacements) {
+		t.Errorf("cluster args = %+v, want %+v", a, want)
 	}
 }
 

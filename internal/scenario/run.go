@@ -9,7 +9,6 @@ import (
 	"prism/internal/cluster"
 	"prism/internal/experiments"
 	"prism/internal/obs"
-	"prism/internal/stats"
 	"prism/internal/testbed"
 )
 
@@ -115,128 +114,13 @@ func (p *Plan) execute() (*Result, error) {
 	case p.ClusterRun != nil:
 		return p.runCustomCluster()
 	}
-	return p.runExperiment()
-}
-
-func addSummary(m map[string]float64, prefix string, s stats.Summary) {
-	m[prefix+"_p50_us"] = s.P50.Micros()
-	m[prefix+"_p99_us"] = s.P99.Micros()
-	m[prefix+"_mean_us"] = s.Mean.Micros()
-	m[prefix+"_max_us"] = s.Max.Micros()
-}
-
-func fmtRate(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
-
-func (p *Plan) runExperiment() (*Result, error) {
-	pm := p.Params
-	res := &Result{Metrics: map[string]float64{}}
-	m := res.Metrics
-	switch p.Kind {
-	case "fig3":
-		r := experiments.Fig3(pm)
-		addSummary(m, "idle", r.Idle)
-		addSummary(m, "busy", r.Busy)
-		m["median_ratio"] = r.MedianRatio
-		m["p99_ratio"] = r.P99Ratio
-		m["busy_util"] = r.BusyUtil
-		res.Experiment, res.Table = r, r.String()
-	case "fig8":
-		r := experiments.Fig8(pm)
-		for _, row := range r.Rows {
-			k := row.Mode.String()
-			addSummary(m, k, row.Latency)
-			m[k+"_kpps"] = row.MaxKpps
-			m[k+"_util"] = row.OfferedUtil
-		}
-		res.Experiment, res.Table = r, r.String()
-	case "fig9", "fig10":
-		var r experiments.Fig9Result
-		if p.Kind == "fig9" {
-			r = experiments.Fig9(pm)
-		} else {
-			r = experiments.Fig10(pm)
-		}
-		addSummary(m, "idle", r.Idle)
-		for _, row := range r.Rows {
-			k := row.Mode.String()
-			addSummary(m, k, row.Busy)
-			m[k+"_util"] = row.Util
-			m[k+"_kernel_p99_us"] = row.Kernel.P99.Micros()
-			m[k+"_avg_cut"] = r.Improvement(row.Mode, experiments.MeanOf)
-			m[k+"_p99_cut"] = r.Improvement(row.Mode, experiments.P99Of)
-		}
-		res.Experiment, res.Table = r, r.String()
-	case "fig11":
-		r := experiments.Fig11(pm, p.Fig11Loads)
-		for _, s := range r.Series {
-			for _, pt := range s.Points {
-				k := fmt.Sprintf("%s_bg%.0fk", s.Mode, pt.BGKpps)
-				m[k+"_min_us"] = pt.Min.Micros()
-				m[k+"_avg_us"] = pt.Avg.Micros()
-				m[k+"_p99_us"] = pt.P99.Micros()
-				m[k+"_util"] = pt.Util
-			}
-		}
-		res.Experiment, res.Table = r, r.String()
-	case "stages":
-		r := experiments.Stages(pm)
-		for _, row := range r.Rows {
-			k := row.Mode.String()
-			m[k+"_e2e_p99_us"] = row.E2E.P99.Micros()
-			m[k+"_hi_e2e_p99_us"] = row.HighE2E.P99.Micros()
-			m[k+"_delivered"] = float64(row.Delivered)
-			m[k+"_dropped"] = float64(row.Dropped)
-		}
-		res.Experiment, res.Table = r, r.String()
-	case "policies":
-		r := experiments.Policies(pm, p.Variants)
-		for _, row := range r.Rows {
-			k := row.Variant.Label()
-			addSummary(m, k, row.Busy)
-			m[k+"_util"] = row.Util
-		}
-		res.Experiment, res.Table = r, r.String()
-	case "chaos":
-		r := experiments.Chaos(pm, nil, p.ChaosRates)
-		res.Digests = map[string]string{}
-		for _, row := range r.Rows {
-			k := fmt.Sprintf("%s_r%s", row.Variant.Label(), fmtRate(row.FaultRate))
-			m[k+"_hi_p99_us"] = row.High.P99.Micros()
-			m[k+"_lo_p99_us"] = row.Low.P99.Micros()
-			m[k+"_hi_recv"] = float64(row.HighRecv)
-			m[k+"_lo_recv"] = float64(row.LowRecv)
-			m[k+"_bg_recv"] = float64(row.BGRecv)
-			m[k+"_shed"] = float64(row.Shed)
-			m[k+"_rescues"] = float64(row.Rescues)
-			m[k+"_util"] = row.Util
-			res.Digests[k+"_metrics"] = row.MetricsSHA
-			res.Digests[k+"_spans"] = row.SpansSHA
-		}
-		res.Experiment, res.Table = r, r.String()
-	case "cluster":
-		r := experiments.Cluster(pm, p.ClusterCfg)
-		res.Digests = map[string]string{}
-		for _, row := range r.Rows {
-			k := row.Placement
-			m[k+"_hi_p50_us"] = row.Hi.P50.Micros()
-			m[k+"_hi_p99_us"] = row.Hi.P99.Micros()
-			m[k+"_lo_p50_us"] = row.Lo.P50.Micros()
-			m[k+"_lo_p99_us"] = row.Lo.P99.Micros()
-			m[k+"_hi_recv"] = float64(row.HiRecv)
-			m[k+"_lo_recv"] = float64(row.LoRecv)
-			m[k+"_flood_recv"] = float64(row.FloodRecv)
-			m[k+"_admit_denied"] = float64(row.AdmitDenied)
-			m[k+"_fabric_drops"] = float64(row.FabricDrops)
-			m[k+"_fabric_shed"] = float64(row.FabricShed)
-			m[k+"_fabric_util_max"] = row.FabricUtilMax
-			m[k+"_windows"] = float64(row.Windows)
-			res.Digests[k+"_metrics"] = row.MetricsSHA
-			res.Digests[k+"_spans"] = row.SpansSHA
-		}
-		res.Experiment, res.Table = r, r.String()
-	default:
+	e, ok := experiments.Lookup(p.Kind)
+	if !ok || e.Flatten == nil {
 		return nil, fmt.Errorf("scenario: unknown experiment kind %q", p.Kind)
 	}
+	r := e.Run(p.Params, p.Args)
+	res := &Result{Metrics: map[string]float64{}, Digests: map[string]string{}, Experiment: r, Table: r.String()}
+	e.Flatten(r, res.Metrics, res.Digests)
 	return res, nil
 }
 
@@ -298,7 +182,7 @@ func (p *Plan) runCustom() (*Result, error) {
 		k := s.Workload[i].Name
 		switch {
 		case src.PP != nil:
-			addSummary(m, k, src.PP.Hist.Summarize())
+			experiments.AddSummary(m, k, src.PP.Hist.Summarize())
 			m[k+"_kernel_p99_us"] = src.PP.KernelHist.Summarize().P99.Micros()
 			m[k+"_sent"] = float64(src.PP.Sent)
 			m[k+"_recv"] = float64(src.PP.Received)
@@ -362,8 +246,8 @@ func (p *Plan) runCustomCluster() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	addSummary(m, "hi", row.Hi)
-	addSummary(m, "lo", row.Lo)
+	experiments.AddSummary(m, "hi", row.Hi)
+	experiments.AddSummary(m, "lo", row.Lo)
 	m["hi_sent"], m["hi_recv"] = float64(row.HiSent), float64(row.HiRecv)
 	m["lo_sent"], m["lo_recv"] = float64(row.LoSent), float64(row.LoRecv)
 	m["flood_recv"] = float64(row.FloodRecv)

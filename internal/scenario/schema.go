@@ -4,25 +4,18 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"slices"
 	"sort"
 	"strings"
 
+	"prism/internal/experiments"
 	"prism/internal/fault"
 	"prism/internal/sim"
-	"prism/internal/softirq"
 	"prism/internal/testbed"
 )
 
 // Version is the schema version this package decodes; the `scenario:`
 // field of every file must match it.
 const Version = "v1"
-
-// Experiment kinds the scenario layer dispatches to the paper-figure
-// harnesses in internal/experiments.
-var experimentKinds = []string{
-	"fig3", "fig8", "fig9", "fig10", "fig11", "stages", "policies", "chaos", "cluster",
-}
 
 // Scenario is one fully decoded, validated scenario document.
 type Scenario struct {
@@ -69,20 +62,11 @@ type TrafficParams struct {
 	DriverPrio bool
 }
 
-// Experiment selects a paper-figure harness plus its grid knobs.
+// Experiment selects a paper-figure harness (one of
+// experiments.ScenarioKinds) plus its grid knobs.
 type Experiment struct {
 	Kind string
-
-	// Loads is fig11's background-load grid (pps).
-	Loads []float64
-	// Rates is the chaos fault-rate ladder.
-	Rates []float64
-	// Policy filters the policies ablation to one registry policy.
-	Policy string
-	// Hosts / Containers / Placements size the cluster experiment.
-	Hosts      int
-	Containers int
-	Placements []string
+	experiments.Args
 }
 
 // Topology describes a custom run's machine layout.
@@ -271,13 +255,15 @@ func decodeExperiment(root *obj) *Experiment {
 		return nil
 	}
 	e := &Experiment{
-		Kind:       o.enum("kind", "", experimentKinds...),
-		Loads:      o.floatList("loads"),
-		Rates:      o.floatList("rates"),
-		Policy:     o.str("policy", ""),
-		Hosts:      int(o.integer("hosts", 0)),
-		Containers: int(o.integer("containers", 0)),
-		Placements: o.strList("placements"),
+		Kind: o.enum("kind", "", experiments.ScenarioKinds()...),
+		Args: experiments.Args{
+			Loads:      o.floatList("loads"),
+			Rates:      o.floatList("rates"),
+			Policy:     o.str("policy", ""),
+			Hosts:      int(o.integer("hosts", 0)),
+			Containers: int(o.integer("containers", 0)),
+			Placements: o.strList("placements"),
+		},
 	}
 	o.finish()
 	const only = "%s: only valid for the %s experiment"
@@ -327,15 +313,12 @@ func decodeTopology(root *obj) *Topology {
 	return t
 }
 
-// knownPolicy rejects a poll-policy name the softirq registry lacks; ""
-// (derive the policy from the mode) is always valid.
+// knownPolicy qualifies experiments.CheckPolicy's error with the field path.
 func knownPolicy(path, name string) error {
-	known := softirq.Policies()
-	if name == "" || slices.Contains(known, name) {
-		return nil
+	if err := experiments.CheckPolicy(name); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	sort.Strings(known)
-	return fmt.Errorf("%s: unknown poll policy %q (valid: %s)", path, name, strings.Join(known, ", "))
+	return nil
 }
 
 func decodeWorkload(root *obj) []Group {
