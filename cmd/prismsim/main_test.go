@@ -59,12 +59,19 @@ func TestSelectExperiments(t *testing.T) {
 }
 
 // Bad grid knobs are rejected before any experiment runs: exit 2 and one
-// line naming the value, never a panic from inside a harness.
+// line naming the value, never a panic from inside a harness. -faultrate r
+// builds the ladder 0, r/4, r/2, r, so the first rate out of range is r/2
+// for r = 4 and r/4 for r = -1.
 func TestBadArgsExitTwo(t *testing.T) {
-	for _, tc := range []struct{ argv []string }{
-		{[]string{"-exp", "policies", "-policy", "bogus"}},
-		{[]string{"-exp", "cluster", "-placement", "bogus"}},
-		{[]string{"-exp", "failover", "-placement", "bogus"}},
+	for _, tc := range []struct {
+		argv []string
+		want string
+	}{
+		{[]string{"-exp", "policies", "-policy", "bogus"}, `"bogus"`},
+		{[]string{"-exp", "cluster", "-placement", "bogus"}, `"bogus"`},
+		{[]string{"-exp", "failover", "-placement", "bogus"}, `"bogus"`},
+		{[]string{"-exp", "chaos", "-faultrate", "4"}, "fault rate 2 outside [0, 1]"},
+		{[]string{"-exp", "chaos", "-faultrate", "-1"}, "fault rate -0.25 outside [0, 1]"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.argv, &stdout, &stderr)
@@ -72,8 +79,8 @@ func TestBadArgsExitTwo(t *testing.T) {
 		if code != 2 || stdout.Len() != 0 {
 			t.Errorf("%v: exit %d, stdout %q; want exit 2 and no output", tc.argv, code, stdout.String())
 		}
-		if !strings.Contains(msg, `"bogus"`) || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "panic") {
-			t.Errorf("%v: stderr %q; want one line naming \"bogus\"", tc.argv, msg)
+		if !strings.Contains(msg, tc.want) || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "panic") {
+			t.Errorf("%v: stderr %q; want one line containing %q", tc.argv, msg, tc.want)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -53,22 +54,37 @@ func toJSON(obs []napi.PollObservation) []jsonObservation {
 	return out
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run parses argv, prints the traces and returns the process exit status:
+// 0 on success, 1 when -follow loses its stream, 2 on bad flags.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		iters   = flag.Int("iters", 9, "loop iterations to capture")
-		mode    = flag.String("mode", "both", "vanilla|prism|both")
-		asJSON  = flag.Bool("json", false, "emit observations as JSON instead of tables")
-		follow  = flag.Bool("follow", false, "tail a live prismsim's /trace NDJSON stream and pretty-print it")
-		liveURL = flag.String("url", "http://localhost:8080", "live operator surface base URL for -follow")
+		iters   = fs.Int("iters", 9, "loop iterations to capture")
+		mode    = fs.String("mode", "both", "vanilla|prism|both")
+		asJSON  = fs.Bool("json", false, "emit observations as JSON instead of tables")
+		follow  = fs.Bool("follow", false, "tail a live prismsim's /trace NDJSON stream and pretty-print it")
+		liveURL = fs.String("url", "http://localhost:8080", "live operator surface base URL for -follow")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *iters < 0 {
+		fmt.Fprintf(stderr, "prismtrace: -iters %d: must not be negative\n", *iters)
+		return 2
+	}
 
 	if *follow {
-		if err := followTrace(*liveURL, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := followTrace(*liveURL, *asJSON, stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	p := experiments.Default()
@@ -81,7 +97,7 @@ func main() {
 		return t
 	}
 	show := func(title string, t experiments.PollTrace) {
-		fmt.Println(clip(t).Table(title))
+		fmt.Fprintln(stdout, clip(t).Table(title))
 	}
 
 	if *asJSON {
@@ -97,16 +113,16 @@ func main() {
 			out["vanilla_interleaved"] = res.VanillaInterleaved
 			out["prism_streamlined"] = res.PrismStreamlined
 		default:
-			fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown mode %q\n", *mode)
+			return 2
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	switch *mode {
@@ -117,12 +133,13 @@ func main() {
 	case "both":
 		show("Vanilla NAPI (two poll lists, tail insertion)", res.Vanilla)
 		show("PRISM (single poll list, priority head insertion)", res.Prism)
-		fmt.Printf("vanilla interleaves batches: %v\nprism streamlined eth->br->veth: %v\n",
+		fmt.Fprintf(stdout, "vanilla interleaves batches: %v\nprism streamlined eth->br->veth: %v\n",
 			res.VanillaInterleaved, res.PrismStreamlined)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown mode %q\n", *mode)
+		return 2
 	}
+	return 0
 }
 
 // traceEvent is the subset of a Chrome trace event -follow renders.
@@ -140,7 +157,7 @@ type traceEvent struct {
 // rows name the process and per-device threads; span and instant rows
 // are printed as they arrive, until the run finishes (the server closes
 // the stream after its Finish) or the connection drops.
-func followTrace(base string, raw bool) error {
+func followTrace(base string, raw bool, stdout io.Writer) error {
 	url := strings.TrimRight(base, "/") + "/trace"
 	resp, err := http.Get(url)
 	if err != nil {
@@ -160,7 +177,7 @@ func followTrace(base string, raw bool) error {
 			continue
 		}
 		if raw {
-			fmt.Println(string(line))
+			fmt.Fprintln(stdout, string(line))
 			continue
 		}
 		var ev traceEvent
@@ -172,16 +189,16 @@ func followTrace(base string, raw bool) error {
 			name, _ := ev.Args["name"].(string)
 			switch ev.Name {
 			case "process_name":
-				fmt.Printf("# process %s\n", name)
+				fmt.Fprintf(stdout, "# process %s\n", name)
 			case "thread_name":
 				threads[ev.Tid] = name
-				fmt.Printf("# thread %d: %s\n", ev.Tid, name)
+				fmt.Fprintf(stdout, "# thread %d: %s\n", ev.Tid, name)
 			}
 		case ev.Ph == "X" && ev.Dur != nil:
-			fmt.Printf("[%12.3fms] %-16s %-10s pkt=%-7v prio=%v %8.1fµs\n",
+			fmt.Fprintf(stdout, "[%12.3fms] %-16s %-10s pkt=%-7v prio=%v %8.1fµs\n",
 				ev.Ts/1000, threads[ev.Tid], ev.Name, ev.Args["pkt"], ev.Args["priority"], *ev.Dur)
 		default:
-			fmt.Printf("[%12.3fms] %-16s %-10s pkt=%-7v prio=%v\n",
+			fmt.Fprintf(stdout, "[%12.3fms] %-16s %-10s pkt=%-7v prio=%v\n",
 				ev.Ts/1000, threads[ev.Tid], ev.Name, ev.Args["pkt"], ev.Args["priority"])
 		}
 	}

@@ -88,12 +88,12 @@ type Config struct {
 	// EchoCost / SinkCost are the per-request application CPU costs.
 	EchoCost sim.Time
 	SinkCost sim.Time
-	// ObsSampling keeps one traced packet in N per pipeline (metrics are
-	// never sampled); 0 defaults to 16 — a 1000-container cluster's full
-	// span stream would otherwise dominate digest time. 1 disables
-	// sampling.
-	ObsSampling int
 }
+
+// obsSampling keeps one traced packet in N per pipeline (metrics are
+// never sampled): a 1000-container cluster's full span stream would
+// otherwise dominate digest time.
+const obsSampling = 16
 
 func (c Config) withDefaults() Config {
 	if c.Hosts < 1 {
@@ -110,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SinkCost <= 0 {
 		c.SinkCost = 600 * sim.Nanosecond
-	}
-	if c.ObsSampling <= 0 {
-		c.ObsSampling = 16
 	}
 	return c
 }
@@ -250,8 +247,9 @@ func New(cfg Config) (*Cluster, error) {
 	if costs == nil {
 		costs = netdev.DefaultCosts()
 	}
-	fc := cfg.Fabric.withDefaults(cfg.Hosts, costs.WireLatency)
+	fc := cfg.Fabric.withDefaults(cfg.Hosts)
 	cfg.Fabric = fc
+	hostLink := costs.WireLatency
 
 	assign, err := Place(cfg.Placement, cfg.Specs, cfg.Hosts, cfg.HostCap)
 	if err != nil {
@@ -290,7 +288,7 @@ func New(cfg Config) (*Cluster, error) {
 		eng := sim.NewEngine(hspec.Seed)
 		shard := c.Group.Add(name, eng)
 		host, pipe, plane := hspec.BuildHost(eng, name)
-		pipe.T.SetSampling(cfg.ObsSampling)
+		pipe.T.SetSampling(obsSampling)
 		n := &Node{
 			ID: i, Name: name, Shard: shard, Host: host, Pipe: pipe, Plane: plane,
 			Client: traffic.NewClient(host),
@@ -302,13 +300,13 @@ func New(cfg Config) (*Cluster, error) {
 	// Switches: one ToR per rack, plus a spine when there is more than
 	// one rack.
 	for r := 0; r < fc.Racks; r++ {
-		tor := newSwitch(c.Group, fmt.Sprintf("tor%02d", r), switchSeed(cfg.Seed, r), fc.TorLatency, fc, &c.snap)
-		tor.Pipe.T.SetSampling(cfg.ObsSampling)
+		tor := newSwitch(c.Group, fmt.Sprintf("tor%02d", r), switchSeed(cfg.Seed, r), torLatency, fc, &c.snap)
+		tor.Pipe.T.SetSampling(obsSampling)
 		c.Tors = append(c.Tors, tor)
 	}
 	if fc.Racks > 1 {
-		c.Spine = newSwitch(c.Group, "spine", switchSeed(cfg.Seed, fc.Racks), fc.SpineLatency, fc, &c.snap)
-		c.Spine.Pipe.T.SetSampling(cfg.ObsSampling)
+		c.Spine = newSwitch(c.Group, "spine", switchSeed(cfg.Seed, fc.Racks), spineLatency, fc, &c.snap)
+		c.Spine.Pipe.T.SetSampling(obsSampling)
 	}
 
 	// Host↔ToR links and the ToRs' downlink ports, indexed by host ID
@@ -321,11 +319,11 @@ func New(cfg Config) (*Cluster, error) {
 		n := n
 		r := c.rackOf(n.ID)
 		tor := c.Tors[r]
-		n.Up = c.connect(n.Shard, tor.Shard, fc.HostLink, tor.Receive)
-		down := c.connect(tor.Shard, n.Shard, fc.HostLink, func(at sim.Time, frame []byte, port uint32) {
+		n.Up = c.connect(n.Shard, tor.Shard, hostLink, tor.Receive)
+		down := c.connect(tor.Shard, n.Shard, hostLink, func(at sim.Time, frame []byte, port uint32) {
 			c.deliverToNode(n, at, frame, port)
 		})
-		torDown[r][n.ID] = tor.addPort(fmt.Sprintf("%s->%s", tor.Name, n.Name), down, fc.HostLink)
+		torDown[r][n.ID] = tor.addPort(fmt.Sprintf("%s->%s", tor.Name, n.Name), down, hostLink)
 
 		host := n.Host
 		host.WireTx = func(now, arrive sim.Time, frame []byte) {
@@ -346,11 +344,11 @@ func New(cfg Config) (*Cluster, error) {
 		c.torUp = make([]*Port, fc.Racks)
 		for r, tor := range c.Tors {
 			r, tor := r, tor
-			upLink := c.connect(tor.Shard, c.Spine.Shard, fc.SpineLink, c.Spine.Receive)
-			torUp := tor.addPort(fmt.Sprintf("%s->spine", tor.Name), upLink, fc.SpineLink)
+			upLink := c.connect(tor.Shard, c.Spine.Shard, spineLink, c.Spine.Receive)
+			torUp := tor.addPort(fmt.Sprintf("%s->spine", tor.Name), upLink, spineLink)
 			c.torUp[r] = torUp
-			downLink := c.connect(c.Spine.Shard, tor.Shard, fc.SpineLink, tor.Receive)
-			spineDown[r] = c.Spine.addPort(fmt.Sprintf("spine->%s", tor.Name), downLink, fc.SpineLink)
+			downLink := c.connect(c.Spine.Shard, tor.Shard, spineLink, tor.Receive)
+			spineDown[r] = c.Spine.addPort(fmt.Sprintf("spine->%s", tor.Name), downLink, spineLink)
 
 			down := torDown[r]
 			tor.portFor = func(rt Route) *Port {
@@ -464,7 +462,7 @@ func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, 
 			return
 		}
 		wait := arrive - now
-		delay := r.cfg.RetryBackoff.Delay(attempt + 1)
+		delay := retryBackoff.Delay(attempt + 1)
 		in.Retries++
 		in.Shard.Eng.At(now+delay, func() {
 			nn := in.Shard.Eng.Now()
@@ -638,17 +636,17 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Settle stops the generators and runs the cluster in grace-sized rounds
+// settleGrace is the virtual time Settle runs per drain round.
+const settleGrace = 50 * sim.Millisecond
+
+// Settle stops the generators and runs the cluster in settleGrace rounds
 // until the fabric is empty and the fault watchdogs have nothing left to
 // rescue — the precondition for strict (zero-leak) invariant checks.
-func (c *Cluster) Settle(grace sim.Time, workers int) error {
-	if grace <= 0 {
-		grace = 50 * sim.Millisecond
-	}
+func (c *Cluster) Settle(workers int) error {
 	c.Stop()
 	end := c.horizon
 	for round := 0; ; round++ {
-		end += grace
+		end += settleGrace
 		if err := c.Group.Run(end, workers); err != nil {
 			return err
 		}

@@ -248,7 +248,7 @@ func TestClusterRunsAndConserves(t *testing.T) {
 		t.Fatal("no frames entered the fabric")
 	}
 	// Settle and apply the zero-leak assertion.
-	if err := c.Settle(0, 1); err != nil {
+	if err := c.Settle(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(true); err != nil {
@@ -399,7 +399,7 @@ func TestClusterFaultPlanesInjectPerHost(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatal("per-host fault streams look identical — seeds not derived per host")
 	}
-	if err := c.Settle(0, 2); err != nil {
+	if err := c.Settle(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(true); err != nil {
@@ -447,7 +447,7 @@ func TestClusterFabricOverflowShedsLow(t *testing.T) {
 			{Name: "bg", Flood: true, Rate: 60_000, Ingress: 1},
 			{Name: "hi", Hi: true, Rate: 20_000, Ingress: 1},
 		},
-		Fabric: FabricConfig{Racks: 1, LinkGbps: 0.5, QueueCap: 2},
+		Fabric: FabricConfig{Racks: 1, linkGbps: 0.5, queueCap: 2},
 		Warmup: sim.Millisecond,
 	}
 	c, err := New(cfg)
@@ -467,7 +467,7 @@ func TestClusterFabricOverflowShedsLow(t *testing.T) {
 	if err := c.CheckInvariants(false); err != nil {
 		t.Fatalf("invariants with fabric drops: %v", err)
 	}
-	if err := c.Settle(0, 1); err != nil {
+	if err := c.Settle(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.CheckInvariants(true); err != nil {

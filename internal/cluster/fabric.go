@@ -18,63 +18,57 @@ import (
 // ride cross-shard links whose lookahead is the cable's propagation
 // delay.
 
+// Fabric timings and sizes. Every link's propagation delay is its
+// cross-shard lookahead; a host↔ToR cable takes the host cost model's
+// WireLatency, since generators compute arrival with it and a link
+// cannot deliver faster than its lookahead.
+const (
+	// torLatency / spineLatency are per-switch forwarding latencies
+	// (port-to-port cut-through minimum).
+	torLatency   = 600 * sim.Nanosecond
+	spineLatency = sim.Microsecond
+	// spineLink is the ToR↔spine cable propagation delay.
+	spineLink = 4 * sim.Microsecond
+	// lineGbps is every link's line rate, for serialization delay.
+	lineGbps = 100
+	// portQueueCap bounds each egress port's queue (frames, both classes
+	// combined). Arrivals beyond it tail-drop, except that a
+	// high-priority arrival evicts the youngest queued best-effort frame
+	// instead — the fabric analogue of the host shed policy.
+	portQueueCap = 1024
+)
+
 // FabricConfig sizes the switching fabric.
 type FabricConfig struct {
 	// Racks is the number of ToR switches; hosts are assigned to racks
 	// round-robin by ID block. 0 derives ceil(hosts/8).
 	Racks int
-	// TorLatency / SpineLatency are per-switch forwarding latencies
-	// (port-to-port cut-through minimum).
-	TorLatency   sim.Time
-	SpineLatency sim.Time
-	// HostLink is the host↔ToR cable propagation delay — the cross-shard
-	// lookahead of those links. It must not exceed the host cost model's
-	// WireLatency (generators compute arrival with WireLatency, and a
-	// link cannot deliver faster than its lookahead). 0 derives it from
-	// the host's Costs.
-	HostLink sim.Time
-	// SpineLink is the ToR↔spine cable propagation delay.
-	SpineLink sim.Time
-	// LinkGbps is every link's line rate, for serialization delay.
-	LinkGbps float64
-	// QueueCap bounds each egress port's queue (frames, both classes
-	// combined). Arrivals beyond it tail-drop, except that a
-	// high-priority arrival evicts the youngest queued best-effort frame
-	// instead — the fabric analogue of the host shed policy.
-	QueueCap int
+
+	// linkGbps and queueCap replace lineGbps and portQueueCap when
+	// nonzero; tests shrink them to overflow a port.
+	linkGbps float64
+	queueCap int
 }
 
-func (c FabricConfig) withDefaults(hosts int, hostWire sim.Time) FabricConfig {
+func (c FabricConfig) withDefaults(hosts int) FabricConfig {
 	if c.Racks <= 0 {
 		c.Racks = (hosts + 7) / 8
 	}
 	if c.Racks > hosts {
 		c.Racks = hosts
 	}
-	if c.TorLatency <= 0 {
-		c.TorLatency = 600 * sim.Nanosecond
+	if c.linkGbps <= 0 {
+		c.linkGbps = lineGbps
 	}
-	if c.SpineLatency <= 0 {
-		c.SpineLatency = sim.Microsecond
-	}
-	if c.HostLink <= 0 || c.HostLink > hostWire {
-		c.HostLink = hostWire
-	}
-	if c.SpineLink <= 0 {
-		c.SpineLink = 4 * sim.Microsecond
-	}
-	if c.LinkGbps <= 0 {
-		c.LinkGbps = 100
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 1024
+	if c.queueCap <= 0 {
+		c.queueCap = portQueueCap
 	}
 	return c
 }
 
 // serialization returns the time to clock a frame onto a link.
 func (c FabricConfig) serialization(bytes int) sim.Time {
-	return sim.Time(float64(bytes*8) / c.LinkGbps)
+	return sim.Time(float64(bytes*8) / c.linkGbps)
 }
 
 // queued is one frame waiting at an egress port, with the route key it
@@ -181,7 +175,7 @@ func newSwitch(g *par.Group, name string, seed uint64, latency sim.Time, cfg Fab
 
 // addPort attaches an egress link to the switch.
 func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
-	p := &Port{Name: name, link: link, prop: prop, cap: s.cfg.QueueCap, obs: s.Pipe.Bind(name, obs.StageFabric)}
+	p := &Port{Name: name, link: link, prop: prop, cap: s.cfg.queueCap, obs: s.Pipe.Bind(name, obs.StageFabric)}
 	s.Ports = append(s.Ports, p)
 	return p
 }

@@ -39,11 +39,11 @@ func TestSwitchHopZeroAlloc(t *testing.T) {
 		SvcPort(0): {Host: 0},
 		SvcPort(1): {Host: 0, Hi: true},
 	}))
-	cfg := FabricConfig{}.withDefaults(2, sim.Microsecond)
-	sw := newSwitch(g, "tor", 2, cfg.TorLatency, cfg, &snap)
+	cfg := FabricConfig{}.withDefaults(2)
+	sw := newSwitch(g, "tor", 2, torLatency, cfg, &snap)
 	sink := g.Add("sink", sim.NewEngine(3))
 	delivered := 0
-	port := sw.addPort("tor->sink", g.Connect(sw.Shard, sink, cfg.HostLink, func(sim.Time, []byte, uint32) { delivered++ }), cfg.HostLink)
+	port := sw.addPort("tor->sink", g.Connect(sw.Shard, sink, sim.Microsecond, func(sim.Time, []byte, uint32) { delivered++ }), sim.Microsecond)
 	sw.portFor = func(Route) *Port { return port }
 
 	frame := func(dport uint16) []byte {
@@ -54,7 +54,7 @@ func TestSwitchHopZeroAlloc(t *testing.T) {
 	}
 	hs := &hopSource{
 		eng: src.Eng, period: 3 * sim.Microsecond,
-		link:   g.Connect(src, sw.Shard, cfg.HostLink, sw.Receive),
+		link:   g.Connect(src, sw.Shard, sim.Microsecond, sw.Receive),
 		frames: [][]byte{frame(SvcPort(0)), frame(SvcPort(0)), frame(SvcPort(1))},
 	}
 	src.Eng.CallAt(0, hopTick, hs, nil)
@@ -88,12 +88,12 @@ func TestSwitchHopZeroAlloc(t *testing.T) {
 func TestPortEvictsYoungestBestEffort(t *testing.T) {
 	g := par.NewGroup()
 	var snap atomic.Pointer[Snapshot]
-	cfg := FabricConfig{QueueCap: 3}.withDefaults(2, sim.Microsecond)
-	sw := newSwitch(g, "tor", 1, cfg.TorLatency, cfg, &snap)
+	cfg := FabricConfig{queueCap: 3}.withDefaults(2)
+	sw := newSwitch(g, "tor", 1, torLatency, cfg, &snap)
 	sink := g.Add("sink", sim.NewEngine(2))
 	var got []byte
-	link := g.Connect(sw.Shard, sink, cfg.HostLink, func(_ sim.Time, f []byte, _ uint32) { got = append(got, f[0]) })
-	p := sw.addPort("tor->sink", link, cfg.HostLink)
+	link := g.Connect(sw.Shard, sink, sim.Microsecond, func(_ sim.Time, f []byte, _ uint32) { got = append(got, f[0]) })
+	p := sw.addPort("tor->sink", link, sim.Microsecond)
 
 	sw.Shard.Eng.At(0, func() {
 		// 'a' goes straight to the wire; b, c, d fill the queue; the

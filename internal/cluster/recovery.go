@@ -11,18 +11,18 @@ package cluster
 //     seed, so hosts' fault streams are untouched).
 //
 //   - Heartbeats are per-host engine events on an out-of-band control
-//     network: every HeartbeatEvery the host stamps lastBeat unless it is
+//     network: every heartbeatEvery the host stamps lastBeat unless it is
 //     down. Fabric partitions never delay heartbeats — a severed uplink
 //     loses data frames, not liveness signal — so a ToR failure degrades
 //     throughput without triggering migration.
 //
 //   - The controller runs at barrier boundaries (par.Group.OnBarrier),
-//     quantized by a CheckEvery ticker: all shards are quiescent, so it
+//     quantized by a checkEvery ticker: all shards are quiescent, so it
 //     may read any shard's state and mutate quiescent state, but it
 //     never schedules events — which keeps the window schedule, and
 //     therefore the Windows counter in golden fixtures, a pure function
 //     of the event timeline. Detection latency is therefore the time to
-//     the first control tick at least SuspectAfter past the crash, in
+//     the first control tick at least suspectAfter past the crash, in
 //     simulated virtual time, identical at any worker count.
 //
 // Recovery of a suspected host: cordon it (no failback — a restarted
@@ -46,51 +46,36 @@ import (
 	"prism/internal/sim"
 )
 
+// Detector and controller timings (virtual time).
+const (
+	// heartbeatEvery is each host's heartbeat period on the out-of-band
+	// control network.
+	heartbeatEvery = 250 * sim.Microsecond
+	// suspectAfter is the detector timeout: a host whose last heartbeat
+	// is strictly older than this at a control tick is declared dead.
+	suspectAfter = sim.Millisecond
+	// checkEvery is the controller tick period, quantized to barrier
+	// boundaries.
+	checkEvery = 500 * sim.Microsecond
+)
+
+// retryBackoff shapes degraded-mode admission retry delays: 200µs
+// doubling per attempt, capped at 2ms.
+var retryBackoff = rec.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond}
+
 // RecoveryConfig arms the failure detector and recovery controller.
 type RecoveryConfig struct {
 	// Script lists deterministic scripted failure events (in addition to
 	// any plane-driven ones the hosts' fault configs enable via
 	// fault.ClassHostCrash / fault.ClassTorLink).
 	Script rec.Script
-	// HeartbeatEvery is each host's heartbeat period on the out-of-band
-	// control network (default 250µs).
-	HeartbeatEvery sim.Time
-	// SuspectAfter is the detector timeout: a host whose last heartbeat
-	// is strictly older than this at a control tick is declared dead
-	// (default 1ms).
-	SuspectAfter sim.Time
-	// CheckEvery is the controller tick period, quantized to barrier
-	// boundaries (default 500µs).
-	CheckEvery sim.Time
 	// RetryMax bounds admission-refusal retries per frame while the
 	// cluster is degraded; 0 disables retry.
 	RetryMax int
-	// RetryBackoff shapes the retry delays (defaults 200µs base, 2ms
-	// cap).
-	RetryBackoff rec.Backoff
 	// DegradeAdmission scales every ingress bucket's refill rate by the
 	// surviving-capacity fraction after each detection, so admission
 	// tracks what the cluster can actually serve.
 	DegradeAdmission bool
-}
-
-func (r RecoveryConfig) withDefaults() RecoveryConfig {
-	if r.HeartbeatEvery <= 0 {
-		r.HeartbeatEvery = 250 * sim.Microsecond
-	}
-	if r.SuspectAfter <= 0 {
-		r.SuspectAfter = sim.Millisecond
-	}
-	if r.CheckEvery <= 0 {
-		r.CheckEvery = 500 * sim.Microsecond
-	}
-	if r.RetryBackoff.Base <= 0 {
-		r.RetryBackoff.Base = 200 * sim.Microsecond
-	}
-	if r.RetryBackoff.Max <= 0 {
-		r.RetryBackoff.Max = 2 * sim.Millisecond
-	}
-	return r
 }
 
 // Detection records one suspected host: when it actually went down and
@@ -145,8 +130,7 @@ func (c *Cluster) initRecovery() error {
 	if rc == nil {
 		return nil
 	}
-	cfg := rc.withDefaults()
-	if err := cfg.Script.Validate(c.Cfg.Hosts, c.Cfg.Fabric.Racks); err != nil {
+	if err := rc.Script.Validate(c.Cfg.Hosts, c.Cfg.Fabric.Racks); err != nil {
 		return err
 	}
 	policy := rec.Spread
@@ -161,8 +145,8 @@ func (c *Cluster) initRecovery() error {
 		alive[i] = true
 	}
 	c.rec = &recoveryState{
-		cfg:     cfg,
-		det:     rec.NewDetector(c.Cfg.Hosts, cfg.SuspectAfter),
+		cfg:     *rc,
+		det:     rec.NewDetector(c.Cfg.Hosts, suspectAfter),
 		policy:  policy,
 		alive:   alive,
 		aliveN:  c.Cfg.Hosts,
@@ -209,12 +193,12 @@ func (c *Cluster) armRecovery() {
 		}
 	}
 	for _, n := range c.Nodes {
-		c.armHeartbeat(n, r.cfg.HeartbeatEvery)
+		c.armHeartbeat(n, heartbeatEvery)
 	}
 	for _, p := range r.torPlanes {
 		p.Start(c.horizon)
 	}
-	c.ctrl = par.NewTicker(r.cfg.CheckEvery, c.controlTick)
+	c.ctrl = par.NewTicker(checkEvery, c.controlTick)
 	c.armBarrier()
 }
 
@@ -229,7 +213,7 @@ func (c *Cluster) armHeartbeat(n *Node, at sim.Time) {
 		if !n.down {
 			n.lastBeat = at
 		}
-		c.armHeartbeat(n, at+c.rec.cfg.HeartbeatEvery)
+		c.armHeartbeat(n, at+heartbeatEvery)
 	})
 }
 

@@ -63,7 +63,7 @@ func TestUnparseableFrameUnroutableAtTor(t *testing.T) {
 		if err := c.Run(10*sim.Millisecond, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Settle(0, 1); err != nil {
+		if err := c.Settle(1); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.CheckInvariants(true); err != nil {
@@ -98,7 +98,7 @@ func TestFrameInFlightAcrossSwapIsEpochDrop(t *testing.T) {
 	if err := c.Run(5*sim.Millisecond, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Settle(0, 1); err != nil {
+	if err := c.Settle(1); err != nil {
 		t.Fatal(err)
 	}
 	// An echo flow and an ingress host in the other rack.

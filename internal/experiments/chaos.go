@@ -23,18 +23,19 @@ import (
 // policy deflects onto best-effort traffic.
 const PortLowPrio = 22222
 
-// ChaosVariants are the default policy configurations the chaos driver
-// degrades: the vanilla baseline against full PRISM (run-to-completion).
+// ChaosVariants are the policy configurations the chaos driver degrades:
+// the vanilla baseline against full PRISM (run-to-completion).
 var ChaosVariants = []PolicyVariant{
 	{Policy: "vanilla", Mode: prio.ModeVanilla},
 	{Policy: "prism", Mode: prio.ModeSync},
 }
 
-// ChaosRates builds the fault-rate ladder up to maxRate (default 0.4):
+// ChaosRates builds the fault-rate ladder up to maxRate (0 means 0.4):
 // rate 0 — which runs with a nil plane and must be bit-identical to an
-// unfaulted build — plus three increasing intensities.
+// unfaulted build — plus three increasing intensities. A negative maxRate
+// yields negative rates, which Args.Validate rejects.
 func ChaosRates(maxRate float64) []float64 {
-	if maxRate <= 0 {
+	if maxRate == 0 {
 		maxRate = 0.4
 	}
 	return []float64{0, maxRate / 4, maxRate / 2, maxRate}
@@ -77,13 +78,11 @@ type ChaosResult struct {
 	Rows []ChaosRow
 }
 
-// Chaos runs the (variants × rates) grid. Every point is an independent
-// engine with its own fault plane, so points fan out over p.Workers with
-// bit-identical results, and the same seed reproduces the same table.
-func Chaos(p Params, variants []PolicyVariant, rates []float64) ChaosResult {
-	if len(variants) == 0 {
-		variants = ChaosVariants
-	}
+// Chaos runs the (ChaosVariants × rates) grid. Every point is an
+// independent engine with its own fault plane, so points fan out over
+// p.Workers with bit-identical results, and the same seed reproduces the
+// same table.
+func Chaos(p Params, rates []float64) ChaosResult {
 	if len(rates) == 0 {
 		rates = ChaosRates(0)
 	}
@@ -91,8 +90,8 @@ func Chaos(p Params, variants []PolicyVariant, rates []float64) ChaosResult {
 		v    PolicyVariant
 		rate float64
 	}
-	grid := make([]point, 0, len(variants)*len(rates))
-	for _, v := range variants {
+	grid := make([]point, 0, len(ChaosVariants)*len(rates))
+	for _, v := range ChaosVariants {
 		for _, rate := range rates {
 			grid = append(grid, point{v: v, rate: rate})
 		}

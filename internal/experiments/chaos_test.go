@@ -36,7 +36,7 @@ func TestChaosGolden(t *testing.T) {
 	capture := func(workers int) ChaosResult {
 		p := chaosDetParams()
 		p.Workers = workers
-		return Chaos(p, nil, chaosDetRates)
+		return Chaos(p, chaosDetRates)
 	}
 	got := capture(1)
 

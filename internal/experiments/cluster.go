@@ -193,7 +193,7 @@ func RunCluster(p Params, cfg cluster.Config, run string, strict bool, prepare, 
 	}
 	detach()
 
-	if err := c.Settle(0, p.Workers); err != nil {
+	if err := c.Settle(p.Workers); err != nil {
 		return row, err
 	}
 	if err := c.CheckInvariants(strict); err != nil {

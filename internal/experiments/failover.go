@@ -18,33 +18,30 @@ type FailoverConfig struct {
 	Hosts      int
 	Containers int
 	Placements []cluster.Placement
-
-	// CrashHost is the victim; CrashAfter the crash offset into the
-	// measured window; Downtime how long the host stays dark before its
-	// (cordoned, never failed-back) restart.
-	CrashHost  int
-	CrashAfter sim.Time
-	Downtime   sim.Time
-	// RecoverWindow bounds the "during" measurement phase: latency
-	// samples land in before/during/after buckets split at the crash
-	// time and crash+RecoverWindow. Fixed boundaries keep the phase
-	// histograms a pure function of the timeline, so they golden.
-	RecoverWindow sim.Time
 }
 
-// DefaultFailoverConfig is the fixture point: 8 hosts, 200 containers,
-// host 0 killed 10ms into the measured window. Host 0 is the victim
-// because every placement policy populates it — pack stacks the whole
-// workload there, so its crash is also the worst case.
+// The failover timeline. Host 0 is the victim because every placement
+// policy populates it — pack stacks the whole workload there, so its
+// crash is also the worst case. It is killed crashAfter into the
+// measured window and stays dark for downtime before its (cordoned,
+// never failed-back) restart. recoverWindow bounds the "during"
+// measurement phase: latency samples land in before/during/after
+// buckets split at the crash time and crash+recoverWindow. Fixed
+// boundaries keep the phase histograms a pure function of the timeline,
+// so they golden.
+const (
+	crashHost     = 0
+	crashAfter    = 10 * sim.Millisecond
+	downtime      = 8 * sim.Millisecond
+	recoverWindow = 10 * sim.Millisecond
+)
+
+// DefaultFailoverConfig is the fixture point: 8 hosts, 200 containers.
 func DefaultFailoverConfig() FailoverConfig {
 	return FailoverConfig{
-		Hosts:         8,
-		Containers:    200,
-		Placements:    cluster.Placements,
-		CrashHost:     0,
-		CrashAfter:    10 * sim.Millisecond,
-		Downtime:      8 * sim.Millisecond,
-		RecoverWindow: 10 * sim.Millisecond,
+		Hosts:      8,
+		Containers: 200,
+		Placements: cluster.Placements,
 	}
 }
 
@@ -59,18 +56,6 @@ func (fc FailoverConfig) withDefaults() FailoverConfig {
 	if len(fc.Placements) == 0 {
 		fc.Placements = def.Placements
 	}
-	if fc.CrashHost < 0 || fc.CrashHost >= fc.Hosts {
-		fc.CrashHost = def.CrashHost
-	}
-	if fc.CrashAfter <= 0 {
-		fc.CrashAfter = def.CrashAfter
-	}
-	if fc.Downtime <= 0 {
-		fc.Downtime = def.Downtime
-	}
-	if fc.RecoverWindow <= 0 {
-		fc.RecoverWindow = def.RecoverWindow
-	}
 	return fc
 }
 
@@ -80,7 +65,7 @@ type FailoverRow struct {
 	Placement string
 
 	// Hi/Lo phase summaries: Before ends at the crash, During covers
-	// [crash, crash+RecoverWindow), After is the recovered steady state.
+	// [crash, crash+recoverWindow), After is the recovered steady state.
 	HiBefore, HiDuring, HiAfter stats.Summary
 	LoBefore, LoDuring, LoAfter stats.Summary
 
@@ -126,9 +111,9 @@ func Failover(p Params, fc FailoverConfig) FailoverResult {
 	fc = fc.withDefaults()
 	res := FailoverResult{
 		Seed: p.Seed, Hosts: fc.Hosts, Containers: fc.Containers,
-		CrashHost:    fc.CrashHost,
-		CrashAt:      p.Warmup + fc.CrashAfter,
-		RecoverBound: p.Warmup + fc.CrashAfter + fc.RecoverWindow,
+		CrashHost:    crashHost,
+		CrashAt:      p.Warmup + crashAfter,
+		RecoverBound: p.Warmup + crashAfter + recoverWindow,
 	}
 	for _, pol := range fc.Placements {
 		row, racks := failoverPoint(p, fc, pol)
@@ -151,14 +136,14 @@ func phaseIndex(at, crash, recovered sim.Time) int {
 }
 
 func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (FailoverRow, int) {
-	crashAt := p.Warmup + fc.CrashAfter
-	recovered := crashAt + fc.RecoverWindow
+	crashAt := p.Warmup + crashAfter
+	recovered := crashAt + recoverWindow
 	cfg := clusterConfig(p, fc.Hosts, fc.Containers, pol)
 	cfg.Fabric = cluster.FabricConfig{Racks: 2}
 	cfg.Recovery = &cluster.RecoveryConfig{
 		Script: rec.Script{{
-			Kind: rec.HostCrash, Host: fc.CrashHost,
-			At: crashAt, Until: crashAt + fc.Downtime,
+			Kind: rec.HostCrash, Host: crashHost,
+			At: crashAt, Until: crashAt + downtime,
 		}},
 		RetryMax:         3,
 		DegradeAdmission: true,

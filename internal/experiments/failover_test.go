@@ -121,7 +121,7 @@ func TestFailoverGoldenHasSignal(t *testing.T) {
 func TestFailoverSeedDeterministic(t *testing.T) {
 	p := detParams()
 	fc := FailoverConfig{Hosts: 4, Containers: 48,
-		Placements: []cluster.Placement{cluster.PlaceSpread}, CrashHost: 1}
+		Placements: []cluster.Placement{cluster.PlaceSpread}}
 	a := Failover(p, fc)
 	b := Failover(p, fc)
 	if !reflect.DeepEqual(a, b) {

@@ -131,7 +131,7 @@ func TestChaosGoldenWithLiveSurface(t *testing.T) {
 		p := chaosDetParams()
 		p.Workers = workers
 		p.Live = live.NewServer()
-		got := Chaos(p, nil, chaosDetRates)
+		got := Chaos(p, chaosDetRates)
 		w, g := mustJSON(t, want), mustJSON(t, got)
 		if string(w) != string(g) {
 			t.Errorf("live surface perturbed chaos at workers=%d\nwant: %s\ngot:  %s", workers, w, g)

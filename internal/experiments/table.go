@@ -30,11 +30,16 @@ type Args struct {
 	Placements []string
 }
 
-// Validate rejects a poll policy the softirq registry lacks and a
-// placement name cluster.ParsePlacement does not know; the error starts
-// with the offending field's name. Run an experiment only with Args that
-// passed it.
+// Validate rejects a fault rate outside [0, 1], a poll policy the
+// softirq registry lacks and a placement name cluster.ParsePlacement does
+// not know; the error starts with the offending field's name. Run an
+// experiment only with Args that passed it.
 func (a Args) Validate() error {
+	for i, r := range a.Rates {
+		if r < 0 || r > 1 {
+			return fmt.Errorf("rates[%d]: fault rate %v outside [0, 1]", i, r)
+		}
+	}
 	if err := CheckPolicy(a.Policy); err != nil {
 		return fmt.Errorf("policy: %w", err)
 	}
@@ -105,7 +110,7 @@ var Experiments = []Experiment{
 	entry("extdriver", noArgs(ExtDriver), nil),
 	entry("stages", noArgs(Stages), flattenStages),
 	entry("policies", func(p Params, a Args) PoliciesResult { return Policies(p, PolicyByName(a.Policy)) }, flattenPolicies),
-	entry("chaos", func(p Params, a Args) ChaosResult { return Chaos(p, nil, a.Rates) }, flattenChaos),
+	entry("chaos", func(p Params, a Args) ChaosResult { return Chaos(p, a.Rates) }, flattenChaos),
 	entry("batchsweep", func(p Params, _ Args) AblationBatchResult { return AblationBatch(p, nil) }, nil),
 	entry("scaling", func(p Params, _ Args) ScalingResult { return Scaling(p, nil) }, nil),
 	entry("cluster", func(p Params, a Args) ClusterResult {

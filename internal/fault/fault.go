@@ -58,10 +58,10 @@ const (
 // golden fixtures — are bit-identical.
 const (
 	// ClassHostCrash fail-stops a whole host at the wire, restarting it
-	// after CrashDowntime.
+	// after crashDowntime.
 	ClassHostCrash Class = 1 << 5
 	// ClassTorLink severs the rack's ToR→spine uplink for
-	// TorLinkDowntime.
+	// torLinkDowntime.
 	ClassTorLink Class = 1 << 6
 )
 
@@ -92,9 +92,8 @@ type Phase struct {
 	Classes Class
 }
 
-// Config parameterizes the plane. The zero value of every knob gets a
-// sensible default from NewPlane; only Seed and Rate (or Phases) are
-// required.
+// Config parameterizes the plane: its seed and what fires when. Every
+// fault's size and timing is a calibrated constant (below).
 type Config struct {
 	// Seed drives the plane's private RNG stream (distinct from the
 	// engine's even for the same value).
@@ -112,39 +111,40 @@ type Config struct {
 	// inside [From, Until). Rate and Classes above are ignored while
 	// Phases is set.
 	Phases []Phase
+}
 
-	// CorruptBits is how many random bits flip per corrupted frame.
-	CorruptBits int
-	// OverrunBurst is how many consecutive DMA attempts one ring-overrun
+// Fault sizes and timings. Each timeline mean is the gap at Rate 1; a
+// lower rate stretches it proportionally.
+const (
+	// corruptBits is how many random bits flip per corrupted frame.
+	corruptBits = 3
+	// overrunBurst is how many consecutive DMA attempts one ring-overrun
 	// burst rejects (a slow PCIe writeback stalls the whole ring, not one
 	// descriptor).
-	OverrunBurst int
-	// FlapDuration is how long the link stays down per flap.
-	FlapDuration sim.Time
-	// JitterMax bounds the extra wire latency of a jittered frame.
-	JitterMax sim.Time
-	// SpuriousEvery is the mean gap between spurious interrupts per
-	// device at Rate 1 (scaled up at lower rates).
-	SpuriousEvery sim.Time
-	// StallEvery is the mean gap between consumer stalls per thread at
-	// Rate 1; StallDuration is how long each stall occupies the core.
-	StallEvery    sim.Time
-	StallDuration sim.Time
-	// SoftirqStallDuration is the stall charged to the processing core
+	overrunBurst = 32
+	// flapDuration is how long the link stays down per flap.
+	flapDuration = 150 * sim.Microsecond
+	// jitterMax bounds the extra wire latency of a jittered frame.
+	jitterMax = 50 * sim.Microsecond
+	// spuriousEvery is the mean gap between spurious interrupts per device.
+	spuriousEvery = 5 * sim.Millisecond
+	// stallEvery is the mean gap between consumer stalls per thread;
+	// stallDuration is how long each stall occupies the core.
+	stallEvery    = 10 * sim.Millisecond
+	stallDuration = 400 * sim.Microsecond
+	// softirqStallDuration is the stall charged to the processing core
 	// when a softirq-worker stall fires.
-	SoftirqStallDuration sim.Time
-	// CrashEvery is the mean gap between ClassHostCrash events at Rate 1
-	// (scaled up at lower rates); CrashDowntime how long each crash keeps
-	// the host fail-stopped.
-	CrashEvery    sim.Time
-	CrashDowntime sim.Time
-	// TorLinkEvery / TorLinkDowntime are the ClassTorLink analogues.
-	TorLinkEvery    sim.Time
-	TorLinkDowntime sim.Time
-	// WatchdogInterval is the stuck-device scan period (dev_watchdog).
-	// Negative disables the watchdog; zero means the default.
-	WatchdogInterval sim.Time
-}
+	softirqStallDuration = 30 * sim.Microsecond
+	// crashEvery is the mean gap between ClassHostCrash events;
+	// crashDowntime is how long each crash keeps the host fail-stopped.
+	crashEvery    = 25 * sim.Millisecond
+	crashDowntime = 8 * sim.Millisecond
+	// torLinkEvery / torLinkDowntime are the ClassTorLink analogues.
+	torLinkEvery    = 30 * sim.Millisecond
+	torLinkDowntime = 5 * sim.Millisecond
+	// watchdogInterval is the stuck-device scan period (dev_watchdog).
+	watchdogInterval = 2 * sim.Millisecond
+)
 
 // Counters aggregates everything the plane injected and everything the
 // watchdog repaired; the invariant checker folds the drop counters into
@@ -232,51 +232,11 @@ type Plane struct {
 	Counters
 }
 
-// NewPlane builds a plane for the engine with defaults filled in. The RNG
-// stream is derived from cfg.Seed but distinct from an engine seeded with
-// the same value.
+// NewPlane builds a plane for the engine. The RNG stream is derived from
+// cfg.Seed but distinct from an engine seeded with the same value.
 func NewPlane(eng *sim.Engine, cfg Config) *Plane {
 	if cfg.Classes == 0 {
 		cfg.Classes = ClassAll
-	}
-	if cfg.CorruptBits <= 0 {
-		cfg.CorruptBits = 3
-	}
-	if cfg.OverrunBurst <= 0 {
-		cfg.OverrunBurst = 32
-	}
-	if cfg.FlapDuration <= 0 {
-		cfg.FlapDuration = 150 * sim.Microsecond
-	}
-	if cfg.JitterMax <= 0 {
-		cfg.JitterMax = 50 * sim.Microsecond
-	}
-	if cfg.SpuriousEvery <= 0 {
-		cfg.SpuriousEvery = 5 * sim.Millisecond
-	}
-	if cfg.StallEvery <= 0 {
-		cfg.StallEvery = 10 * sim.Millisecond
-	}
-	if cfg.StallDuration <= 0 {
-		cfg.StallDuration = 400 * sim.Microsecond
-	}
-	if cfg.SoftirqStallDuration <= 0 {
-		cfg.SoftirqStallDuration = 30 * sim.Microsecond
-	}
-	if cfg.WatchdogInterval == 0 {
-		cfg.WatchdogInterval = 2 * sim.Millisecond
-	}
-	if cfg.CrashEvery <= 0 {
-		cfg.CrashEvery = 25 * sim.Millisecond
-	}
-	if cfg.CrashDowntime <= 0 {
-		cfg.CrashDowntime = 8 * sim.Millisecond
-	}
-	if cfg.TorLinkEvery <= 0 {
-		cfg.TorLinkEvery = 30 * sim.Millisecond
-	}
-	if cfg.TorLinkDowntime <= 0 {
-		cfg.TorLinkDowntime = 5 * sim.Millisecond
 	}
 	for i := range cfg.Phases {
 		if cfg.Phases[i].Classes == 0 {
@@ -294,9 +254,6 @@ func (p *Plane) SetObs(pipe *obs.Pipeline) {
 	}
 	p.obs = pipe
 }
-
-// Config returns the plane's effective configuration (defaults applied).
-func (p *Plane) Config() Config { return p.cfg }
 
 // Stats returns a copy of the fault counters; zero for a nil plane.
 func (p *Plane) Stats() Counters {
@@ -417,7 +374,7 @@ func (p *Plane) WireRx(now sim.Time, frame []byte) (out []byte, drop bool, delay
 			return nil, true, 0
 		}
 		if p.rng.Float64() < pFlapStart*lr {
-			p.linkDownUntil = now + p.cfg.FlapDuration
+			p.linkDownUntil = now + flapDuration
 			p.LinkFlaps++
 			p.LinkDropped++
 			p.injected("linkflap")
@@ -425,7 +382,7 @@ func (p *Plane) WireRx(now sim.Time, frame []byte) (out []byte, drop bool, delay
 			return nil, true, 0
 		}
 		if p.rng.Float64() < pJitter*lr {
-			delay = sim.Time(p.rng.Uint64()%uint64(p.cfg.JitterMax)) + 1
+			delay = sim.Time(p.rng.Uint64()%uint64(jitterMax)) + 1
 			p.Jittered++
 			p.injected("jitter")
 		}
@@ -440,7 +397,7 @@ func (p *Plane) WireRx(now sim.Time, frame []byte) (out []byte, drop bool, delay
 }
 
 // corrupt copies frame into the plane's scratch buffer and flips
-// CorruptBits random bits.
+// corruptBits random bits.
 func (p *Plane) corrupt(frame []byte) []byte {
 	if cap(p.scratch) < len(frame) {
 		p.scratch = make([]byte, len(frame))
@@ -450,7 +407,7 @@ func (p *Plane) corrupt(frame []byte) []byte {
 	if len(s) == 0 {
 		return s
 	}
-	for i := 0; i < p.cfg.CorruptBits; i++ {
+	for i := 0; i < corruptBits; i++ {
 		bit := p.rng.Intn(len(s) * 8)
 		s[bit/8] ^= 1 << (bit % 8)
 	}
@@ -476,7 +433,7 @@ func (p *Plane) RingOverrun(now sim.Time, dev string) bool {
 	}
 	if p.rng.Float64() < pOverrunStart*rate {
 		p.OverrunBursts++
-		p.overrunLeft = p.cfg.OverrunBurst - 1
+		p.overrunLeft = overrunBurst - 1
 		p.OverrunDropped++
 		p.injected("overrun")
 		p.dropped(dev, "overrun")
@@ -519,7 +476,7 @@ func (p *Plane) SoftirqStall(now sim.Time) sim.Time {
 	if p.rng.Float64() < pSoftirqStall*rate {
 		p.SoftirqStalls++
 		p.injected("softirqstall")
-		return p.cfg.SoftirqStallDuration
+		return softirqStallDuration
 	}
 	return 0
 }

@@ -231,8 +231,7 @@ func TestPhasePreWindowMatchesUnfaulted(t *testing.T) {
 func TestPhaseClassesAndTimeline(t *testing.T) {
 	eng := sim.NewEngine(1)
 	p := NewPlane(eng, Config{
-		Seed:          2,
-		SpuriousEvery: 100 * sim.Microsecond,
+		Seed: 2,
 		Phases: []Phase{
 			{From: 5 * sim.Millisecond, Until: 15 * sim.Millisecond, Rate: 1, Classes: ClassRing},
 		},
@@ -277,7 +276,7 @@ func (d *stubDevice) SpuriousIRQ(now sim.Time) { d.spurios++ }
 // 0 (it is hardening, not injection) and re-arms only stuck devices.
 func TestWatchdogRescuesStuckDevice(t *testing.T) {
 	eng := sim.NewEngine(1)
-	p := NewPlane(eng, Config{Seed: 1, Rate: 0, WatchdogInterval: sim.Millisecond})
+	p := NewPlane(eng, Config{Seed: 1, Rate: 0})
 	healthy := &stubDevice{name: "eth0"}
 	wedged := &stubDevice{name: "eth1", stuck: true}
 	p.Watch(healthy)

@@ -44,8 +44,8 @@ func (p *Plane) Start(until sim.Time) {
 	} else if p.cfg.Rate > 0 {
 		p.armPhase(p.cfg.Classes, p.eng.Now(), until, p.cfg.Rate)
 	}
-	if len(p.devices) > 0 && p.cfg.WatchdogInterval > 0 {
-		p.armWatchdog(p.eng.Now() + p.cfg.WatchdogInterval)
+	if len(p.devices) > 0 {
+		p.armWatchdog(p.eng.Now() + watchdogInterval)
 	}
 }
 
@@ -74,11 +74,11 @@ func (p *Plane) armPhase(classes Class, base, end sim.Time, rate float64) {
 }
 
 // armSpurious schedules the next spurious interrupt for d after base,
-// stopping at end. Gaps are exponential with mean SpuriousEvery/rate, so
+// stopping at end. Gaps are exponential with mean spuriousEvery/rate, so
 // the event frequency scales with the window's rate like the per-event
 // probabilities do.
 func (p *Plane) armSpurious(d Device, base, end sim.Time, rate float64) {
-	gap := p.rng.ExpDuration(sim.Time(float64(p.cfg.SpuriousEvery) / rate))
+	gap := p.rng.ExpDuration(sim.Time(float64(spuriousEvery) / rate))
 	at := base + gap + 1
 	if at >= end {
 		return
@@ -94,7 +94,7 @@ func (p *Plane) armSpurious(d Device, base, end sim.Time, rate float64) {
 // armStall schedules the next consumer stall for c after base, stopping
 // at end.
 func (p *Plane) armStall(c Consumer, base, end sim.Time, rate float64) {
-	gap := p.rng.ExpDuration(sim.Time(float64(p.cfg.StallEvery) / rate))
+	gap := p.rng.ExpDuration(sim.Time(float64(stallEvery) / rate))
 	at := base + gap + 1
 	if at >= end {
 		return
@@ -102,7 +102,7 @@ func (p *Plane) armStall(c Consumer, base, end sim.Time, rate float64) {
 	p.eng.At(at, func() {
 		p.ConsumerStalls++
 		p.injected("consumerstall")
-		c.Stall(at, p.cfg.StallDuration)
+		c.Stall(at, stallDuration)
 		p.armStall(c, at, end, rate)
 	})
 }
@@ -111,12 +111,12 @@ func (p *Plane) armStall(c Consumer, base, end sim.Time, rate float64) {
 // end. The chain re-arms from the restart time, so one crash's downtime
 // never overlaps the next.
 func (p *Plane) armCrash(base, end sim.Time, rate float64) {
-	gap := p.rng.ExpDuration(sim.Time(float64(p.cfg.CrashEvery) / rate))
+	gap := p.rng.ExpDuration(sim.Time(float64(crashEvery) / rate))
 	at := base + gap + 1
 	if at >= end {
 		return
 	}
-	restore := at + p.cfg.CrashDowntime
+	restore := at + crashDowntime
 	p.eng.At(at, func() {
 		p.HostCrashes++
 		p.injected("hostcrash")
@@ -128,12 +128,12 @@ func (p *Plane) armCrash(base, end sim.Time, rate float64) {
 // armTorLink schedules the next uplink failure after base, stopping at
 // end, re-arming from the restore time.
 func (p *Plane) armTorLink(base, end sim.Time, rate float64) {
-	gap := p.rng.ExpDuration(sim.Time(float64(p.cfg.TorLinkEvery) / rate))
+	gap := p.rng.ExpDuration(sim.Time(float64(torLinkEvery) / rate))
 	at := base + gap + 1
 	if at >= end {
 		return
 	}
-	restore := at + p.cfg.TorLinkDowntime
+	restore := at + torLinkDowntime
 	p.eng.At(at, func() {
 		p.TorLinkDowns++
 		p.injected("torlinkdown")
@@ -149,7 +149,7 @@ func (p *Plane) armWatchdog(at sim.Time) {
 	}
 	p.eng.At(at, func() {
 		p.rescue(at)
-		p.armWatchdog(at + p.cfg.WatchdogInterval)
+		p.armWatchdog(at + watchdogInterval)
 	})
 }
 

@@ -21,8 +21,9 @@ import (
 	"prism/internal/socket"
 )
 
-// DefaultRingSize matches a common mlx5 RX ring configuration.
-const DefaultRingSize = 1024
+// ringSize bounds the RX descriptor ring; it matches a common mlx5 RX
+// ring configuration.
+const ringSize = 1024
 
 // GROMaxSegs caps how many consecutive same-flow TCP segments merge into
 // one SKB (64 KB / MTU rounds to ~43; drivers often cap lower).
@@ -39,8 +40,6 @@ type Config struct {
 	Name string
 	// HostIP is the NIC's own IPv4 address (outer/underlay address).
 	HostIP pkt.IPv4
-	// RingSize bounds the RX descriptor ring.
-	RingSize int
 	// RxUsecs and RxFrames configure interrupt moderation: an interrupt
 	// fires when RxFrames packets are pending or RxUsecs has elapsed since
 	// the first pending packet, whichever is sooner. Zero values disable
@@ -140,9 +139,6 @@ type NIC struct {
 // New builds the NIC and its stage-1 device.
 func New(eng *sim.Engine, sched netdev.Scheduler, costs *netdev.Costs, db *prio.DB,
 	hostSockets *socket.Table, cfg Config) *NIC {
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
 	n := &NIC{
 		eng:         eng,
 		sched:       sched,
@@ -153,7 +149,7 @@ func New(eng *sim.Engine, sched netdev.Scheduler, costs *netdev.Costs, db *prio.
 		lastIRQ:     -sim.Second, // the first packet ever interrupts at once
 		nextID:      cfg.FirstID,
 	}
-	n.Dev = netdev.NewDevice(cfg.Name, netdev.DriverNIC, netdev.HandlerFunc(n.handle), cfg.RingSize)
+	n.Dev = netdev.NewDevice(cfg.Name, netdev.DriverNIC, netdev.HandlerFunc(n.handle), ringSize)
 	n.fireIRQFn = n.fireIRQ
 	return n
 }

@@ -134,9 +134,9 @@ func TestInterruptModerationFrameThreshold(t *testing.T) {
 }
 
 func TestRingOverrunDrops(t *testing.T) {
-	eng, _, n, _, _ := newNIC(t, Config{RingSize: 4, RxUsecs: sim.Millisecond, RxFrames: 100})
+	eng, _, n, _, _ := newNIC(t, Config{RxUsecs: sim.Millisecond, RxFrames: 2 * ringSize})
 	eng.At(0, func() {
-		for i := 0; i < 10; i++ {
+		for i := 0; i < ringSize+6; i++ {
 			n.DMA(0, overlayFrame(uint16(1000+i), nil))
 		}
 	})
