@@ -20,7 +20,10 @@
 // scenario file's experiment block also resolves against. -policy,
 // -faultrate, -hosts, -containers and -placement fill experiments.Args,
 // the grid knobs both front ends share; a value Args.Validate rejects
-// (an unknown poll policy or placement) exits 2 before anything runs.
+// (an unknown poll policy or placement, a fault rate outside [0, 1], a
+// negative host or container count) exits 2 with one line before
+// anything runs, as does a -duration that is not positive or a negative
+// -warmup.
 // -cdf, -metrics-out and -trace-out post-process the returned result.
 //
 // -scenario runs a declarative scenario file (YAML subset or JSON, see
@@ -166,6 +169,14 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if err := args.Validate(); err != nil {
 		fmt.Fprintln(stderr, "prismsim:", err)
+		return 2
+	}
+	if *duration <= 0 {
+		fmt.Fprintf(stderr, "prismsim: -duration: must be positive, got %v\n", *duration)
+		return 2
+	}
+	if *warmup < 0 {
+		fmt.Fprintf(stderr, "prismsim: -warmup: must not be negative, got %v\n", *warmup)
 		return 2
 	}
 

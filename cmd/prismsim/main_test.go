@@ -72,6 +72,11 @@ func TestBadArgsExitTwo(t *testing.T) {
 		{[]string{"-exp", "failover", "-placement", "bogus"}, `"bogus"`},
 		{[]string{"-exp", "chaos", "-faultrate", "4"}, "fault rate 2 outside [0, 1]"},
 		{[]string{"-exp", "chaos", "-faultrate", "-1"}, "fault rate -0.25 outside [0, 1]"},
+		{[]string{"-exp", "cluster", "-hosts", "-3", "-containers", "40"}, "hosts: must not be negative, got -3"},
+		{[]string{"-exp", "failover", "-containers", "-5"}, "containers: must not be negative, got -5"},
+		{[]string{"-exp", "fig3", "-duration", "-5ms"}, "-duration: must be positive, got -5ms"},
+		{[]string{"-exp", "fig3", "-duration", "0s"}, "-duration: must be positive, got 0s"},
+		{[]string{"-exp", "fig3", "-warmup", "-1ms"}, "-warmup: must not be negative, got -1ms"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(tc.argv, &stdout, &stderr)

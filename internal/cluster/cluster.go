@@ -21,6 +21,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"prism/internal/fault"
@@ -462,7 +463,7 @@ func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, 
 			return
 		}
 		wait := arrive - now
-		delay := retryBackoff.Delay(attempt + 1)
+		delay := retryDelay(attempt + 1)
 		in.Retries++
 		in.Shard.Eng.At(now+delay, func() {
 			nn := in.Shard.Eng.Now()
@@ -683,54 +684,20 @@ func (c *Cluster) fabricInFlight() int {
 	return n
 }
 
-// Terms aggregates the cluster-wide conservation terms, with per-host and
-// per-switch breakdowns (so a broken equation names its residual) and one
-// reconciliation record per recovery migration.
-func (c *Cluster) Terms() testbed.ClusterTerms {
-	var t testbed.ClusterTerms
-	for _, n := range c.Nodes {
-		t.Injected += n.Injected
-		t.ToHosts += n.FromFabric
-		t.ToClients += n.ToClients
-		t.Dropped += n.Misrouted + n.CrashRx + n.EpochDrops
-		t.CrashDropped += n.CrashRx
-		t.EpochDropped += n.EpochDrops
-		t.PerHost = append(t.PerHost, testbed.HostTerms{
-			Name: n.Name, Injected: n.Injected, FromFabric: n.FromFabric,
-			ToClients: n.ToClients, Misrouted: n.Misrouted,
-			CrashRx: n.CrashRx, CrashTx: n.CrashTx, EpochDrops: n.EpochDrops,
-		})
-	}
-	for _, sw := range c.switches() {
-		t.Dropped += sw.dropped()
-		t.PerSwitch = append(t.PerSwitch, testbed.SwitchTerms{
-			Name: sw.Name, Rx: sw.RxFrames, Forwarded: sw.forwarded(),
-			Dropped: sw.dropped(), InFlight: sw.inFlight(),
-		})
-	}
-	if c.rec != nil {
-		for _, m := range c.rec.migrations {
-			f := c.Flows[m.Flow]
-			mt := testbed.MigrationTerm{
-				Flow: f.Spec.Name, OldHost: m.OldHost, NewHost: m.NewHost,
-				At: m.At, ServedAtSwap: m.ServedAtSwap,
-			}
-			if f.PP != nil {
-				mt.Sent, mt.Served, mt.Received = f.PP.Sent, f.PP.Served(), f.PP.Received
-			} else if f.Flood != nil {
-				mt.Sent, mt.Served = f.Flood.Sent, f.Flood.DeliveredCount()
-				mt.Received = mt.Served
-			}
-			t.Migrations = append(t.Migrations, mt)
-		}
-	}
-	t.InFlight = c.fabricInFlight()
-	return t
-}
-
-// CheckInvariants verifies per-host and cluster-wide conservation. strict
-// additionally demands zero in-flight state everywhere — call it only
-// after Settle.
+// CheckInvariants verifies per-host and cluster-wide conservation. Each
+// host's own ledger must balance (testbed.CheckHosts); the hosts' wire
+// arrivals must equal the frames the fabric delivered to them; every
+// frame that entered the fabric must be delivered to a host or a client,
+// dropped, or visibly in flight; each switch's arrivals must balance;
+// and every recovery migration must reconcile its service counters
+// across the old and new replica. strict additionally demands zero
+// in-flight state everywhere — call it only after Settle.
+//
+// Conservation holds across host crashes and routing-epoch swaps because
+// the boundary cases are counted, not discarded: a down host's wire
+// absorbs frames as CrashRx, a stale-epoch arrival lands in EpochDrops,
+// and both count as fabric drops. A failed fabric equation appends the
+// per-host and per-switch counters, so its residual is attributable.
 func (c *Cluster) CheckInvariants(strict bool) error {
 	hosts := make([]*overlay.Host, len(c.Nodes))
 	planes := make([]*fault.Plane, len(c.Nodes))
@@ -738,7 +705,83 @@ func (c *Cluster) CheckInvariants(strict bool) error {
 		hosts[i] = n.Host
 		planes[i] = n.Plane
 	}
-	return testbed.CheckCluster(hosts, planes, c.Terms(), strict)
+	if err := testbed.CheckHosts(hosts, planes, strict); err != nil {
+		return err
+	}
+	var wire, injected, toHosts, toClients, dropped uint64
+	for _, n := range c.Nodes {
+		wire += n.Host.RxWire
+		injected += n.Injected
+		toHosts += n.FromFabric
+		toClients += n.ToClients
+		dropped += n.Misrouted + n.CrashRx + n.EpochDrops
+	}
+	for _, sw := range c.switches() {
+		dropped += sw.dropped()
+	}
+	inFlight := uint64(c.fabricInFlight())
+	if wire != toHosts {
+		return fmt.Errorf("cluster: fabric handoff broken: hosts saw %d wire frames but the fabric delivered %d%s",
+			wire, toHosts, c.residualTables())
+	}
+	if injected != toHosts+toClients+dropped+inFlight {
+		return fmt.Errorf("cluster: fabric conservation broken: %d injected != %d to-hosts + %d to-clients + %d dropped + %d in-flight%s",
+			injected, toHosts, toClients, dropped, inFlight, c.residualTables())
+	}
+	for _, sw := range c.switches() {
+		if sw.RxFrames != sw.forwarded()+sw.dropped()+uint64(sw.inFlight()) {
+			return fmt.Errorf("cluster: %s conservation broken: %d rx != %d forwarded + %d dropped + %d in-flight%s",
+				sw.Name, sw.RxFrames, sw.forwarded(), sw.dropped(), sw.inFlight(), c.residualTables())
+		}
+	}
+	for _, m := range c.Migrations() {
+		name := c.Flows[m.Flow].Spec.Name
+		sent, served, received := c.replicaCounts(m)
+		if m.ServedAtSwap > served {
+			return fmt.Errorf("cluster: migration %s (host%02d->host%02d at %d): old replica had served %d at the swap but the replicas total only %d",
+				name, m.OldHost, m.NewHost, m.At, m.ServedAtSwap, served)
+		}
+		if served > sent {
+			return fmt.Errorf("cluster: migration %s (host%02d->host%02d at %d): replicas served %d of only %d sent",
+				name, m.OldHost, m.NewHost, m.At, served, sent)
+		}
+		if received > served {
+			return fmt.Errorf("cluster: migration %s (host%02d->host%02d at %d): client received %d but the replicas served only %d",
+				name, m.OldHost, m.NewHost, m.At, received, served)
+		}
+	}
+	if strict && inFlight != 0 {
+		return fmt.Errorf("cluster: settled fabric still holds %d frames%s", inFlight, c.residualTables())
+	}
+	return nil
+}
+
+// replicaCounts returns a migrated flow's generator emissions, its
+// service total across the old and new replica, and its client-side
+// deliveries (a flood's sink deliveries count as both).
+func (c *Cluster) replicaCounts(m Migration) (sent, served, received uint64) {
+	f := c.Flows[m.Flow]
+	if f.PP != nil {
+		return f.PP.Sent, f.PP.Served(), f.PP.Received
+	}
+	served = f.Flood.DeliveredCount()
+	return f.Flood.Sent, served, served
+}
+
+// residualTables renders the per-host and per-switch counters appended to
+// a failed fabric equation.
+func (c *Cluster) residualTables() string {
+	var b strings.Builder
+	b.WriteString("\nper-host terms (injected / from-fabric / to-clients / misrouted / crash-rx / crash-tx / epoch-drops):")
+	for _, n := range c.Nodes {
+		fmt.Fprintf(&b, "\n  %s: %d / %d / %d / %d / %d / %d / %d",
+			n.Name, n.Injected, n.FromFabric, n.ToClients, n.Misrouted, n.CrashRx, n.CrashTx, n.EpochDrops)
+	}
+	b.WriteString("\nper-switch terms (rx / forwarded / dropped / in-flight):")
+	for _, sw := range c.switches() {
+		fmt.Fprintf(&b, "\n  %s: %d / %d / %d / %d", sw.Name, sw.RxFrames, sw.forwarded(), sw.dropped(), sw.inFlight())
+	}
+	return b.String()
 }
 
 // LatencyHists merges the echo flows' latency histograms by priority

@@ -94,58 +94,90 @@ func Place(policy Placement, specs []ContainerSpec, hosts, hostCap int) ([]int, 
 		return nil, fmt.Errorf("cluster: %d containers exceed cluster capacity %d (%d hosts × %d)",
 			len(specs), hosts*hostCap, hosts, hostCap)
 	}
-	count := make([]int, hosts)
-	assign := make([]int, len(specs))
-	leastLoaded := func() int {
-		best := -1
-		for h := 0; h < hosts; h++ {
-			if count[h] >= hostCap {
-				continue
-			}
-			if best < 0 || count[h] < count[best] {
-				best = h
-			}
-		}
-		return best
+	hi := make([]bool, len(specs))
+	alive := make([]bool, hosts)
+	for i, s := range specs {
+		hi[i] = s.Hi
 	}
-	firstFit := func() int {
-		for h := 0; h < hosts; h++ {
-			if count[h] < hostCap {
-				return h
-			}
-		}
-		return -1
+	for h := range alive {
+		alive[h] = true
 	}
-	place := func(i, h int) {
+	return replace(policy, hi, make([]int, hosts), alive, hostCap)
+}
+
+// replace is the one placer behind build-time placement and recovery's
+// re-placement: it assigns containers of priority classes hi to hosts,
+// starting from load (every host's current container count) and using
+// only the hosts alive marks, never more than hostCap per host. Spread
+// picks the least-loaded host, Pack the first with room, and Priority
+// packs the best-effort containers before spreading the high-priority
+// ones across the hosts the packing left emptiest. It fails loudly —
+// never wraps around — when the alive hosts cannot absorb them all.
+func replace(policy Placement, hi []bool, load []int, alive []bool, hostCap int) ([]int, error) {
+	free := 0
+	for h, n := range load {
+		if alive[h] && n < hostCap {
+			free += hostCap - n
+		}
+	}
+	if len(hi) > free {
+		return nil, fmt.Errorf("cluster: %d orphaned containers exceed surviving capacity %d (cap %d per host)",
+			len(hi), free, hostCap)
+	}
+	count := append([]int(nil), load...)
+	assign := make([]int, len(hi))
+	place := func(i int, pick func(count []int, usable []bool, hostCap int) int) {
+		h := pick(count, alive, hostCap)
 		assign[i] = h
 		count[h]++
 	}
 	switch policy {
 	case PlaceSpread:
-		for i := range specs {
-			place(i, leastLoaded())
+		for i := range hi {
+			place(i, leastLoaded)
 		}
 	case PlacePack:
-		for i := range specs {
-			place(i, firstFit())
+		for i := range hi {
+			place(i, firstFit)
 		}
 	case PlacePriority:
-		// Best-effort first, packed; then high priority onto the hosts
-		// the packing left emptiest.
-		for i, s := range specs {
-			if !s.Hi {
-				place(i, firstFit())
+		for i, isHi := range hi {
+			if !isHi {
+				place(i, firstFit)
 			}
 		}
-		for i, s := range specs {
-			if s.Hi {
-				place(i, leastLoaded())
+		for i, isHi := range hi {
+			if isHi {
+				place(i, leastLoaded)
 			}
 		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(policy))
 	}
 	return assign, nil
+}
+
+// leastLoaded returns the usable host holding the fewest containers below
+// hostCap, ties to the lowest ID; -1 when none has room.
+func leastLoaded(count []int, usable []bool, hostCap int) int {
+	best := -1
+	for h, n := range count {
+		if usable[h] && n < hostCap && (best < 0 || n < count[best]) {
+			best = h
+		}
+	}
+	return best
+}
+
+// firstFit returns the lowest-ID usable host below hostCap; -1 when none
+// has room.
+func firstFit(count []int, usable []bool, hostCap int) int {
+	for h, n := range count {
+		if usable[h] && n < hostCap {
+			return h
+		}
+	}
+	return -1
 }
 
 // Route is one snapshot entry: where frames for a destination port go.

@@ -42,7 +42,6 @@ import (
 	"prism/internal/fault"
 	"prism/internal/par"
 	"prism/internal/prio"
-	rec "prism/internal/recover"
 	"prism/internal/sim"
 )
 
@@ -59,16 +58,111 @@ const (
 	checkEvery = 500 * sim.Microsecond
 )
 
-// retryBackoff shapes degraded-mode admission retry delays: 200µs
-// doubling per attempt, capped at 2ms.
-var retryBackoff = rec.Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond}
+// Degraded-mode admission retry delays: retryBase doubling per attempt,
+// capped at retryCap.
+const (
+	retryBase = 200 * sim.Microsecond
+	retryCap  = 2 * sim.Millisecond
+)
+
+// retryDelay returns the wait before retry attempt n (1-based):
+// retryBase·2^(n-1) clamped to retryCap.
+func retryDelay(attempt int) sim.Time {
+	d := retryBase
+	for i := 1; i < attempt && d < retryCap; i++ {
+		d *= 2
+	}
+	return min(d, retryCap)
+}
+
+// EventKind selects a scripted failure class.
+type EventKind int
+
+const (
+	// HostCrash fail-stops a host at the wire: nothing enters or leaves
+	// it until the event's recovery time. The host's internal state is
+	// preserved (a crash-restart with warm caches, not a reimage).
+	HostCrash EventKind = iota
+	// TorLinkDown severs a rack's ToR→spine uplink: frames queued at or
+	// arriving for the uplink are dropped until the link restores.
+	TorLinkDown
+)
+
+// String names the kind as scenario files spell it.
+func (k EventKind) String() string {
+	switch k {
+	case HostCrash:
+		return "host_crash"
+	case TorLinkDown:
+		return "tor_link_down"
+	}
+	return fmt.Sprintf("event(%d)", int(k))
+}
+
+// ParseEventKind resolves a kind by its String name.
+func ParseEventKind(name string) (EventKind, error) {
+	switch name {
+	case "host_crash":
+		return HostCrash, nil
+	case "tor_link_down":
+		return TorLinkDown, nil
+	}
+	return 0, fmt.Errorf("cluster: unknown event kind %q (valid: host_crash, tor_link_down)", name)
+}
+
+// Event is one scripted deterministic failure.
+type Event struct {
+	Kind EventKind
+	// Host is the crashed host (HostCrash); Tor the rack whose spine
+	// uplink fails (TorLinkDown).
+	Host int
+	Tor  int
+	// At is the failure time; Until the recovery time (0 = never — the
+	// failure lasts the rest of the run).
+	At    sim.Time
+	Until sim.Time
+}
+
+// Script is a deterministic failure timeline. Order does not matter; the
+// cluster schedules each event at its own time.
+type Script []Event
+
+// Validate checks every event against the cluster's shape. hosts and
+// racks are the topology bounds; racks < 2 means the fabric has no spine
+// uplinks to sever.
+func (s Script) Validate(hosts, racks int) error {
+	for i, ev := range s {
+		switch ev.Kind {
+		case HostCrash:
+			if ev.Host < 0 || ev.Host >= hosts {
+				return fmt.Errorf("cluster: script[%d]: host %d out of range [0,%d)", i, ev.Host, hosts)
+			}
+		case TorLinkDown:
+			if racks < 2 {
+				return fmt.Errorf("cluster: script[%d]: tor_link_down needs a multi-rack fabric (got %d rack)", i, racks)
+			}
+			if ev.Tor < 0 || ev.Tor >= racks {
+				return fmt.Errorf("cluster: script[%d]: tor %d out of range [0,%d)", i, ev.Tor, racks)
+			}
+		default:
+			return fmt.Errorf("cluster: script[%d]: unknown event kind %d", i, int(ev.Kind))
+		}
+		if ev.At <= 0 {
+			return fmt.Errorf("cluster: script[%d]: failure time must be positive, got %v", i, ev.At)
+		}
+		if ev.Until != 0 && ev.Until <= ev.At {
+			return fmt.Errorf("cluster: script[%d]: recovery %v not after failure %v", i, ev.Until, ev.At)
+		}
+	}
+	return nil
+}
 
 // RecoveryConfig arms the failure detector and recovery controller.
 type RecoveryConfig struct {
 	// Script lists deterministic scripted failure events (in addition to
 	// any plane-driven ones the hosts' fault configs enable via
 	// fault.ClassHostCrash / fault.ClassTorLink).
-	Script rec.Script
+	Script Script
 	// RetryMax bounds admission-refusal retries per frame while the
 	// cluster is degraded; 0 disables retry.
 	RetryMax int
@@ -100,10 +194,9 @@ type Migration struct {
 
 // recoveryState is the controller's working state.
 type recoveryState struct {
-	cfg    RecoveryConfig
-	det    *rec.Detector
-	policy rec.Policy
-	// alive flags hosts not yet cordoned; aliveN counts them.
+	cfg RecoveryConfig
+	// alive flags hosts not yet cordoned; aliveN counts them. A host
+	// leaves alive when the detector suspects it and never returns.
 	alive  []bool
 	aliveN int
 	// torDown mirrors each rack's authoritative uplink state (written on
@@ -133,21 +226,12 @@ func (c *Cluster) initRecovery() error {
 	if err := rc.Script.Validate(c.Cfg.Hosts, c.Cfg.Fabric.Racks); err != nil {
 		return err
 	}
-	policy := rec.Spread
-	switch c.Cfg.Placement {
-	case PlacePack:
-		policy = rec.Pack
-	case PlacePriority:
-		policy = rec.Priority
-	}
 	alive := make([]bool, c.Cfg.Hosts)
 	for i := range alive {
 		alive[i] = true
 	}
 	c.rec = &recoveryState{
 		cfg:     *rc,
-		det:     rec.NewDetector(c.Cfg.Hosts, suspectAfter),
-		policy:  policy,
 		alive:   alive,
 		aliveN:  c.Cfg.Hosts,
 		torDown: make([]bool, len(c.Tors)),
@@ -184,10 +268,10 @@ func (c *Cluster) armRecovery() {
 	for _, ev := range r.cfg.Script {
 		ev := ev
 		switch ev.Kind {
-		case rec.HostCrash:
+		case HostCrash:
 			n := c.Nodes[ev.Host]
 			n.Host.Eng.At(ev.At, func() { c.crashNode(n, ev.At, ev.Until) })
-		case rec.TorLinkDown:
+		case TorLinkDown:
 			tor := ev.Tor
 			c.Tors[tor].Shard.Eng.At(ev.At, func() { c.torLinkDown(tor, ev.At, ev.Until) })
 		}
@@ -258,10 +342,13 @@ func (c *Cluster) torLinkDown(r int, at, restore sim.Time) {
 	}
 }
 
-// controlTick is the barrier-quantized controller: collect heartbeats,
-// recover newly suspected hosts, and mirror ToR uplink state onto the
-// spine's ports. It runs on the coordinator with every shard quiescent;
-// it mutates state but never schedules events. Ticks past the horizon
+// controlTick is the barrier-quantized controller: recover every alive
+// host whose last heartbeat is strictly older than suspectAfter, in host
+// ID order, and mirror ToR uplink state onto the spine's ports. A
+// heartbeat exactly suspectAfter old keeps the host alive; suspicion is
+// permanent, since a recovered host leaves alive for good. It runs on
+// the coordinator with every shard quiescent; it mutates state but never
+// schedules events. Ticks past the horizon
 // (Settle's drain rounds) are ignored — no beats arrive after the
 // horizon, and reacting to that silence would false-suspect every host.
 func (c *Cluster) controlTick(at sim.Time) {
@@ -270,10 +357,9 @@ func (c *Cluster) controlTick(at sim.Time) {
 		return
 	}
 	for _, n := range c.Nodes {
-		r.det.Beat(n.ID, n.lastBeat)
-	}
-	for _, h := range r.det.Suspects(at) {
-		c.recoverHost(h, at)
+		if r.alive[n.ID] && at-n.lastBeat > suspectAfter {
+			c.recoverHost(n.ID, at)
+		}
 	}
 	if c.Spine != nil {
 		for rack, down := range r.torDown {
@@ -330,13 +416,12 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 	}
 	n := c.Nodes[h]
 	r.detections = append(r.detections, Detection{Host: h, DownAt: n.downAt, SuspectAt: at})
-	if r.alive[h] {
-		r.alive[h] = false
-		r.aliveN--
-	}
+	r.alive[h] = false
+	r.aliveN--
 	r.degraded = true
 	if r.cfg.DegradeAdmission {
-		f := rec.CapacityFactor(r.aliveN, c.Cfg.Hosts)
+		// Scale admission to the surviving-capacity fraction.
+		f := float64(r.aliveN) / float64(c.Cfg.Hosts)
 		for _, node := range c.Nodes {
 			node.Bucket.SetFactor(at, f)
 		}
@@ -358,7 +443,7 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 	for i, node := range c.Nodes {
 		load[i] = len(node.Host.Containers)
 	}
-	dest, err := rec.Replace(r.policy, hi, load, r.alive, c.Cfg.HostCap)
+	dest, err := replace(c.Cfg.Placement, hi, load, r.alive, c.Cfg.HostCap)
 	if err != nil {
 		r.err = fmt.Errorf("cluster: recovering host%02d at %d: %w", h, at, err)
 		return
@@ -371,13 +456,13 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 		}
 	}
 	// Under the Priority policy the crashed host is usually the packed
-	// best-effort dump, and Replace necessarily re-packs that load onto a
+	// best-effort dump, and replace necessarily re-packs that load onto a
 	// survivor that is already serving prioritized flows — the isolation
 	// the original placement established would silently die with the
 	// host. Restore it in the same epoch: evict the prioritized flows
 	// from every host that just absorbed best-effort orphans onto the
 	// least-loaded survivors that did not.
-	if r.policy == rec.Priority {
+	if c.Cfg.Placement == PlacePriority {
 		dump := make([]bool, len(c.Nodes))
 		dumped := false
 		for k := range orphans {
@@ -388,26 +473,16 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 		}
 		if dumped {
 			count := make([]int, len(c.Nodes))
+			target := make([]bool, len(c.Nodes))
 			for i, node := range c.Nodes {
 				count[i] = len(node.Host.Containers)
-			}
-			target := func() int {
-				best := -1
-				for i := range c.Nodes {
-					if !r.alive[i] || dump[i] || count[i] >= c.Cfg.HostCap {
-						continue
-					}
-					if best < 0 || count[i] < count[best] {
-						best = i
-					}
-				}
-				return best
+				target[i] = r.alive[i] && !dump[i]
 			}
 			for i, fl := range c.Flows {
 				if !fl.Spec.Hi || !dump[c.Assignment[i]] {
 					continue
 				}
-				d := target()
+				d := leastLoaded(count, target, c.Cfg.HostCap)
 				if d < 0 {
 					break // every survivor is a dump host; leave in place
 				}

@@ -7,7 +7,6 @@ import (
 
 	"prism/internal/fault"
 	"prism/internal/obs"
-	rec "prism/internal/recover"
 	"prism/internal/sim"
 )
 
@@ -104,7 +103,7 @@ func TestSwapSnapshotVersionMonotonic(t *testing.T) {
 func recoverySmallConfig(seed uint64) Config {
 	cfg := smallConfig(seed)
 	cfg.Recovery = &RecoveryConfig{
-		Script:           rec.Script{{Kind: rec.HostCrash, Host: 1, At: 8 * sim.Millisecond}},
+		Script:           Script{{Kind: HostCrash, Host: 1, At: 8 * sim.Millisecond}},
 		RetryMax:         3,
 		DegradeAdmission: true,
 	}
@@ -162,13 +161,13 @@ func TestClusterScriptedCrashRecovers(t *testing.T) {
 	}
 	// The new replicas must actually serve: at least one migrated flow's
 	// service count grew past its at-swap value.
-	served := false
-	for _, mt := range c.Terms().Migrations {
-		if mt.Served > mt.ServedAtSwap {
-			served = true
+	grew := false
+	for _, m := range migs {
+		if _, served, _ := c.replicaCounts(m); served > m.ServedAtSwap {
+			grew = true
 		}
 	}
-	if !served {
+	if !grew {
 		t.Fatal("no migrated flow served anything after the swap")
 	}
 	if rx, _ := c.CrashDrops(); rx == 0 {
@@ -233,13 +232,43 @@ func TestClusterPlaneDrivenCrash(t *testing.T) {
 	}
 }
 
+// TestPriorityRecoveryEvictsHiFromDumpHost: under PlacePriority the
+// crashed host's best-effort orphan is packed onto the first survivor,
+// which already serves a prioritized flow. Recovery must move that flow
+// to a survivor that took no best-effort orphan, although the dump host
+// itself ties for least loaded.
+func TestPriorityRecoveryEvictsHiFromDumpHost(t *testing.T) {
+	cfg := Config{
+		Hosts: 3, HostCap: 3, Placement: PlacePriority, Seed: 1,
+		Host: testHostSpec(), Specs: specsOf("LHHH"),
+		Fabric: FabricConfig{Racks: 1}, Recovery: &RecoveryConfig{},
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 2, 0}; !reflect.DeepEqual(c.Assignment, want) {
+		t.Fatalf("placement = %v, want %v", c.Assignment, want)
+	}
+	c.horizon = sim.Second
+	c.recoverHost(0, sim.Millisecond)
+	if c.rec.err != nil {
+		t.Fatal(c.rec.err)
+	}
+	// c0 (best effort) lands on host 1 and c3 (hi) on host 2; host 1's
+	// hi flow c1 then moves to host 2, the survivor without a dump.
+	if want := []int{1, 2, 2, 2}; !reflect.DeepEqual(c.Assignment, want) {
+		t.Fatalf("after recovery = %v, want %v", c.Assignment, want)
+	}
+}
+
 // --- ToR uplink failure ---
 
 func TestClusterTorLinkDownWindow(t *testing.T) {
 	cfg := smallConfig(41)
 	cfg.Recovery = &RecoveryConfig{
-		Script: rec.Script{{
-			Kind: rec.TorLinkDown, Tor: 1,
+		Script: Script{{
+			Kind: TorLinkDown, Tor: 1,
 			At: 6 * sim.Millisecond, Until: 12 * sim.Millisecond,
 		}},
 	}
@@ -286,7 +315,7 @@ func TestClusterRecoveryOverCapacityFailsLoudly(t *testing.T) {
 	cfg.Specs = testSpecs(2, 24) // 24 containers on 2 hosts of 13: no survivor can hold both shares
 	cfg.Fabric = FabricConfig{Racks: 1}
 	cfg.Recovery = &RecoveryConfig{
-		Script: rec.Script{{Kind: rec.HostCrash, Host: 0, At: 5 * sim.Millisecond}},
+		Script: Script{{Kind: HostCrash, Host: 0, At: 5 * sim.Millisecond}},
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -301,7 +330,7 @@ func TestClusterRecoveryOverCapacityFailsLoudly(t *testing.T) {
 func TestClusterRecoveryScriptValidated(t *testing.T) {
 	cfg := smallConfig(47)
 	cfg.Recovery = &RecoveryConfig{
-		Script: rec.Script{{Kind: rec.HostCrash, Host: 99, At: sim.Millisecond}},
+		Script: Script{{Kind: HostCrash, Host: 99, At: sim.Millisecond}},
 	}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("out-of-range scripted host accepted")
@@ -371,7 +400,7 @@ func TestClusterAdmissionRetryBackoffPinned(t *testing.T) {
 	cfg := smallConfig(61)
 	cfg.Admission = &Admission{Rate: 20_000, Burst: 16, HiReserve: 0.5}
 	cfg.Recovery = &RecoveryConfig{
-		Script:           rec.Script{{Kind: rec.HostCrash, Host: 1, At: 6 * sim.Millisecond}},
+		Script:           Script{{Kind: HostCrash, Host: 1, At: 6 * sim.Millisecond}},
 		RetryMax:         5,
 		DegradeAdmission: true,
 	}
@@ -391,5 +420,156 @@ func TestClusterAdmissionRetryBackoffPinned(t *testing.T) {
 	}
 	if want := "7859b3803275025726dd435c3cd69af2b145ae264ead1d24067f0ad27d49ef54"; metrics != want {
 		t.Errorf("metrics digest %s, want %s", metrics, want)
+	}
+}
+
+// --- failure script ---
+
+func TestEventKindRoundTrip(t *testing.T) {
+	for _, k := range []EventKind{HostCrash, TorLinkDown} {
+		got, err := ParseEventKind(k.String())
+		if err != nil {
+			t.Fatalf("ParseEventKind(%q): %v", k.String(), err)
+		}
+		if got != k {
+			t.Fatalf("round trip %v -> %q -> %v", k, k.String(), got)
+		}
+	}
+	if _, err := ParseEventKind("meteor_strike"); err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+}
+
+func TestScriptValidate(t *testing.T) {
+	ms := sim.Millisecond
+	ok := Script{
+		{Kind: HostCrash, Host: 3, At: 10 * ms, Until: 25 * ms},
+		{Kind: TorLinkDown, Tor: 1, At: 5 * ms}, // never restores
+	}
+	if err := ok.Validate(8, 2); err != nil {
+		t.Fatalf("valid script rejected: %v", err)
+	}
+	cases := []struct {
+		name  string
+		s     Script
+		racks int
+		want  string
+	}{
+		{"host out of range", Script{{Kind: HostCrash, Host: 8, At: ms}}, 2, "out of range"},
+		{"negative host", Script{{Kind: HostCrash, Host: -1, At: ms}}, 2, "out of range"},
+		{"tor out of range", Script{{Kind: TorLinkDown, Tor: 2, At: ms}}, 2, "out of range"},
+		{"single rack", Script{{Kind: TorLinkDown, Tor: 0, At: ms}}, 1, "multi-rack"},
+		{"zero time", Script{{Kind: HostCrash, Host: 0}}, 2, "must be positive"},
+		{"recovery before failure", Script{{Kind: HostCrash, Host: 0, At: 2 * ms, Until: ms}}, 2, "not after"},
+		{"bad kind", Script{{Kind: EventKind(9), At: ms}}, 2, "unknown event kind"},
+	}
+	for _, tc := range cases {
+		err := tc.s.Validate(8, tc.racks)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// --- heartbeat failure detector ---
+
+// detectorCluster builds (without running) a 4-host cluster with
+// recovery armed, so a test can set heartbeats and drive controlTick by
+// hand.
+func detectorCluster(t *testing.T) *Cluster {
+	t.Helper()
+	cfg := smallConfig(53)
+	cfg.Recovery = &RecoveryConfig{}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.horizon = sim.Second
+	return c
+}
+
+func detectedHosts(c *Cluster) []int {
+	var hosts []int
+	for _, d := range c.Detections() {
+		hosts = append(hosts, d.Host)
+	}
+	return hosts
+}
+
+func TestDetectorSuspectsAfterTimeout(t *testing.T) {
+	ms := sim.Millisecond
+	c := detectorCluster(t)
+	for _, n := range c.Nodes {
+		n.lastBeat = 10 * ms
+	}
+	c.Nodes[2].lastBeat = 9 * ms
+	c.controlTick(10 * ms)
+	if got := detectedHosts(c); got != nil {
+		t.Fatalf("fresh hosts suspected: %v", got)
+	}
+	// Host 2's beat is now 2ms old; the others are exactly at the
+	// timeout (strict comparison keeps them alive).
+	c.controlTick(11 * ms)
+	if got := detectedHosts(c); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("detections = %v, want [2]", got)
+	}
+	if c.rec.alive[2] || !c.rec.alive[0] {
+		t.Fatal("alive flags wrong")
+	}
+	// Suspicion is reported once, and is permanent even if beats resume.
+	c.controlTick(11 * ms)
+	for _, n := range c.Nodes {
+		n.lastBeat = 12 * ms
+	}
+	c.controlTick(12 * ms)
+	if got := detectedHosts(c); !reflect.DeepEqual(got, []int{2}) {
+		t.Fatalf("host 2 re-reported: %v", got)
+	}
+	if c.rec.alive[2] {
+		t.Fatal("suspicion cleared by a late beat")
+	}
+}
+
+// TestDetectorFalseSuspectBoundary pins the strict-timeout contract: a
+// heartbeat exactly suspectAfter old at a control tick must NOT be
+// suspected, one tick older must, and hosts are recovered in ID order.
+func TestDetectorFalseSuspectBoundary(t *testing.T) {
+	c := detectorCluster(t)
+	beat := 5 * sim.Millisecond
+	for _, n := range c.Nodes {
+		n.lastBeat = beat
+	}
+	c.Nodes[1].lastBeat = beat - 1 // one tick staler
+	c.Nodes[3].lastBeat = beat + 1 // one tick fresher
+
+	now := beat + suspectAfter // hosts 0 and 2 exactly at the deadline
+	c.controlTick(now)
+	if got := detectedHosts(c); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("at the deadline: detections = %v, want [1] (hosts 0 and 2 are exactly at timeout, not past it)", got)
+	}
+	c.controlTick(now + 1)
+	if got := detectedHosts(c); !reflect.DeepEqual(got, []int{1, 0, 2}) {
+		t.Fatalf("one past the deadline: detections = %v, want [1 0 2]", got)
+	}
+}
+
+// --- degraded-mode admission retry ---
+
+func TestBackoffDelay(t *testing.T) {
+	want := []sim.Time{
+		200 * sim.Microsecond,  // attempt 1
+		400 * sim.Microsecond,  // 2
+		800 * sim.Microsecond,  // 3
+		1600 * sim.Microsecond, // 4
+		2 * sim.Millisecond,    // 5 clamped
+		2 * sim.Millisecond,    // 6 clamped
+	}
+	for i, w := range want {
+		if got := retryDelay(i + 1); got != w {
+			t.Errorf("retryDelay(%d) = %v, want %v", i+1, got, w)
+		}
+	}
+	if got := retryDelay(0); got != retryBase {
+		t.Errorf("retryDelay(0) = %v, want base", got)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -11,35 +12,6 @@ import (
 	"prism/internal/sim"
 	"prism/internal/stats"
 )
-
-// ClusterConfig sizes the datacenter experiment.
-type ClusterConfig struct {
-	// Hosts / Containers set the cluster scale.
-	Hosts      int
-	Containers int
-	// Placements lists the compared policies (empty = all three).
-	Placements []cluster.Placement
-}
-
-// DefaultClusterConfig is the paper-scale point the golden fixtures pin:
-// 16 hosts in 2 racks, 1000 containers.
-func DefaultClusterConfig() ClusterConfig {
-	return ClusterConfig{Hosts: 16, Containers: 1000, Placements: cluster.Placements}
-}
-
-func (cc ClusterConfig) withDefaults() ClusterConfig {
-	def := DefaultClusterConfig()
-	if cc.Hosts <= 0 {
-		cc.Hosts = def.Hosts
-	}
-	if cc.Containers <= 0 {
-		cc.Containers = def.Containers
-	}
-	if len(cc.Placements) == 0 {
-		cc.Placements = def.Placements
-	}
-	return cc
-}
 
 // ClusterSpecs builds the experiment workload: one flood sink per host
 // (the cross-host background load), every ninth remaining container a
@@ -116,13 +88,15 @@ type ClusterResult struct {
 }
 
 // Cluster runs the multi-host datacenter experiment: the same workload
-// placed by each policy in turn, each run a full cluster simulation over
-// p.Workers shard workers (bit-identical for any worker count).
-func Cluster(p Params, cc ClusterConfig) ClusterResult {
-	cc = cc.withDefaults()
-	res := ClusterResult{Seed: p.Seed, Hosts: cc.Hosts, Containers: cc.Containers}
-	for _, pol := range cc.Placements {
-		row, racks := clusterPoint(p, cc, pol)
+// placed by each policy of a in turn, each run a full cluster simulation
+// over p.Workers shard workers (bit-identical for any worker count).
+// a.Hosts and a.Containers default to the paper-scale point the golden
+// fixtures pin: 16 hosts in 2 racks, 1000 containers.
+func Cluster(p Params, a Args) ClusterResult {
+	hosts, containers := cmp.Or(a.Hosts, 16), cmp.Or(a.Containers, 1000)
+	res := ClusterResult{Seed: p.Seed, Hosts: hosts, Containers: containers}
+	for _, pol := range a.placements() {
+		row, racks := clusterPoint(p, hosts, containers, pol)
 		res.Racks = racks
 		res.Rows = append(res.Rows, row)
 	}
@@ -148,9 +122,9 @@ func clusterConfig(p Params, hosts, containers int, pol cluster.Placement) clust
 	}
 }
 
-func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow, int) {
+func clusterPoint(p Params, hosts, containers int, pol cluster.Placement) (ClusterRow, int) {
 	var racks int
-	row, err := RunCluster(p, clusterConfig(p, cc.Hosts, cc.Containers, pol), "cluster/"+pol.String(), true,
+	row, err := RunCluster(p, clusterConfig(p, hosts, containers, pol), "cluster/"+pol.String(), true,
 		nil, func(c *cluster.Cluster) { racks = c.Cfg.Fabric.Racks })
 	mustNoErr(err)
 	return row, racks

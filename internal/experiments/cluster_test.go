@@ -19,7 +19,7 @@ const clusterGoldenPath = "testdata/cluster_golden.json"
 func clusterCapture(workers int) ClusterResult {
 	p := detParams()
 	p.Workers = workers
-	return Cluster(p, DefaultClusterConfig())
+	return Cluster(p, Args{})
 }
 
 // TestClusterGolden pins the datacenter experiment bit-for-bit: latency
@@ -113,7 +113,7 @@ func TestClusterGoldenHasSignal(t *testing.T) {
 // demands a different span stream for a different seed.
 func TestClusterSeedDeterministic(t *testing.T) {
 	p := detParams()
-	cc := ClusterConfig{Hosts: 4, Containers: 48, Placements: []cluster.Placement{cluster.PlaceSpread}}
+	cc := Args{Hosts: 4, Containers: 48, Placements: []string{"spread"}}
 	a := Cluster(p, cc)
 	b := Cluster(p, cc)
 	if !reflect.DeepEqual(a, b) {

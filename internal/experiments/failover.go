@@ -1,24 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"prism/internal/cluster"
-	rec "prism/internal/recover"
 	"prism/internal/sim"
 	"prism/internal/stats"
 )
-
-// FailoverConfig sizes the kill-and-recover experiment: one host is
-// fail-stopped mid-run and the recovery controller must detect it,
-// migrate its containers and swap the routing epoch, under each
-// placement policy in turn.
-type FailoverConfig struct {
-	Hosts      int
-	Containers int
-	Placements []cluster.Placement
-}
 
 // The failover timeline. Host 0 is the victim because every placement
 // policy populates it — pack stacks the whole workload there, so its
@@ -35,29 +25,6 @@ const (
 	downtime      = 8 * sim.Millisecond
 	recoverWindow = 10 * sim.Millisecond
 )
-
-// DefaultFailoverConfig is the fixture point: 8 hosts, 200 containers.
-func DefaultFailoverConfig() FailoverConfig {
-	return FailoverConfig{
-		Hosts:      8,
-		Containers: 200,
-		Placements: cluster.Placements,
-	}
-}
-
-func (fc FailoverConfig) withDefaults() FailoverConfig {
-	def := DefaultFailoverConfig()
-	if fc.Hosts <= 0 {
-		fc.Hosts = def.Hosts
-	}
-	if fc.Containers <= 0 {
-		fc.Containers = def.Containers
-	}
-	if len(fc.Placements) == 0 {
-		fc.Placements = def.Placements
-	}
-	return fc
-}
 
 // FailoverRow is one placement policy's recovery timeline: the echo
 // latency split into the three phases plus the controller's counters.
@@ -105,18 +72,21 @@ type FailoverResult struct {
 }
 
 // Failover runs the kill-and-recover grid: the same workload under each
-// placement policy, with one scripted host crash mid-run. Bit-identical
-// for any worker count.
-func Failover(p Params, fc FailoverConfig) FailoverResult {
-	fc = fc.withDefaults()
+// placement policy of a, with one scripted host crash mid-run: the
+// recovery controller must detect it, migrate the host's containers and
+// swap the routing epoch. a.Hosts and a.Containers default to the
+// fixture point, 8 hosts and 200 containers. Bit-identical for any
+// worker count.
+func Failover(p Params, a Args) FailoverResult {
+	hosts, containers := cmp.Or(a.Hosts, 8), cmp.Or(a.Containers, 200)
 	res := FailoverResult{
-		Seed: p.Seed, Hosts: fc.Hosts, Containers: fc.Containers,
+		Seed: p.Seed, Hosts: hosts, Containers: containers,
 		CrashHost:    crashHost,
 		CrashAt:      p.Warmup + crashAfter,
 		RecoverBound: p.Warmup + crashAfter + recoverWindow,
 	}
-	for _, pol := range fc.Placements {
-		row, racks := failoverPoint(p, fc, pol)
+	for _, pol := range a.placements() {
+		row, racks := failoverPoint(p, hosts, containers, pol)
 		res.Racks = racks
 		res.Rows = append(res.Rows, row)
 	}
@@ -135,14 +105,14 @@ func phaseIndex(at, crash, recovered sim.Time) int {
 	}
 }
 
-func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (FailoverRow, int) {
+func failoverPoint(p Params, hosts, containers int, pol cluster.Placement) (FailoverRow, int) {
 	crashAt := p.Warmup + crashAfter
 	recovered := crashAt + recoverWindow
-	cfg := clusterConfig(p, fc.Hosts, fc.Containers, pol)
+	cfg := clusterConfig(p, hosts, containers, pol)
 	cfg.Fabric = cluster.FabricConfig{Racks: 2}
 	cfg.Recovery = &cluster.RecoveryConfig{
-		Script: rec.Script{{
-			Kind: rec.HostCrash, Host: crashHost,
+		Script: cluster.Script{{
+			Kind: cluster.HostCrash, Host: crashHost,
 			At: crashAt, Until: crashAt + downtime,
 		}},
 		RetryMax:         3,

@@ -19,7 +19,7 @@ const failoverGoldenPath = "testdata/failover_golden.json"
 func failoverCapture(workers int) FailoverResult {
 	p := detParams()
 	p.Workers = workers
-	return Failover(p, DefaultFailoverConfig())
+	return Failover(p, Args{})
 }
 
 // TestFailoverGolden pins the recovery timeline bit-for-bit: the phase
@@ -120,8 +120,7 @@ func TestFailoverGoldenHasSignal(t *testing.T) {
 // the same seed and demands divergent span streams for different seeds.
 func TestFailoverSeedDeterministic(t *testing.T) {
 	p := detParams()
-	fc := FailoverConfig{Hosts: 4, Containers: 48,
-		Placements: []cluster.Placement{cluster.PlaceSpread}}
+	fc := Args{Hosts: 4, Containers: 48, Placements: []string{"spread"}}
 	a := Failover(p, fc)
 	b := Failover(p, fc)
 	if !reflect.DeepEqual(a, b) {

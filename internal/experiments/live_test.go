@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"prism/internal/cluster"
 	"prism/internal/live"
 	"prism/internal/pcap"
 )
@@ -55,15 +54,14 @@ func TestClusterGoldenWithLiveSurface(t *testing.T) {
 	// in parallel — same coverage axes as the golden test, with the live
 	// surface publishing throughout.
 	p := liveParams(1)
-	got := Cluster(p, DefaultClusterConfig())
+	got := Cluster(p, Args{})
 	for _, row := range got.Rows {
 		w, g := mustJSON(t, fixtureRow(row.Placement)), mustJSON(t, row)
 		if string(w) != string(g) {
 			t.Errorf("live surface perturbed %s\nwant: %s\ngot:  %s", row.Placement, w, g)
 		}
 	}
-	cc := DefaultClusterConfig()
-	cc.Placements = []cluster.Placement{cluster.PlaceSpread}
+	cc := Args{Placements: []string{"spread"}}
 	for _, workers := range []int{2, 4} {
 		got := Cluster(liveParams(workers), cc)
 		w, g := mustJSON(t, fixtureRow(got.Rows[0].Placement)), mustJSON(t, got.Rows[0])
@@ -106,9 +104,8 @@ func TestFailoverGoldenWithLiveSurface(t *testing.T) {
 
 	// All placements at workers=1, then the pack placement (the whole
 	// workload on the crashed host) at 2 and 4 workers.
-	check(1, Failover(liveParams(1), DefaultFailoverConfig()))
-	fc := DefaultFailoverConfig()
-	fc.Placements = []cluster.Placement{cluster.PlacePack}
+	check(1, Failover(liveParams(1), Args{}))
+	fc := Args{Placements: []string{"pack"}}
 	for _, workers := range []int{2, 4} {
 		check(workers, Failover(liveParams(workers), fc))
 	}
@@ -164,7 +161,7 @@ func TestLiveSurfaceEndToEndCluster(t *testing.T) {
 
 	p := detParams()
 	p.Live = lv
-	cc := ClusterConfig{Hosts: 4, Containers: 48, Placements: []cluster.Placement{cluster.PlaceSpread}}
+	cc := Args{Hosts: 4, Containers: 48, Placements: []string{"spread"}}
 	res := Cluster(p, cc)
 	row := res.Rows[0]
 

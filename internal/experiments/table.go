@@ -24,21 +24,29 @@ type Args struct {
 	// policy ("" = the whole ladder).
 	Policy string
 	// Hosts, Containers and Placements size the cluster and failover
-	// experiments (placement names as cluster.ParsePlacement reads them).
+	// experiments (0 or empty: the experiment's default; placement names
+	// as cluster.ParsePlacement reads them).
 	Hosts      int
 	Containers int
 	Placements []string
 }
 
-// Validate rejects a fault rate outside [0, 1], a poll policy the
-// softirq registry lacks and a placement name cluster.ParsePlacement does
-// not know; the error starts with the offending field's name. Run an
-// experiment only with Args that passed it.
+// Validate rejects a fault rate outside [0, 1], a negative host or
+// container count, a poll policy the softirq registry lacks and a
+// placement name cluster.ParsePlacement does not know; the error starts
+// with the offending field's name. Run an experiment only with Args that
+// passed it.
 func (a Args) Validate() error {
 	for i, r := range a.Rates {
 		if r < 0 || r > 1 {
 			return fmt.Errorf("rates[%d]: fault rate %v outside [0, 1]", i, r)
 		}
+	}
+	if a.Hosts < 0 {
+		return fmt.Errorf("hosts: must not be negative, got %d", a.Hosts)
+	}
+	if a.Containers < 0 {
+		return fmt.Errorf("containers: must not be negative, got %d", a.Containers)
 	}
 	if err := CheckPolicy(a.Policy); err != nil {
 		return fmt.Errorf("policy: %w", err)
@@ -62,7 +70,11 @@ func CheckPolicy(name string) error {
 	return fmt.Errorf("unknown poll policy %q (valid: %s)", name, strings.Join(known, ", "))
 }
 
+// placements resolves a.Placements; empty means every policy.
 func (a Args) placements() []cluster.Placement {
+	if len(a.Placements) == 0 {
+		return cluster.Placements
+	}
 	var pols []cluster.Placement
 	for _, name := range a.Placements {
 		pol, err := cluster.ParsePlacement(name)
@@ -113,12 +125,8 @@ var Experiments = []Experiment{
 	entry("chaos", func(p Params, a Args) ChaosResult { return Chaos(p, a.Rates) }, flattenChaos),
 	entry("batchsweep", func(p Params, _ Args) AblationBatchResult { return AblationBatch(p, nil) }, nil),
 	entry("scaling", func(p Params, _ Args) ScalingResult { return Scaling(p, nil) }, nil),
-	entry("cluster", func(p Params, a Args) ClusterResult {
-		return Cluster(p, ClusterConfig{Hosts: a.Hosts, Containers: a.Containers, Placements: a.placements()})
-	}, flattenCluster),
-	entry("failover", func(p Params, a Args) FailoverResult {
-		return Failover(p, FailoverConfig{Hosts: a.Hosts, Containers: a.Containers, Placements: a.placements()})
-	}, nil),
+	entry("cluster", Cluster, flattenCluster),
+	entry("failover", Failover, nil),
 }
 
 // Lookup returns the named experiment.

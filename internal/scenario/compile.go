@@ -8,7 +8,6 @@ import (
 	"prism/internal/fault"
 	"prism/internal/netdev"
 	"prism/internal/prio"
-	rec "prism/internal/recover"
 	"prism/internal/testbed"
 )
 
@@ -148,11 +147,11 @@ func Compile(s *Scenario) (*Plan, error) {
 			rateContent := f.Rate > 0
 			for _, ph := range f.Phases {
 				if ph.Kind != "" {
-					kind, err := rec.ParseEventKind(ph.Kind)
+					kind, err := cluster.ParseEventKind(ph.Kind)
 					if err != nil {
 						return nil, fmt.Errorf("scenario.faults.phases: %w", err)
 					}
-					rc.Script = append(rc.Script, rec.Event{
+					rc.Script = append(rc.Script, cluster.Event{
 						Kind: kind, Host: ph.Host, Tor: ph.Tor,
 						At: ph.From, Until: ph.Until,
 					})

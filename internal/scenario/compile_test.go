@@ -57,12 +57,8 @@ func TestFigureScenarioGrids(t *testing.T) {
 		t.Errorf("chaos rates = %v", got)
 	}
 	a := loadCorpus(t, "cluster.yaml").Args
-	want := experiments.DefaultClusterConfig()
-	var wantPlacements []string
-	for _, pol := range want.Placements {
-		wantPlacements = append(wantPlacements, pol.String())
-	}
-	if a.Hosts != want.Hosts || a.Containers != want.Containers || !reflect.DeepEqual(a.Placements, wantPlacements) {
+	want := experiments.Args{Hosts: 16, Containers: 1000, Placements: []string{"spread", "pack", "priority"}}
+	if !reflect.DeepEqual(a, want) {
 		t.Errorf("cluster args = %+v, want %+v", a, want)
 	}
 }
@@ -161,5 +157,21 @@ workload:
 	}
 	if flows[1].Client != 3 || flows[2].Client != 4 || !flows[2].Hi {
 		t.Errorf("clients = %d, %d (hi=%v); want 3 and 4 after a 3-sender group", flows[1].Client, flows[2].Client, flows[2].Hi)
+	}
+}
+
+// TestCompileRejectsNegativeClusterScale: the decoder leaves an
+// experiment's grid knobs to Args.Validate, so a negative cluster scale
+// must fail Compile with the field's path instead of running the
+// default grid.
+func TestCompileRejectsNegativeClusterScale(t *testing.T) {
+	for field, want := range map[string]string{
+		"hosts":      "scenario.experiment.hosts: must not be negative, got -3",
+		"containers": "scenario.experiment.containers: must not be negative, got -3",
+	} {
+		s := mustParse(t, "scenario: v1\nexperiment:\n  kind: cluster\n  "+field+": -3\n")
+		if _, err := Compile(s); err == nil || err.Error() != want {
+			t.Errorf("%s -3: Compile error %v, want %q", field, err, want)
+		}
 	}
 }

@@ -2,11 +2,9 @@ package testbed
 
 import (
 	"fmt"
-	"strings"
 
 	"prism/internal/fault"
 	"prism/internal/overlay"
-	"prism/internal/sim"
 	"prism/internal/socket"
 )
 
@@ -163,165 +161,4 @@ func CheckHosts(hosts []*overlay.Host, planes []*fault.Plane, strict bool) error
 // form is applied automatically.
 func (t *Testbed) CheckInvariants() error {
 	return CheckHosts([]*overlay.Host{t.Host}, []*fault.Plane{t.Plane}, t.Eng.Pending() == 0)
-}
-
-// ClusterTerms aggregates the fabric-level conservation terms of a
-// multi-host topology: what entered the fabric, where it left, and what
-// is still riding it. The per-host ledgers account for everything after
-// InjectFromWire; these terms close the loop across hosts.
-type ClusterTerms struct {
-	// Injected counts frames handed to the fabric: generator sends
-	// admitted at an ingress host plus server replies leaving over
-	// WireTx.
-	Injected uint64
-	// ToHosts counts fabric frames delivered into a host's wire-RX path;
-	// ToClients counts reply frames delivered to an ingress host's
-	// client demux.
-	ToHosts   uint64
-	ToClients uint64
-	// Dropped counts frames the fabric discarded: egress-queue tail
-	// drops, low-priority shed victims, unroutable frames, and
-	// misdeliveries.
-	Dropped uint64
-	// InFlight counts frames still inside the fabric: queued at or being
-	// serialized by a switch egress port, buffered on a cross-shard
-	// link, or waiting in a shard inbox past the horizon.
-	InFlight int
-
-	// CrashDropped is the subset of Dropped absorbed at fail-stopped
-	// hosts' wires; EpochDropped the subset that crossed a routing-epoch
-	// swap in flight. Both are informational breakouts — they are already
-	// inside Dropped.
-	CrashDropped uint64
-	EpochDropped uint64
-
-	// PerHost / PerSwitch break the aggregate terms down per component;
-	// a failed cluster equation prints them so the residual is
-	// attributable. Optional — older callers leave them empty.
-	PerHost   []HostTerms
-	PerSwitch []SwitchTerms
-	// Migrations carries one reconciliation record per recovery
-	// re-placement; CheckCluster verifies each one's service counters
-	// are consistent across the old and new replica.
-	Migrations []MigrationTerm
-}
-
-// HostTerms is one host's fabric-boundary counters.
-type HostTerms struct {
-	Name       string
-	Injected   uint64
-	FromFabric uint64
-	ToClients  uint64
-	Misrouted  uint64
-	CrashRx    uint64
-	CrashTx    uint64
-	EpochDrops uint64
-}
-
-// SwitchTerms is one switch's closed conservation equation: every
-// arrival is forwarded, dropped, or still inside the switch.
-type SwitchTerms struct {
-	Name      string
-	Rx        uint64
-	Forwarded uint64
-	Dropped   uint64
-	InFlight  int
-}
-
-// MigrationTerm reconciles one migrated flow across its replicas: the
-// old host had served ServedAtSwap requests when the routing epoch
-// swapped at At; Served is the live total across old and new replicas,
-// Sent the generator's emissions, Received the client-side deliveries.
-type MigrationTerm struct {
-	Flow             string
-	OldHost, NewHost int
-	At               sim.Time
-	ServedAtSwap     uint64
-	Sent             uint64
-	Served           uint64
-	Received         uint64
-}
-
-// residualTables renders the per-host and per-switch breakdowns appended
-// to a failed cluster equation.
-func residualTables(terms ClusterTerms) string {
-	var b strings.Builder
-	if len(terms.PerHost) > 0 {
-		b.WriteString("\nper-host terms (injected / from-fabric / to-clients / misrouted / crash-rx / crash-tx / epoch-drops):")
-		for _, h := range terms.PerHost {
-			fmt.Fprintf(&b, "\n  %s: %d / %d / %d / %d / %d / %d / %d",
-				h.Name, h.Injected, h.FromFabric, h.ToClients, h.Misrouted, h.CrashRx, h.CrashTx, h.EpochDrops)
-		}
-	}
-	if len(terms.PerSwitch) > 0 {
-		b.WriteString("\nper-switch terms (rx / forwarded / dropped / in-flight):")
-		for _, s := range terms.PerSwitch {
-			fmt.Fprintf(&b, "\n  %s: %d / %d / %d / %d", s.Name, s.Rx, s.Forwarded, s.Dropped, s.InFlight)
-		}
-	}
-	return b.String()
-}
-
-// CheckCluster verifies a multi-host topology: each host's own ledger
-// must balance, the per-host wire counts must sum to the fabric's
-// delivered total, every frame that entered the fabric must be
-// delivered, dropped, or visibly in flight, each switch's own arrivals
-// must balance, and every migration record must reconcile across its
-// replicas. strict additionally demands an empty fabric — use it after
-// the cluster has settled. Conservation holds across host crashes and
-// routing-epoch swaps because the boundary cases are counted, not
-// discarded: a down host's wire absorbs frames into CrashDropped, a
-// stale-epoch arrival lands in EpochDropped, and both are inside
-// Dropped. A failed cluster equation appends the per-host and
-// per-switch residual tables when the caller provided them.
-func CheckCluster(hosts []*overlay.Host, planes []*fault.Plane, terms ClusterTerms, strict bool) error {
-	if err := CheckHosts(hosts, planes, strict); err != nil {
-		return err
-	}
-	var wire uint64
-	for _, h := range hosts {
-		wire += h.RxWire
-	}
-	if wire != terms.ToHosts {
-		return fmt.Errorf("cluster: fabric handoff broken: hosts saw %d wire frames but the fabric delivered %d%s",
-			wire, terms.ToHosts, residualTables(terms))
-	}
-	if terms.InFlight < 0 {
-		return fmt.Errorf("cluster: negative in-flight count %d", terms.InFlight)
-	}
-	if terms.Injected != terms.ToHosts+terms.ToClients+terms.Dropped+uint64(terms.InFlight) {
-		return fmt.Errorf("cluster: fabric conservation broken: %d injected != %d to-hosts + %d to-clients + %d dropped + %d in-flight%s",
-			terms.Injected, terms.ToHosts, terms.ToClients, terms.Dropped, terms.InFlight, residualTables(terms))
-	}
-	if terms.CrashDropped+terms.EpochDropped > terms.Dropped {
-		return fmt.Errorf("cluster: drop breakouts exceed the total: %d crash + %d epoch > %d dropped",
-			terms.CrashDropped, terms.EpochDropped, terms.Dropped)
-	}
-	for _, s := range terms.PerSwitch {
-		if s.InFlight < 0 {
-			return fmt.Errorf("cluster: %s: negative in-flight count %d", s.Name, s.InFlight)
-		}
-		if s.Rx != s.Forwarded+s.Dropped+uint64(s.InFlight) {
-			return fmt.Errorf("cluster: %s conservation broken: %d rx != %d forwarded + %d dropped + %d in-flight%s",
-				s.Name, s.Rx, s.Forwarded, s.Dropped, s.InFlight, residualTables(terms))
-		}
-	}
-	for _, m := range terms.Migrations {
-		if m.ServedAtSwap > m.Served {
-			return fmt.Errorf("cluster: migration %s (host%02d->host%02d at %d): old replica had served %d at the swap but the replicas total only %d",
-				m.Flow, m.OldHost, m.NewHost, m.At, m.ServedAtSwap, m.Served)
-		}
-		if m.Served > m.Sent {
-			return fmt.Errorf("cluster: migration %s (host%02d->host%02d at %d): replicas served %d of only %d sent",
-				m.Flow, m.OldHost, m.NewHost, m.At, m.Served, m.Sent)
-		}
-		if m.Received > m.Served {
-			return fmt.Errorf("cluster: migration %s (host%02d->host%02d at %d): client received %d but the replicas served only %d",
-				m.Flow, m.OldHost, m.NewHost, m.At, m.Received, m.Served)
-		}
-	}
-	if strict && terms.InFlight != 0 {
-		return fmt.Errorf("cluster: settled fabric still holds %d frames%s", terms.InFlight, residualTables(terms))
-	}
-	return nil
 }
