@@ -21,9 +21,9 @@
 // -faultrate, -hosts, -containers and -placement fill experiments.Args,
 // the grid knobs both front ends share; a value Args.Validate rejects
 // (an unknown poll policy or placement, a fault rate outside [0, 1], a
-// negative host or container count) exits 2 with one line before
-// anything runs, as does a -duration that is not positive or a negative
-// -warmup.
+// negative host or container count, a cluster or failover scale the
+// cluster cannot hold) exits 2 with one line before anything runs, as
+// does a -duration that is not positive or a negative -warmup.
 // -cdf, -metrics-out and -trace-out post-process the returned result.
 //
 // -scenario runs a declarative scenario file (YAML subset or JSON, see
@@ -167,9 +167,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *placement != "" && *placement != "all" {
 		args.Placements = []string{*placement}
 	}
-	if err := args.Validate(); err != nil {
-		fmt.Fprintln(stderr, "prismsim:", err)
-		return 2
+	for _, e := range selected {
+		if err := args.Validate(e.Name); err != nil {
+			fmt.Fprintln(stderr, "prismsim:", err)
+			return 2
+		}
 	}
 	if *duration <= 0 {
 		fmt.Fprintf(stderr, "prismsim: -duration: must be positive, got %v\n", *duration)

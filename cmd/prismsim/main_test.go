@@ -74,6 +74,11 @@ func TestBadArgsExitTwo(t *testing.T) {
 		{[]string{"-exp", "chaos", "-faultrate", "-1"}, "fault rate -0.25 outside [0, 1]"},
 		{[]string{"-exp", "cluster", "-hosts", "-3", "-containers", "40"}, "hosts: must not be negative, got -3"},
 		{[]string{"-exp", "failover", "-containers", "-5"}, "containers: must not be negative, got -5"},
+		{[]string{"-exp", "cluster", "-hosts", "2", "-containers", "500"}, "500 containers exceed cluster capacity 400 (2 hosts × 200)"},
+		{[]string{"-exp", "cluster", "-hosts", "2", "-containers", "30000"}, "30000 containers exceed the port space (at most 20000)"},
+		{[]string{"-exp", "cluster", "-hosts", "2"}, "1000 containers exceed cluster capacity 400"},
+		{[]string{"-exp", "failover", "-hosts", "1", "-containers", "10"}, "hosts: crashing host 0 leaves 0 of 1 hosts for 10 containers"},
+		{[]string{"-exp", "failover", "-hosts", "2", "-containers", "300"}, "300 containers exceed cluster capacity 200 (1 hosts × 200)"},
 		{[]string{"-exp", "fig3", "-duration", "-5ms"}, "-duration: must be positive, got -5ms"},
 		{[]string{"-exp", "fig3", "-duration", "0s"}, "-duration: must be positive, got 0s"},
 		{[]string{"-exp", "fig3", "-warmup", "-1ms"}, "-warmup: must not be negative, got -1ms"},

@@ -47,6 +47,35 @@ const (
 	CliPortBase = 40000
 )
 
+// Cluster scale limits. Every container needs a service port below
+// CliPortBase and a client port below 65536, which bounds the container
+// count; the overlay's per-host address space bounds HostCap.
+const (
+	maxContainers  = min(CliPortBase-SvcPortBase, 65535-CliPortBase)
+	DefaultHostCap = 200
+	maxHostCap     = 248
+)
+
+// CheckScale is the one feasibility check on a cluster's size: it rejects
+// containers containers that exceed the port space or the capacity of
+// hosts hosts holding at most hostCap each. New and Place run it, and
+// front ends run it on their own defaults to reject a size before
+// anything is built.
+func CheckScale(hosts, hostCap, containers int) error {
+	switch {
+	case hosts < 1:
+		return fmt.Errorf("cluster: placement needs at least one host")
+	case hostCap < 1:
+		return fmt.Errorf("cluster: host capacity must be positive")
+	case containers > maxContainers:
+		return fmt.Errorf("cluster: %d containers exceed the port space (at most %d)", containers, maxContainers)
+	case containers > hosts*hostCap:
+		return fmt.Errorf("cluster: %d containers exceed cluster capacity %d (%d hosts × %d)",
+			containers, hosts*hostCap, hosts, hostCap)
+	}
+	return nil
+}
+
 // SvcPort is container i's service port; CliPort its flow's client-side
 // source port.
 func SvcPort(i int) uint16 { return uint16(SvcPortBase + i) }
@@ -58,8 +87,8 @@ func CliPort(i int) uint16 { return uint16(CliPortBase + i) }
 type Config struct {
 	// Hosts is the number of simulated server hosts.
 	Hosts int
-	// HostCap bounds containers per host for the placer (default 200;
-	// the overlay's address space caps it at 248).
+	// HostCap bounds containers per host for the placer (default
+	// DefaultHostCap; the overlay's address space caps it at 248).
 	HostCap int
 	// Placement is the container scheduling policy.
 	Placement Placement
@@ -101,11 +130,9 @@ func (c Config) withDefaults() Config {
 		c.Hosts = 1
 	}
 	if c.HostCap <= 0 {
-		c.HostCap = 200
+		c.HostCap = DefaultHostCap
 	}
-	if c.HostCap > 248 {
-		c.HostCap = 248
-	}
+	c.HostCap = min(c.HostCap, maxHostCap)
 	if c.EchoCost <= 0 {
 		c.EchoCost = 500 * sim.Nanosecond
 	}
@@ -241,8 +268,8 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("cluster: no container specs")
 	}
-	if len(cfg.Specs) > CliPortBase-SvcPortBase || CliPortBase+len(cfg.Specs) > 65535 {
-		return nil, fmt.Errorf("cluster: %d containers exceed the port space", len(cfg.Specs))
+	if err := CheckScale(cfg.Hosts, cfg.HostCap, len(cfg.Specs)); err != nil {
+		return nil, err
 	}
 	costs := cfg.Host.Costs
 	if costs == nil {

@@ -646,6 +646,27 @@ func TestClusterFabricOverflowShedsLow(t *testing.T) {
 	}
 }
 
+// CheckScale's limits are inclusive: the last container that fits is
+// accepted and one more is rejected with the limit it broke.
+func TestCheckScale(t *testing.T) {
+	for _, tc := range []struct {
+		hosts, hostCap, containers int
+		want                       string
+	}{
+		{2, 200, 400, ""},
+		{2, 200, 401, "401 containers exceed cluster capacity 400 (2 hosts × 200)"},
+		{100, 200, maxContainers, ""},
+		{200, 200, maxContainers + 1, "20001 containers exceed the port space (at most 20000)"},
+		{0, 200, 10, "placement needs at least one host"},
+		{4, 0, 10, "host capacity must be positive"},
+	} {
+		err := CheckScale(tc.hosts, tc.hostCap, tc.containers)
+		if (err == nil) != (tc.want == "") || err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CheckScale(%d, %d, %d) = %v, want %q", tc.hosts, tc.hostCap, tc.containers, err, tc.want)
+		}
+	}
+}
+
 func TestClusterConfigValidation(t *testing.T) {
 	if _, err := New(Config{Hosts: 2}); err == nil {
 		t.Fatal("empty spec list must error")

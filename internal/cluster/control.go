@@ -84,15 +84,8 @@ type ContainerSpec struct {
 // (the same specs always yield the same assignment). hostCap bounds
 // containers per host; it errors when the policy cannot respect it.
 func Place(policy Placement, specs []ContainerSpec, hosts, hostCap int) ([]int, error) {
-	if hosts < 1 {
-		return nil, fmt.Errorf("cluster: placement needs at least one host")
-	}
-	if hostCap < 1 {
-		return nil, fmt.Errorf("cluster: host capacity must be positive")
-	}
-	if len(specs) > hosts*hostCap {
-		return nil, fmt.Errorf("cluster: %d containers exceed cluster capacity %d (%d hosts × %d)",
-			len(specs), hosts*hostCap, hosts, hostCap)
+	if err := CheckScale(hosts, hostCap, len(specs)); err != nil {
+		return nil, err
 	}
 	hi := make([]bool, len(specs))
 	alive := make([]bool, hosts)

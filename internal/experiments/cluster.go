@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
@@ -87,13 +86,26 @@ type ClusterResult struct {
 	Rows       []ClusterRow
 }
 
+// The cluster experiment's default scale: the paper-scale point the
+// golden fixtures pin, 16 hosts in 2 racks and 1000 containers.
+const clusterHosts, clusterContainers = 16, 1000
+
+// checkClusterScale rejects a cluster experiment size the cluster cannot
+// hold (Args.Validate runs it).
+func checkClusterScale(a Args) error {
+	hosts, containers := a.scale(clusterHosts, clusterContainers)
+	if err := cluster.CheckScale(hosts, cluster.DefaultHostCap, containers); err != nil {
+		return fmt.Errorf("containers: %w", err)
+	}
+	return nil
+}
+
 // Cluster runs the multi-host datacenter experiment: the same workload
 // placed by each policy of a in turn, each run a full cluster simulation
 // over p.Workers shard workers (bit-identical for any worker count).
-// a.Hosts and a.Containers default to the paper-scale point the golden
-// fixtures pin: 16 hosts in 2 racks, 1000 containers.
+// a.Hosts and a.Containers default to clusterHosts and clusterContainers.
 func Cluster(p Params, a Args) ClusterResult {
-	hosts, containers := cmp.Or(a.Hosts, 16), cmp.Or(a.Containers, 1000)
+	hosts, containers := a.scale(clusterHosts, clusterContainers)
 	res := ClusterResult{Seed: p.Seed, Hosts: hosts, Containers: containers}
 	for _, pol := range a.placements() {
 		row, racks := clusterPoint(p, hosts, containers, pol)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"cmp"
 	"fmt"
 	"strings"
 
@@ -25,6 +24,25 @@ const (
 	downtime      = 8 * sim.Millisecond
 	recoverWindow = 10 * sim.Millisecond
 )
+
+// The failover experiment's default scale, the fixture point.
+const failoverHosts, failoverContainers = 8, 200
+
+// checkFailoverScale rejects a failover size the cluster cannot hold, or
+// whose scripted crash leaves the orphaned containers no room: recovery
+// cordons the crashed host for good, so the other hosts must hold every
+// container (Args.Validate runs it).
+func checkFailoverScale(a Args) error {
+	hosts, containers := a.scale(failoverHosts, failoverContainers)
+	if err := cluster.CheckScale(hosts, cluster.DefaultHostCap, containers); err != nil {
+		return fmt.Errorf("containers: %w", err)
+	}
+	if err := cluster.CheckScale(hosts-1, cluster.DefaultHostCap, containers); err != nil {
+		return fmt.Errorf("hosts: crashing host %d leaves %d of %d hosts for %d containers: %w",
+			crashHost, hosts-1, hosts, containers, err)
+	}
+	return nil
+}
 
 // FailoverRow is one placement policy's recovery timeline: the echo
 // latency split into the three phases plus the controller's counters.
@@ -74,11 +92,11 @@ type FailoverResult struct {
 // Failover runs the kill-and-recover grid: the same workload under each
 // placement policy of a, with one scripted host crash mid-run: the
 // recovery controller must detect it, migrate the host's containers and
-// swap the routing epoch. a.Hosts and a.Containers default to the
-// fixture point, 8 hosts and 200 containers. Bit-identical for any
-// worker count.
+// swap the routing epoch. a.Hosts and a.Containers default to
+// failoverHosts and failoverContainers. Bit-identical for any worker
+// count.
 func Failover(p Params, a Args) FailoverResult {
-	hosts, containers := cmp.Or(a.Hosts, 8), cmp.Or(a.Containers, 200)
+	hosts, containers := a.scale(failoverHosts, failoverContainers)
 	res := FailoverResult{
 		Seed: p.Seed, Hosts: hosts, Containers: containers,
 		CrashHost:    crashHost,

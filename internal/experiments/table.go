@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -32,11 +33,12 @@ type Args struct {
 }
 
 // Validate rejects a fault rate outside [0, 1], a negative host or
-// container count, a poll policy the softirq registry lacks and a
-// placement name cluster.ParsePlacement does not know; the error starts
-// with the offending field's name. Run an experiment only with Args that
-// passed it.
-func (a Args) Validate() error {
+// container count, a poll policy the softirq registry lacks, a placement
+// name cluster.ParsePlacement does not know and, for the cluster and
+// failover experiments (exp names the experiment to run), a scale the
+// cluster cannot hold; the error starts with the offending field's name.
+// Run experiment exp only with Args that passed Validate(exp).
+func (a Args) Validate(exp string) error {
 	for i, r := range a.Rates {
 		if r < 0 || r > 1 {
 			return fmt.Errorf("rates[%d]: fault rate %v outside [0, 1]", i, r)
@@ -56,6 +58,12 @@ func (a Args) Validate() error {
 			return fmt.Errorf("placements: %w", err)
 		}
 	}
+	switch exp {
+	case "cluster":
+		return checkClusterScale(a)
+	case "failover":
+		return checkFailoverScale(a)
+	}
 	return nil
 }
 
@@ -68,6 +76,12 @@ func CheckPolicy(name string) error {
 	}
 	sort.Strings(known)
 	return fmt.Errorf("unknown poll policy %q (valid: %s)", name, strings.Join(known, ", "))
+}
+
+// scale returns a.Hosts and a.Containers, with zero values replaced by
+// an experiment's default hosts and containers.
+func (a Args) scale(hosts, containers int) (int, int) {
+	return cmp.Or(a.Hosts, hosts), cmp.Or(a.Containers, containers)
 }
 
 // placements resolves a.Placements; empty means every policy.

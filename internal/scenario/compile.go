@@ -74,7 +74,7 @@ func Compile(s *Scenario) (*Plan, error) {
 
 	if e := s.Experiment; e != nil {
 		plan.Kind, plan.Args = e.Kind, e.Args
-		if err := e.Args.Validate(); err != nil {
+		if err := e.Args.Validate(e.Kind); err != nil {
 			return nil, fmt.Errorf("scenario.experiment.%w", err)
 		}
 		return plan, nil

@@ -175,3 +175,19 @@ func TestCompileRejectsNegativeClusterScale(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRejectsInfeasibleClusterScale: a cluster experiment the
+// cluster cannot hold fails Compile with cluster.CheckScale's reason
+// instead of panicking when the run builds it.
+func TestCompileRejectsInfeasibleClusterScale(t *testing.T) {
+	for knobs, want := range map[string]string{
+		"hosts: 1\n  containers: 500":     "scenario.experiment.containers: cluster: 500 containers exceed cluster capacity 200 (1 hosts × 200)",
+		"hosts: 2":                        "scenario.experiment.containers: cluster: 1000 containers exceed cluster capacity 400 (2 hosts × 200)",
+		"hosts: 200\n  containers: 30000": "scenario.experiment.containers: cluster: 30000 containers exceed the port space (at most 20000)",
+	} {
+		s := mustParse(t, "scenario: v1\nexperiment:\n  kind: cluster\n  "+knobs+"\n")
+		if _, err := Compile(s); err == nil || err.Error() != want {
+			t.Errorf("%q: Compile error %v, want %q", knobs, err, want)
+		}
+	}
+}

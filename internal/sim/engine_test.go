@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestClockUnits(t *testing.T) {
@@ -506,5 +507,16 @@ func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(10_000, r.op); avg != 0 {
 		t.Errorf("cancel+re-arm allocates %.2f times per op", avg)
+	}
+}
+
+// TestEngineFootprint pins the engine's fixed size: every par shard owns
+// one engine, so a wider near wheel or an extra coarse level shows up
+// once per shard. The wheels' slot arrays are about 53 KiB; the bound
+// leaves room for a few scalar fields, not for another wheel.
+func TestEngineFootprint(t *testing.T) {
+	const limit = 54 << 10
+	if sz := unsafe.Sizeof(Engine{}); sz > limit {
+		t.Fatalf("Engine is %d bytes, want at most %d", sz, limit)
 	}
 }

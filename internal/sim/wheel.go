@@ -11,22 +11,25 @@ import (
 //
 // A wide near wheel plus five coarse wheels. An event at absolute time At
 // is filed by its XOR distance from the wheel reference `cur`: within
-// 8192 ns of the reference's block it lands on the near wheel — 8192
-// one-nanosecond slots indexed by At's low 13 bits — and beyond that on
-// coarse level l in {0..4}, 256 slots of width 2^(13+8l) ns indexed by
-// (At >> (13+8l)) & 255, where l is selected by the highest bit in which
-// At differs from the reference. Events differing above bit 52 — more
-// than ~104 virtual days out — go to an unsorted overflow FIFO. The near
+// 2048 ns of the reference's block it lands on the near wheel — 2048
+// one-nanosecond slots indexed by At's low 11 bits — and beyond that on
+// coarse level l in {0..4}, 256 slots of width 2^(11+8l) ns indexed by
+// (At >> (11+8l)) & 255, where l is selected by the highest bit in which
+// At differs from the reference. Events differing above bit 50 — more
+// than ~26 virtual days out — go to an unsorted overflow FIFO. The near
 // wheel is sized so the datapath's common case (delays of a few hundred
-// nanoseconds to a few microseconds: stage service times, wire and IRQ
-// delays) schedules and dispatches without ever touching a coarse level.
+// nanoseconds to a couple of microseconds: stage service times, wire and
+// IRQ delays) schedules and dispatches without touching a coarse level,
+// while its two pointer arrays (32 KiB) stay small enough that an engine
+// per par shard costs about 53 KiB rather than 149 KiB; longer delays
+// take one cascade through coarse level 0.
 //
 // # Ordering
 //
 // Each slot is an intrusive singly-linked FIFO of *Event reusing the
 // engine's free-list records. Every insertion appends, and seq increases
 // monotonically per schedule, so a slot list is always seq-ascending.
-// Near slots are one nanosecond wide: within cur's 8192 ns block a slot
+// Near slots are one nanosecond wide: within cur's 2048 ns block a slot
 // holds exactly one timestamp, so its FIFO is exactly (At, seq) order and
 // the head of the lowest occupied near slot is the global minimum.
 //
@@ -56,14 +59,13 @@ import (
 // is recycled when a scan or cascade next walks its slot.
 
 const (
-	// Near wheel: 8192 slots of 1 ns.
-	nearBits  = 13
+	// Near wheel: 2048 slots of 1 ns.
+	nearBits  = 11
 	nearSlots = 1 << nearBits
 	nearMask  = nearSlots - 1
-	nearWords = nearSlots / 64
-	nearSums  = nearWords / 64 // two summary words cover 128 bitmap words
+	nearWords = nearSlots / 64 // 32: one summary word covers them all
 
-	// Coarse wheels: 256 slots each, widths 2^13 … 2^45 ns.
+	// Coarse wheels: 256 slots each, widths 2^11 … 2^43 ns.
 	coarseBits   = 8
 	coarseSlots  = 1 << coarseBits
 	coarseMask   = coarseSlots - 1
@@ -72,29 +74,29 @@ const (
 
 	// wheelSpan is the number of low bits of (At ^ cur) the wheels cover;
 	// events differing from the reference at or above this bit overflow.
-	wheelSpan = nearBits + coarseBits*coarseLevels // 53
+	wheelSpan = nearBits + coarseBits*coarseLevels // 51
 )
 
 // nearWheel is the 1 ns-resolution wheel with a two-tier occupancy bitmap:
-// one bit per slot, one summary bit per 64-slot word, so the earliest
-// occupied slot is found with three TrailingZeros.
+// one bit per slot and one summary bit per 64-slot word, so the earliest
+// occupied slot is found with two TrailingZeros.
 type nearWheel struct {
 	head   [nearSlots]*Event
 	tail   [nearSlots]*Event
 	occ    [nearWords]uint64
-	occSum [nearSums]uint64
+	occSum uint32 // bit w set iff occ[w] != 0
 }
+
+// The near wheel's summary is a single uint32: growing nearBits past 11
+// needs a wider summary word.
+var _ [32 - nearWords]struct{}
 
 // firstSlot returns the lowest occupied slot index. The caller guarantees
 // the wheel is nonempty (levelMask bit 0 set). No wrap handling is
 // needed: every occupied slot is at or past the reference's index (see
 // the cascade rule above).
 func (lv *nearWheel) firstSlot() int {
-	s := 0
-	if lv.occSum[0] == 0 {
-		s = 1
-	}
-	w := s<<6 | bits.TrailingZeros64(lv.occSum[s])
+	w := bits.TrailingZeros32(lv.occSum)
 	return w<<6 | bits.TrailingZeros64(lv.occ[w])
 }
 
@@ -121,7 +123,7 @@ func (e *Engine) pushNear(i int, ev *Event) {
 	if lv.tail[i] == nil {
 		lv.head[i] = ev
 		lv.occ[i>>6] |= 1 << (uint(i) & 63)
-		lv.occSum[i>>12] |= 1 << (uint(i>>6) & 63)
+		lv.occSum |= 1 << uint(i>>6)
 		e.levelMask |= 1
 	} else {
 		lv.tail[i].next = ev
@@ -136,8 +138,8 @@ func (e *Engine) clearNear(i int) {
 	w := i >> 6
 	lv.occ[w] &^= 1 << (uint(i) & 63)
 	if lv.occ[w] == 0 {
-		lv.occSum[w>>6] &^= 1 << (uint(w) & 63)
-		if lv.occSum[0]|lv.occSum[1] == 0 {
+		lv.occSum &^= 1 << uint(w)
+		if lv.occSum == 0 {
 			e.levelMask &^= 1
 		}
 	}

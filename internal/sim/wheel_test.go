@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -220,22 +221,23 @@ func splitmix64(x uint64) uint64 {
 }
 
 // delayFor draws a delay for event id across every wheel regime: same-slot,
-// near wheel, each coarse level, and past the overflow span.
+// near wheel, each coarse level, and past the overflow span. The regimes
+// follow the wheel geometry, so resizing a level keeps every one reached.
 func delayFor(id uint64, bucket int) Time {
 	h := splitmix64(id*6364136223846793005 + uint64(bucket))
 	switch bucket % 6 {
 	case 0:
 		return Time(h % 16) // same/adjacent near slot, many ties
 	case 1:
-		return Time(h % 8192) // near wheel
+		return Time(h % nearSlots) // near wheel
 	case 2:
-		return Time(h % (1 << 21)) // coarse level 0/1
+		return Time(h % (1 << (nearBits + coarseBits))) // coarse level 0/1
 	case 3:
-		return Time(h % (1 << 30)) // coarse level 2
+		return Time(h % (1 << (nearBits + 2*coarseBits + 1))) // coarse level 2
 	case 4:
-		return Time(h % (1 << 47)) // deep coarse levels
+		return Time(h % (1 << (wheelSpan - 6))) // deep coarse levels
 	default:
-		return Time(1<<53 + h%(1<<55)) // overflow list
+		return Time(1<<wheelSpan + h%(1<<(wheelSpan+2))) // overflow list
 	}
 }
 
@@ -347,6 +349,155 @@ func TestWheelMatchesHeapReference(t *testing.T) {
 	}
 }
 
+// fuzzWidths are the delay widths a fuzz input picks from: ties within
+// a few slots, the near wheel, each coarse level's span and past the
+// overflow edge.
+var fuzzWidths = [...]uint{
+	4, nearBits,
+	nearBits + coarseBits, nearBits + 2*coarseBits, nearBits + 3*coarseBits,
+	nearBits + 4*coarseBits, wheelSpan, wheelSpan + 2,
+}
+
+// FuzzWheelMatchesHeap interprets fuzz bytes as a program of schedules,
+// cancels, Batch.CallAt runs, steps, Run/RunUntil windows and peeks, and
+// applies each op to the wheel engine and the container/heap reference in
+// lockstep. After every op the dispatch logs, clocks, Executed, Pending
+// and NextAt must agree.
+func FuzzWheelMatchesHeap(f *testing.F) {
+	f.Add([]byte{0, 1, 0xff, 0, 0, 0, 0, 0, 0, 0, 4, 4, 6})
+	f.Add([]byte{3, 5, 1, 0x40, 0x81, 2, 0x03, 0x10, 0, 9, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 5, 2, 0xff, 7, 6})
+	f.Add([]byte{0, 7, 0x80, 1, 2, 3, 4, 5, 6, 7, 1, 6, 9, 9, 9, 9, 9, 9, 9, 9, 2, 0, 7, 5, 0, 0, 0, 0, 0, 0, 0, 1, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		// delay reads a width selector and eight value bytes and keeps
+		// the value's low bits of that width.
+		delay := func() Time {
+			w := fuzzWidths[int(next())%len(fuzzWidths)]
+			var v uint64
+			for i := 0; i < 8; i++ {
+				v = v<<8 | uint64(next())
+			}
+			return Time(v & (1<<w - 1))
+		}
+
+		w, r := NewEngine(1), &refEngine{}
+		var wlog, rlog []uint64
+		wh := map[uint64]*Event{}
+		rh := map[uint64]*refEvent{}
+		var live []uint64 // scheduled ids not yet seen firing or cancelled
+		seen := 0         // wlog entries already dropped from live
+		var nextID uint64
+		// Every eleventh id halts the run it fires in.
+		wfire := func(_ Time, a1, _ any) {
+			id := a1.(uint64)
+			wlog = append(wlog, id)
+			if id%11 == 10 {
+				w.Halt()
+			}
+		}
+		rfire := func(id uint64) func() {
+			return func() {
+				rlog = append(rlog, id)
+				if id%11 == 10 {
+					r.Halt()
+				}
+			}
+		}
+		schedule := func(at Time) {
+			id := nextID
+			nextID++
+			wh[id] = w.CallAt(at, wfire, id, nil)
+			rh[id] = r.At(at, rfire(id))
+			live = append(live, id)
+		}
+		check := func(op int) {
+			t.Helper()
+			if len(wlog) != len(rlog) {
+				t.Fatalf("op %d: wheel dispatched %d events, heap %d", op, len(wlog), len(rlog))
+			}
+			for i := range wlog {
+				if wlog[i] != rlog[i] {
+					t.Fatalf("op %d: dispatch logs diverge at %d: wheel %d, heap %d", op, i, wlog[i], rlog[i])
+				}
+			}
+			if w.Now() != r.Now() || w.Executed != r.executed || w.Pending() != r.Pending() {
+				t.Fatalf("op %d: now/executed/pending wheel %v/%d/%d, heap %v/%d/%d", op,
+					w.Now(), w.Executed, w.Pending(), r.Now(), r.executed, r.Pending())
+			}
+			if fired := wlog[seen:]; len(fired) > 0 {
+				live = slices.DeleteFunc(live, func(id uint64) bool { return slices.Contains(fired, id) })
+				seen = len(wlog)
+			}
+		}
+
+		for op := 0; len(data) > 0 && op < 256; op++ {
+			switch next() % 8 {
+			case 0, 1: // schedule
+				schedule(w.Now() + delay())
+			case 2: // cancel a live event
+				if len(live) > 0 {
+					k := int(next()) % len(live)
+					id := live[k]
+					w.Cancel(wh[id])
+					r.Cancel(rh[id])
+					live = append(live[:k], live[k+1:]...)
+				}
+			case 3: // a batch of nondecreasing times, some with regular schedules interleaved
+				b := w.BeginBatch()
+				at := w.Now() + delay()
+				for n := int(next()%8) + 1; n > 0; n-- {
+					c := next()
+					at += Time(c & 0x3f)
+					id := nextID
+					nextID++
+					wh[id] = b.CallAt(at, wfire, id, nil)
+					rh[id] = r.At(at, rfire(id))
+					live = append(live, id)
+					if c&0x80 != 0 {
+						schedule(at)
+					}
+				}
+			case 4: // step
+				if w.Step() != r.Step() {
+					t.Fatalf("op %d: Step results differ", op)
+				}
+			case 5: // window run
+				until := w.Now() + delay()
+				if (w.RunUntil(until) == nil) != (r.RunUntil(until) == nil) {
+					t.Fatalf("op %d: RunUntil results differ", op)
+				}
+			case 6: // peek
+				wa, wok := w.NextAt()
+				ra, rok := r.NextAt()
+				if wa != ra || wok != rok {
+					t.Fatalf("op %d: NextAt wheel %v,%v heap %v,%v", op, wa, wok, ra, rok)
+				}
+			case 7: // bounded run
+				horizon := w.Now() + delay()
+				if (w.Run(horizon) == nil) != (r.Run(horizon) == nil) {
+					t.Fatalf("op %d: Run results differ", op)
+				}
+			}
+			check(op)
+		}
+		for w.Step() {
+		}
+		for r.Step() {
+		}
+		check(-1)
+		if w.Pending() != 0 {
+			t.Fatalf("Pending after drain = %d", w.Pending())
+		}
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Directed edge cases.
 // ---------------------------------------------------------------------------
@@ -359,12 +510,12 @@ func TestWheelFarFutureOverflowCascade(t *testing.T) {
 	var got []int
 	rec := func(id int) func() { return func() { got = append(got, id) } }
 
-	far := Time(1) << 55 // beyond wheelSpan from cur=0
+	far := Time(1) << (wheelSpan + 2) // beyond wheelSpan from cur=0
 	e.At(far+5, rec(3))
 	e.At(2, rec(0))
 	e.At(far+5, rec(4)) // FIFO tie with id 3 across an overflow cascade
 	e.At(far, rec(2))
-	e.At(8191, rec(1))
+	e.At(nearSlots-1, rec(1)) // the near wheel's last slot
 
 	if err := e.RunUntilIdle(); err != nil {
 		t.Fatal(err)
@@ -393,16 +544,24 @@ func TestWheelOverflowRecascade(t *testing.T) {
 	}
 }
 
-// TestWheelLevelBoundaries exercises delays at exact level-width powers,
-// one below and one above, from a non-zero clock position.
+// TestWheelLevelBoundaries exercises delays at powers of two — every
+// fourth one and every level edge of the wheel geometry — one below and
+// one above, from a non-zero clock position.
 func TestWheelLevelBoundaries(t *testing.T) {
 	e := NewEngine(1)
 	e.At(12345, func() {})
 	e.Step() // now = 12345, off slot-zero alignment
 
 	base := e.Now()
-	var deltas []Time
+	var shifts []uint
 	for shift := uint(0); shift <= wheelSpan; shift += 4 {
+		shifts = append(shifts, shift)
+	}
+	for shift := uint(nearBits); shift <= wheelSpan; shift += coarseBits {
+		shifts = append(shifts, shift) // the near wheel's and each coarse level's span
+	}
+	var deltas []Time
+	for _, shift := range shifts {
 		w := Time(1) << shift
 		deltas = append(deltas, w-1, w, w+1)
 	}

@@ -20,13 +20,16 @@ import (
 // quantile error of 1/subBuckets (~0.8%). The zero value is NOT ready to
 // use; call NewHistogram.
 //
-// Buckets live in one block of subBuckets counters per exponent range
-// (block 0 is the linear range [0, subBuckets)). A block is allocated on the
-// first observation in its range and never copied, so a histogram holds
-// only the ranges it has seen: latency histograms rarely touch more than a
-// handful of the 57 ranges an int64 can reach.
+// Buckets live in chunks of chunkLen consecutive counters, a quarter of
+// an exponent range each (chunk 0 starts the linear range [0, subBuckets)).
+// A chunk is allocated on the first observation in it and never copied,
+// and the chunk table spans only the exponent ranges between the lowest
+// and the highest chunk held, so a histogram pays for the buckets near
+// the values it has seen: latency histograms rarely touch more than a
+// handful of the 228 chunks an int64 can reach.
 type Histogram struct {
-	blocks []*[subBuckets]uint64
+	chunks []*[chunkLen]uint64 // chunks[k] holds chunk base+k; nil until hit
+	base   int
 	count  uint64
 	sum    float64
 	min    int64
@@ -36,6 +39,10 @@ type Histogram struct {
 const (
 	subBuckets = 128
 	subShift   = 7 // log2(subBuckets)
+	chunkLen   = 32
+	chunkShift = 5 // log2(chunkLen)
+	// rangeChunks is the number of chunks per exponent range.
+	rangeChunks = subBuckets / chunkLen
 )
 
 // NewHistogram returns an empty histogram able to record any non-negative
@@ -74,7 +81,11 @@ func (h *Histogram) Record(v sim.Time) {
 		n = 0
 	}
 	i := bucketIndex(n)
-	h.block(i >> subShift)[i&(subBuckets-1)]++
+	ck := h.chunk(i >> chunkShift)
+	if ck == nil {
+		ck = h.newChunk(i >> chunkShift)
+	}
+	ck[i&(chunkLen-1)]++
 	h.count++
 	h.sum += float64(n)
 	if n < h.min {
@@ -85,20 +96,38 @@ func (h *Histogram) Record(v sim.Time) {
 	}
 }
 
-// block returns block b, allocating it (and growing the block table to
-// reach it) on first use.
-func (h *Histogram) block(b int) *[subBuckets]uint64 {
-	if b >= len(h.blocks) {
-		blocks := make([]*[subBuckets]uint64, b+1)
-		copy(blocks, h.blocks)
-		h.blocks = blocks
+// chunk returns chunk c, or nil when h does not hold it.
+func (h *Histogram) chunk(c int) *[chunkLen]uint64 {
+	if k := uint(c - h.base); k < uint(len(h.chunks)) {
+		return h.chunks[k]
 	}
-	blk := h.blocks[b]
-	if blk == nil {
-		blk = new([subBuckets]uint64)
-		h.blocks[b] = blk
+	return nil
+}
+
+// newChunk allocates chunk c, widening the chunk table to reach it.
+func (h *Histogram) newChunk(c int) *[chunkLen]uint64 {
+	h.cover(c, c)
+	ck := new([chunkLen]uint64)
+	h.chunks[c-h.base] = ck
+	return ck
+}
+
+// cover widens the chunk table to span chunks lo through hi as well as
+// the ones it already spans. The table spans whole exponent ranges, so
+// values wandering within a range never regrow it.
+func (h *Histogram) cover(lo, hi int) {
+	if n := len(h.chunks); n > 0 {
+		lo, hi = min(lo, h.base), max(hi, h.base+n-1)
 	}
-	return blk
+	lo, hi = lo&^(rangeChunks-1), hi|(rangeChunks-1)
+	if lo == h.base && hi-lo+1 == len(h.chunks) {
+		return
+	}
+	chunks := make([]*[chunkLen]uint64, hi-lo+1)
+	if len(h.chunks) > 0 {
+		copy(chunks[h.base-lo:], h.chunks)
+	}
+	h.chunks, h.base = chunks, lo
 }
 
 // Count returns the number of recorded observations.
@@ -150,14 +179,14 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 		rank = 1
 	}
 	var seen uint64
-	for b, blk := range h.blocks {
-		if blk == nil {
+	for k, ck := range h.chunks {
+		if ck == nil {
 			continue
 		}
-		for j, c := range blk {
+		for j, c := range ck {
 			seen += c
 			if seen >= rank {
-				v := bucketLow(b<<subShift | j)
+				v := bucketLow((h.base+k)<<chunkShift | j)
 				// Clamp to the exact observed range so quantiles are
 				// monotone with the exact Min/Max endpoints.
 				if v < h.min {
@@ -201,17 +230,17 @@ func (h *Histogram) CDF() []CDFPoint {
 	}
 	pts := make([]CDFPoint, 0, 64)
 	var seen uint64
-	for b, blk := range h.blocks {
-		if blk == nil {
+	for k, ck := range h.chunks {
+		if ck == nil {
 			continue
 		}
-		for j, c := range blk {
+		for j, c := range ck {
 			if c == 0 {
 				continue
 			}
 			seen += c
 			pts = append(pts, CDFPoint{
-				Value:    sim.Time(bucketLow(b<<subShift | j)),
+				Value:    sim.Time(bucketLow((h.base+k)<<chunkShift | j)),
 				Fraction: float64(seen) / float64(h.count),
 			})
 		}
@@ -220,16 +249,20 @@ func (h *Histogram) CDF() []CDFPoint {
 }
 
 // Merge adds all observations of other into h, allocating in h only the
-// blocks other holds.
+// chunks other holds.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	for b, src := range other.blocks {
+	h.cover(other.base, other.base+len(other.chunks)-1)
+	for k, src := range other.chunks {
 		if src == nil {
 			continue
 		}
-		dst := h.block(b)
+		dst := h.chunk(other.base + k)
+		if dst == nil {
+			dst = h.newChunk(other.base + k)
+		}
 		for j, c := range src {
 			dst[j] += c
 		}
@@ -257,12 +290,12 @@ func MergeHistograms(hs ...*Histogram) *Histogram {
 	return out
 }
 
-// Reset clears all recorded observations. Allocated blocks are zeroed and
+// Reset clears all recorded observations. Allocated chunks are zeroed and
 // kept, so a reused histogram records into them without allocating.
 func (h *Histogram) Reset() {
-	for _, blk := range h.blocks {
-		if blk != nil {
-			clear(blk[:])
+	for _, ck := range h.chunks {
+		if ck != nil {
+			clear(ck[:])
 		}
 	}
 	h.count = 0

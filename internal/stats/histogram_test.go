@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -439,18 +440,18 @@ func sameHist(t *testing.T, what string, got *Histogram, want *denseHist) {
 	}
 }
 
-// allocatedBlocks counts the exponent ranges h holds a block for.
-func allocatedBlocks(h *Histogram) int {
+// allocatedChunks counts the chunks h holds.
+func allocatedChunks(h *Histogram) int {
 	n := 0
-	for _, blk := range h.blocks {
-		if blk != nil {
+	for _, ck := range h.chunks {
+		if ck != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// Sparse blocks are observably identical to the dense table: values
+// Sparse chunks are observably identical to the dense table: values
 // spanning every exponent range, the linear-range boundary and the largest
 // recordable value, then merges of short into long and long into short.
 func TestSparseHistogramMatchesDense(t *testing.T) {
@@ -470,8 +471,8 @@ func TestSparseHistogramMatchesDense(t *testing.T) {
 	fill(short, shortRef, 500, 12) // values below 4 µs
 	long, longRef := NewHistogram(), newDenseHist()
 	fill(long, longRef, 5000, 62)
-	if allocatedBlocks(short) >= allocatedBlocks(long) {
-		t.Fatalf("short holds %d blocks, long %d", allocatedBlocks(short), allocatedBlocks(long))
+	if allocatedChunks(short) >= allocatedChunks(long) {
+		t.Fatalf("short holds %d chunks, long %d", allocatedChunks(short), allocatedChunks(long))
 	}
 	sameHist(t, "short", short, shortRef)
 	sameHist(t, "long", long, longRef)
@@ -554,56 +555,79 @@ func FuzzHistogramMatchesDense(f *testing.F) {
 	})
 }
 
-// A histogram holds a block only for the exponent ranges it was given:
-// records in one far range allocate exactly one block and, once it
-// exists, nothing more; a merge allocates only the blocks the other
-// histogram holds; and Reset zeroes blocks without freeing them.
+// A histogram holds a chunk only for the buckets it was given: records
+// in one far chunk allocate exactly one chunk of chunkLen counters and,
+// once it exists, nothing more; a merge allocates only the chunks the
+// other histogram holds; and Reset zeroes chunks without freeing them.
 func TestHistogramAllocatesOnlyHitRanges(t *testing.T) {
 	far := NewHistogram()
 	for v := sim.Time(1 << 40); v < 1<<40+1<<32; v += 1 << 25 {
 		far.Record(v)
 	}
-	if n := allocatedBlocks(far); n != 1 {
-		t.Fatalf("values in one range allocated %d blocks, want 1", n)
+	if n := allocatedChunks(far); n != 1 {
+		t.Fatalf("values in one chunk allocated %d chunks, want 1", n)
 	}
-	// Every per-packet latency goes through Record: into a range that
-	// already holds a block it must not allocate.
+	// Every per-packet latency goes through Record: into a chunk that
+	// already exists it must not allocate.
 	if allocs := testing.AllocsPerRun(1000, func() { far.Record(1<<40 + 12345) }); allocs != 0 {
-		t.Fatalf("Record into a hit range allocates %.1f times", allocs)
+		t.Fatalf("Record into a hit chunk allocates %.1f times", allocs)
+	}
+
+	// The first Record into an empty histogram costs one 32-counter
+	// chunk and a chunk table spanning one exponent range (four
+	// pointers), however far out the value lies.
+	const firstRecordBytes = 32*8 + 4*8
+	fresh := make([]*Histogram, 64)
+	for i := range fresh {
+		fresh[i] = NewHistogram()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i, h := range fresh {
+		h.Record(sim.Time(1) << (i % 62))
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(fresh)); per > firstRecordBytes {
+		t.Fatalf("first Record allocates %d bytes, want at most %d", per, firstRecordBytes)
+	}
+	for i, h := range fresh {
+		if n := allocatedChunks(h); n != 1 || len(h.chunks) != rangeChunks {
+			t.Fatalf("fresh[%d]: first Record left %d chunks in a %d-entry table, want 1 in %d", i, n, len(h.chunks), rangeChunks)
+		}
 	}
 
 	near := NewHistogram()
 	near.Record(5)
 	near.Record(1000)
 	near.Merge(far)
-	if n := allocatedBlocks(near); n != 3 {
-		t.Fatalf("merge left %d blocks, want the 2 recorded plus far's 1", n)
+	if n := allocatedChunks(near); n != 3 {
+		t.Fatalf("merge left %d chunks, want the 2 recorded plus far's 1", n)
 	}
-	if n := allocatedBlocks(far); n != 1 {
-		t.Fatalf("merge source grew to %d blocks", n)
+	if n := allocatedChunks(far); n != 1 {
+		t.Fatalf("merge source grew to %d chunks", n)
 	}
 
-	kept := append([]*[subBuckets]uint64(nil), near.blocks...)
+	kept := append([]*[chunkLen]uint64(nil), near.chunks...)
 	near.Reset()
-	if !reflect.DeepEqual(kept, near.blocks) {
-		t.Fatal("Reset replaced or freed blocks")
+	if !reflect.DeepEqual(kept, near.chunks) {
+		t.Fatal("Reset replaced or freed chunks")
 	}
-	for b, blk := range near.blocks {
-		if blk != nil && *blk != [subBuckets]uint64{} {
-			t.Fatalf("Reset left counts in block %d", b)
+	for k, ck := range near.chunks {
+		if ck != nil && *ck != [chunkLen]uint64{} {
+			t.Fatalf("Reset left counts in chunk %d", near.base+k)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		near.Record(7)
 		near.Record(1 << 40)
 	}); allocs != 0 {
-		t.Fatalf("Record into kept blocks after Reset allocates %.1f times", allocs)
+		t.Fatalf("Record into kept chunks after Reset allocates %.1f times", allocs)
 	}
 }
 
 // BenchmarkHistogramRecord times Record into one warm histogram, and into
 // 3,000 histograms (about the cluster's count) picked in scattered order,
-// where each Record misses the cache for its histogram's block.
+// where each Record misses the cache for its histogram's chunk.
 func BenchmarkHistogramRecord(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]sim.Time, 1<<16)
