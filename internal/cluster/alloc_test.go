@@ -12,11 +12,14 @@ import (
 
 // TestClusterEchoAllocsPerRequest bounds what the cluster allocates per
 // echo request on the benchmark's cluster configuration (16 hosts, 1000
-// containers, priority placement, one worker). The request and reply
-// frames are encoded into pooled buffers, so what remains per request is
-// the Inject frame the fabric carries, the uplink's copy of the reply,
-// and the rare span-ring or histogram block: at most 2.1 allocations per
-// request sent, in each of three 10 ms windows after warm-up.
+// containers, priority placement, one worker). Inside a host the request
+// and reply ride pooled buffers, and on the fabric they ride the nodes'
+// recycled wire buffers. What remains is the histogram chunk a new
+// latency value reaches (about 0.1 per request) and the wire buffers
+// that lists drifting apart leave to the GC and reallocate (about 0.04:
+// a request a host drops returns its buffer to the server's list, not
+// the ingress node's): at most 0.3 allocations per request sent, in each
+// of three 10 ms windows after warm-up.
 func TestClusterEchoAllocsPerRequest(t *testing.T) {
 	p := experiments.Default()
 	const hosts, containers = 16, 1000
@@ -64,8 +67,8 @@ func TestClusterEchoAllocsPerRequest(t *testing.T) {
 		}
 		perReq := float64(allocs) / float64(reqs)
 		t.Logf("window %d: %d allocations for %d requests (%.2f per request)", w, allocs, reqs, perReq)
-		if perReq > 2.1 {
-			t.Errorf("window %d: %.2f allocations per echo request, want ≤ 2.1", w, perReq)
+		if perReq > 0.3 {
+			t.Errorf("window %d: %.2f allocations per echo request, want ≤ 0.3", w, perReq)
 		}
 	}
 }

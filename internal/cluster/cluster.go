@@ -76,6 +76,16 @@ func CheckScale(hosts, hostCap, containers int) error {
 	return nil
 }
 
+// HostCapacity is the per-host container bound a Config.HostCap setting
+// gives: DefaultHostCap when unset, never beyond the overlay's address
+// space.
+func HostCapacity(hostCap int) int {
+	if hostCap <= 0 {
+		return DefaultHostCap
+	}
+	return min(hostCap, maxHostCap)
+}
+
 // SvcPort is container i's service port; CliPort its flow's client-side
 // source port.
 func SvcPort(i int) uint16 { return uint16(SvcPortBase + i) }
@@ -129,10 +139,7 @@ func (c Config) withDefaults() Config {
 	if c.Hosts < 1 {
 		c.Hosts = 1
 	}
-	if c.HostCap <= 0 {
-		c.HostCap = DefaultHostCap
-	}
-	c.HostCap = min(c.HostCap, maxHostCap)
+	c.HostCap = HostCapacity(c.HostCap)
 	if c.EchoCost <= 0 {
 		c.EchoCost = 500 * sim.Nanosecond
 	}
@@ -163,6 +170,13 @@ type Node struct {
 	Bucket *TokenBucket
 	// Up is the host→ToR uplink.
 	Up *par.Link
+	// Bufs is the node's wire buffer list, touched only on its shard. The
+	// echo flows entering here encode their requests into buffers from
+	// it, the host's transmitted frames are copied into buffers from it,
+	// and every owned frame that ends on this node goes back into it.
+	Bufs pkt.WireBufs
+	// retrying counts owned frames held by pending admission retries.
+	retrying int
 
 	// Injected counts frames this node pushed into the fabric (admitted
 	// requests + server replies); FromFabric counts fabric frames
@@ -348,8 +362,8 @@ func New(cfg Config) (*Cluster, error) {
 		r := c.rackOf(n.ID)
 		tor := c.Tors[r]
 		n.Up = c.connect(n.Shard, tor.Shard, hostLink, tor.Receive)
-		down := c.connect(tor.Shard, n.Shard, hostLink, func(at sim.Time, frame []byte, port uint32) {
-			c.deliverToNode(n, at, frame, port)
+		down := c.connect(tor.Shard, n.Shard, hostLink, func(at sim.Time, frame []byte, tag uint32) {
+			c.deliverToNode(n, at, frame, tag)
 		})
 		torDown[r][n.ID] = tor.addPort(fmt.Sprintf("%s->%s", tor.Name, n.Name), down, hostLink)
 
@@ -361,8 +375,10 @@ func New(cfg Config) (*Cluster, error) {
 			}
 			n.Injected++
 			// The host lends its pooled egress buffer only for this
-			// call; the uplink carries the frame across the window.
-			n.Up.Send(now, arrive-now, append([]byte(nil), frame...), portOf(frame))
+			// call; the uplink carries a copy across the window.
+			b := n.Bufs.Get(len(frame))
+			copy(b, frame)
+			n.Up.Send(now, arrive-now, b, portOf(frame)|ownedFrame)
 		}
 	}
 
@@ -406,7 +422,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		in := c.Nodes[ingressOf(i)]
 		src := overlay.ClientContainer(i, CliPort(i))
-		inject := c.injectVia(in, sp.Hi)
 		// Desynchronized deterministic start phases keep the cluster's
 		// generators from emitting in lockstep.
 		startAt := sim.Time(i%97) * 53 * sim.Microsecond
@@ -419,7 +434,7 @@ func New(cfg Config) (*Cluster, error) {
 			if err := f.InstallSink(cfg.SinkCost); err != nil {
 				return nil, fmt.Errorf("cluster: %s: %w", sp.Name, err)
 			}
-			f.Inject = inject
+			f.Inject = c.injectVia(in, sp.Hi, 0)
 			f.Start(startAt)
 			fl.Flood = f
 		} else {
@@ -428,7 +443,8 @@ func New(cfg Config) (*Cluster, error) {
 			if err := pp.InstallEcho(cfg.EchoCost); err != nil {
 				return nil, fmt.Errorf("cluster: %s: %w", sp.Name, err)
 			}
-			pp.Inject = inject
+			pp.Inject = c.injectVia(in, sp.Hi, ownedFrame)
+			pp.Wire = &in.Bufs
 			pp.Start(in.Client, startAt)
 			fl.PP = pp
 		}
@@ -463,11 +479,13 @@ func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(
 func (c *Cluster) rackOf(host int) int { return host / c.perRack }
 
 // injectVia builds the generator hook for a flow entering at node in: the
-// route key, the admission decision, then the uplink. Runs in event
-// context on the ingress shard.
-func (c *Cluster) injectVia(in *Node, hi bool) func(now, arrive sim.Time, frame []byte) {
+// route key, the admission decision, then the uplink. owned is
+// ownedFrame for a generator whose frames come from in's wire buffer
+// list, 0 for a flood's shared template. Runs in event context on the
+// ingress shard.
+func (c *Cluster) injectVia(in *Node, hi bool, owned uint32) func(now, arrive sim.Time, frame []byte) {
 	return func(now, arrive sim.Time, frame []byte) {
-		c.inject(in, hi, now, arrive, frame, portOf(frame), 0)
+		c.inject(in, hi, now, arrive, frame, portOf(frame)|owned, 0)
 	}
 }
 
@@ -477,43 +495,69 @@ func (c *Cluster) injectVia(in *Node, hi bool) func(now, arrive sim.Time, frame 
 // backing off into the capacity-scaled bucket instead of silently losing
 // offered load during failover. The retry preserves the frame's
 // departure→arrival delta, so the re-sent frame still satisfies the
-// uplink's lookahead contract. Runs in event context on the ingress
-// shard.
-func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, port uint32, attempt int) {
+// uplink's lookahead contract. A frame that goes no further is given
+// back to in's list when it is owned; a retry keeps it. Runs in event
+// context on the ingress shard.
+func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, tag uint32, attempt int) {
 	if in.down {
 		in.CrashTx++
+		in.release(frame, tag)
 		return
 	}
 	if !in.Bucket.Admit(now, hi) {
 		r := c.rec
 		if r == nil || r.cfg.RetryMax <= 0 || !r.degraded || attempt >= r.cfg.RetryMax {
+			in.release(frame, tag)
 			return
 		}
 		wait := arrive - now
 		delay := retryDelay(attempt + 1)
 		in.Retries++
+		owned := tag&ownedFrame != 0
+		if owned {
+			in.retrying++
+		}
 		in.Shard.Eng.At(now+delay, func() {
+			if owned {
+				in.retrying--
+			}
 			nn := in.Shard.Eng.Now()
-			c.inject(in, hi, nn, nn+wait, frame, port, attempt+1)
+			c.inject(in, hi, nn, nn+wait, frame, tag, attempt+1)
 		})
 		return
 	}
 	in.Injected++
-	in.Up.Send(now, arrive-now, frame, port)
+	in.Up.Send(now, arrive-now, frame, tag)
+}
+
+// release ends an owned frame's life on node n: its buffer goes back into
+// n's list. Flood templates are shared and stay where they are.
+func (n *Node) release(frame []byte, tag uint32) {
+	if tag&ownedFrame != 0 {
+		n.Bufs.Put(frame)
+	}
 }
 
 // deliverToNode terminates a fabric downlink: requests enter the host's
-// NIC path, replies the client demux. Runs in event context on the node's
-// shard. A down host absorbs the frame (CrashRx — the fail-stop wire). A
-// frame whose route no longer points here was in flight across a
-// snapshot swap: with recovery armed it is an epoch drop (counted, never
-// silent); otherwise the fabric genuinely misrouted it.
-func (c *Cluster) deliverToNode(n *Node, at sim.Time, frame []byte, port uint32) {
+// NIC path, replies the client demux. Both only borrow the bytes, so an
+// owned frame goes back into the node's list once terminate returns,
+// whatever became of it. Runs in event context on the node's shard.
+func (c *Cluster) deliverToNode(n *Node, at sim.Time, frame []byte, tag uint32) {
+	c.terminate(n, at, frame, tag)
+	n.release(frame, tag)
+}
+
+// terminate ends one fabric frame at node n. A down host absorbs the
+// frame (CrashRx — the fail-stop wire). A frame whose route no longer
+// points here was in flight across a snapshot swap: with recovery armed
+// it is an epoch drop (counted, never silent); otherwise the fabric
+// genuinely misrouted it.
+func (c *Cluster) terminate(n *Node, at sim.Time, frame []byte, tag uint32) {
 	if n.down {
 		n.CrashRx++
 		return
 	}
-	rt, ok := route(c.snap.Load(), port)
+	rt, ok := route(c.snap.Load(), tag)
 	if !ok || rt.Host != n.ID {
 		if ok && c.rec != nil {
 			n.EpochDrops++
@@ -723,8 +767,11 @@ func (c *Cluster) fabricInFlight() int {
 // Conservation holds across host crashes and routing-epoch swaps because
 // the boundary cases are counted, not discarded: a down host's wire
 // absorbs frames as CrashRx, a stale-epoch arrival lands in EpochDrops,
-// and both count as fabric drops. A failed fabric equation appends the
-// per-host and per-switch counters, so its residual is attributable.
+// and both count as fabric drops. The nodes' wire buffer lists balance
+// too: every buffer Got and not Put back was dropped by a switch (left to
+// the GC) or is an owned frame still on a link, in a switch or in a
+// pending admission retry. A failed fabric equation appends the per-host
+// and per-switch counters, so its residual is attributable.
 func (c *Cluster) CheckInvariants(strict bool) error {
 	hosts := make([]*overlay.Host, len(c.Nodes))
 	planes := make([]*fault.Plane, len(c.Nodes))
@@ -755,6 +802,11 @@ func (c *Cluster) CheckInvariants(strict bool) error {
 		return fmt.Errorf("cluster: fabric conservation broken: %d injected != %d to-hosts + %d to-clients + %d dropped + %d in-flight%s",
 			injected, toHosts, toClients, dropped, inFlight, c.residualTables())
 	}
+	gets, puts, lost, held := c.bufLedger()
+	if gets != puts+lost+held {
+		return fmt.Errorf("cluster: wire buffer ledger broken: %d gets != %d puts + %d left to the GC + %d owned in flight%s",
+			gets, puts, lost, held, c.residualTables())
+	}
 	for _, sw := range c.switches() {
 		if sw.RxFrames != sw.forwarded()+sw.dropped()+uint64(sw.inFlight()) {
 			return fmt.Errorf("cluster: %s conservation broken: %d rx != %d forwarded + %d dropped + %d in-flight%s",
@@ -781,6 +833,24 @@ func (c *Cluster) CheckInvariants(strict bool) error {
 		return fmt.Errorf("cluster: settled fabric still holds %d frames%s", inFlight, c.residualTables())
 	}
 	return nil
+}
+
+// bufLedger sums the nodes' wire buffer gets and puts, the owned frames
+// the switches dropped, and the owned frames held in links, switches and
+// pending retries.
+func (c *Cluster) bufLedger() (gets, puts, lost, held uint64) {
+	held = uint64(c.Group.Tagged(ownedFrame))
+	for _, n := range c.Nodes {
+		g, p := n.Bufs.Counts()
+		gets += g
+		puts += p
+		held += uint64(n.retrying)
+	}
+	for _, sw := range c.switches() {
+		lost += sw.lost
+		held += uint64(sw.ownedInFlight())
+	}
+	return gets, puts, lost, held
 }
 
 // replicaCounts returns a migrated flow's generator emissions, its

@@ -71,11 +71,11 @@ func (c FabricConfig) serialization(bytes int) sim.Time {
 	return sim.Time(float64(bytes*8) / c.linkGbps)
 }
 
-// queued is one frame waiting at an egress port, with the route key it
+// queued is one frame waiting at an egress port, with the route tag it
 // travels with.
 type queued struct {
 	frame   []byte
-	port    uint32
+	tag     uint32
 	hi      bool
 	arrived sim.Time
 }
@@ -159,6 +159,9 @@ type Switch struct {
 	RxFrames   uint64
 	Unroutable uint64
 	seq        uint64
+	// lost counts the owned frames this switch dropped. A switch shard
+	// owns no wire buffer list, so it leaves them to the GC.
+	lost uint64
 }
 
 func newSwitch(g *par.Group, name string, seed uint64, latency sim.Time, cfg FabricConfig, snap *atomic.Pointer[Snapshot]) *Switch {
@@ -184,6 +187,12 @@ func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
 // lies outside the uint16 port space, so no snapshot routes it.
 const noPort = uint32(1 << 16)
 
+// ownedFrame flags a route tag whose frame is a wire buffer the sending
+// node Got from its list: the node that terminates the frame Puts it into
+// its own list. Flood frames are one shared template per flow and travel
+// without it. The tag's other bits are the route key.
+const ownedFrame = uint32(1 << 31)
+
 // portOf is a wire frame's route key: the destination port of its inner
 // flow, the globally unique flow identity (container IPs repeat across
 // hosts, ports never do), or noPort. A host computes it once, where it
@@ -197,10 +206,11 @@ func portOf(frame []byte) uint32 {
 	return uint32(fl.DstPort)
 }
 
-// route resolves a carried route key against the current snapshot. The
-// lookup runs at every hop, so a snapshot swap reroutes frames in
-// flight.
-func route(snap *Snapshot, port uint32) (Route, bool) {
+// route resolves a carried route tag's key against the current
+// snapshot. The lookup runs at every hop, so a snapshot swap reroutes
+// frames in flight.
+func route(snap *Snapshot, tag uint32) (Route, bool) {
+	port := tag &^ ownedFrame
 	if port == noPort {
 		return Route{}, false
 	}
@@ -208,16 +218,24 @@ func route(snap *Snapshot, port uint32) (Route, bool) {
 }
 
 // Receive handles one frame arriving at the switch at time at with its
-// route key (event context on the switch's shard).
-func (s *Switch) Receive(at sim.Time, frame []byte, port uint32) {
+// route tag (event context on the switch's shard).
+func (s *Switch) Receive(at sim.Time, frame []byte, tag uint32) {
 	s.RxFrames++
-	rt, ok := route(s.snap.Load(), port)
+	rt, ok := route(s.snap.Load(), tag)
 	if !ok {
 		s.Unroutable++
+		s.lose(tag)
 		s.Pipe.FabricDrop(at, s.Name, "unroutable", 0)
 		return
 	}
-	s.enqueue(at, s.portFor(rt), queued{frame: frame, port: port, hi: rt.Hi, arrived: at})
+	s.enqueue(at, s.portFor(rt), queued{frame: frame, tag: tag, hi: rt.Hi, arrived: at})
+}
+
+// lose accounts a dropped frame's buffer: an owned one is left to the GC.
+func (s *Switch) lose(tag uint32) {
+	if tag&ownedFrame != 0 {
+		s.lost++
+	}
 }
 
 func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
@@ -228,6 +246,7 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 	if p.down {
 		p.Dropped++
 		p.DownDropped++
+		s.lose(q.tag)
 		s.Pipe.FabricDrop(now, p.Name, "link-down", prio)
 		return
 	}
@@ -236,12 +255,13 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 			// Evict the youngest best-effort frame: the oldest is
 			// closest to transmission and dropping it wastes the most
 			// queueing work.
-			p.lo.PopBack()
+			s.lose(p.lo.PopBack().tag)
 			p.ShedLo++
 			p.Dropped++
 			s.Pipe.FabricDrop(now, p.Name, "shed", 0)
 		} else {
 			p.Dropped++
+			s.lose(q.tag)
 			s.Pipe.FabricDrop(now, p.Name, "queue-full", prio)
 			return
 		}
@@ -287,7 +307,7 @@ func (s *Switch) finishTx(done sim.Time, p *Port) {
 	}
 	p.obs.Fabric(s.seq, prio, q.arrived, done)
 	s.seq++
-	p.link.Send(done, p.prop, q.frame, q.port)
+	p.link.Send(done, p.prop, q.frame, q.tag)
 	p.Forwarded++
 	p.busy = false
 	if p.depth() > 0 {
@@ -313,9 +333,11 @@ func (s *Switch) setPortDown(now sim.Time, p *Port, down bool) {
 	}
 	flushed := p.depth()
 	for i := 0; i < p.hi.Len(); i++ {
+		s.lose(p.hi.At(i).tag)
 		s.Pipe.FabricDrop(now, p.Name, "link-down", 1)
 	}
 	for i := 0; i < p.lo.Len(); i++ {
+		s.lose(p.lo.At(i).tag)
 		s.Pipe.FabricDrop(now, p.Name, "link-down", 0)
 	}
 	p.hi.Clear()
@@ -340,6 +362,28 @@ func (s *Switch) inFlight() int {
 	for _, p := range s.Ports {
 		n += p.depth()
 		if p.busy {
+			n++
+		}
+	}
+	return n
+}
+
+// ownedInFlight counts the owned frames inside this switch.
+func (s *Switch) ownedInFlight() int {
+	n := 0
+	for _, p := range s.Ports {
+		n += ownedIn(&p.hi) + ownedIn(&p.lo)
+		if p.busy && p.tx.tag&ownedFrame != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func ownedIn(q *ring.FIFO[queued]) int {
+	n := 0
+	for i := 0; i < q.Len(); i++ {
+		if q.At(i).tag&ownedFrame != 0 {
 			n++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"prism/internal/obs"
 	"prism/internal/par"
 	"prism/internal/pkt"
 	"prism/internal/sim"
@@ -78,6 +79,59 @@ func TestSwitchHopZeroAlloc(t *testing.T) {
 	}
 	if uint64(delivered)+uint64(sw.inFlight())+uint64(port.link.Buffered()+sink.InboxLen()) != sw.RxFrames {
 		t.Errorf("frames not conserved: rx %d, delivered %d, in switch %d", sw.RxFrames, delivered, sw.inFlight())
+	}
+}
+
+// TestClusterEchoRoundTripZeroAlloc gates a whole fabric round trip: one
+// high-priority echo whose request leaves host 1, crosses its ToR, the
+// spine and host 0's ToR, and whose reply comes back the same way. The
+// request is encoded into a buffer from host 1's wire list and ends in
+// host 0's; the reply is copied into a buffer from host 0's list and ends
+// in host 1's. Once the lists, span rings, link buffers, event free lists
+// and histogram buckets have warmed up, a round trip must not touch the
+// heap.
+func TestClusterEchoRoundTripZeroAlloc(t *testing.T) {
+	c, err := New(Config{
+		Hosts:     2,
+		Placement: PlaceSpread,
+		Seed:      5,
+		Host:      testHostSpec(),
+		Specs:     []ContainerSpec{{Name: "echo", Hi: true, Rate: 20_000, Ingress: 1}},
+		Fabric:    FabricConfig{Racks: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Assignment[0] != 0 || c.Spine == nil {
+		t.Fatalf("echo on host %d, spine %v: the round trip must cross racks", c.Assignment[0], c.Spine)
+	}
+	// Small span rings wrap during the warm-up instead of growing through
+	// the measurement.
+	for _, p := range c.Pipes() {
+		p.T = obs.NewTracer(1024)
+	}
+	horizon := 50 * sim.Millisecond
+	if err := c.Run(horizon, 1); err != nil {
+		t.Fatal(err)
+	}
+	pp := c.Flows[0].PP
+	received := pp.Received
+	if avg := testing.AllocsPerRun(10, func() {
+		horizon += sim.Millisecond
+		if err := c.Group.Run(horizon, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("echo round trip allocates: %.1f allocs per 1ms of virtual time (~20 round trips)", avg)
+	}
+	if got := pp.Received - received; got < 11*19 {
+		t.Errorf("%d replies in 11ms, want about 20 per ms", got)
+	}
+	if c.Spine.RxFrames == 0 {
+		t.Error("no frame crossed the spine")
+	}
+	if err := c.CheckInvariants(false); err != nil {
+		t.Fatal(err)
 	}
 }
 

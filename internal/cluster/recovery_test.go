@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prism/internal/fault"
+	"prism/internal/netdev"
 	"prism/internal/obs"
 	"prism/internal/sim"
 )
@@ -571,5 +572,112 @@ func TestBackoffDelay(t *testing.T) {
 	}
 	if got := retryDelay(0); got != retryBase {
 		t.Errorf("retryDelay(0) = %v, want base", got)
+	}
+}
+
+// --- wire buffer ledger through failover ---
+
+// TestWireBufLedgerThroughFailover drives every way an owned fabric frame
+// can end other than delivery through the wire buffer equation of
+// CheckInvariants: a scripted crash and restart (frames absorbed at the
+// dead host's wire, requests its generators emit while it is down), a
+// severed ToR uplink (queued frames flushed, arrivals dropped, both left
+// to the GC), degraded-mode admission retries holding their frames across
+// backoffs, and routing-epoch swaps with frames on the downlinks. The
+// equation is checked at every 100 µs barrier and strictly after
+// settling, and it must catch a stray Put.
+func TestWireBufLedgerThroughFailover(t *testing.T) {
+	cfg := smallConfig(61)
+	// Long host cables keep frames on the ToR downlinks at the swaps.
+	costs := *netdev.DefaultCosts()
+	costs.WireLatency = 30 * sim.Microsecond
+	cfg.Host.Costs = &costs
+	// Slow links keep frames queued at the ToR uplink when it is severed.
+	cfg.Fabric.linkGbps = 0.005
+	cfg.Admission = &Admission{Rate: 60_000, Burst: 16, HiReserve: 0.5}
+	cfg.Recovery = &RecoveryConfig{
+		Script: Script{
+			{Kind: HostCrash, Host: 1, At: 6 * sim.Millisecond, Until: 12 * sim.Millisecond},
+			{Kind: TorLinkDown, Tor: 1, At: 7 * sim.Millisecond, Until: 10 * sim.Millisecond},
+		},
+		RetryMax:         5,
+		DegradeAdmission: true,
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One echo flow clear of the crashed host, sped up, flips between its host
+	// and another live one at six barriers, as migrations would.
+	flow := -1
+	for i, f := range c.Flows {
+		if f.PP != nil && f.Spec.Hi && c.Assignment[i] != 1 && f.Ingress != 1 {
+			flow = i
+			break
+		}
+	}
+	c.Flows[flow].PP.Rate = 50_000
+	home, away := c.Assignment[flow], (c.Assignment[flow]+2)%len(c.Nodes)
+	if away == 1 {
+		away = (away + 1) % len(c.Nodes)
+	}
+	// Scheduled before Run, this runs just ahead of the severing event at
+	// the same instant, so it sees the frames the cut flushes.
+	flushed := uint64(0)
+	c.Tors[1].Shard.Eng.At(7*sim.Millisecond, func() { flushed = uint64(c.torUp[1].depth()) })
+	swaps := 0
+	checks := 0
+	c.SetCheckpoint(100*sim.Microsecond, func(at sim.Time) {
+		checks++
+		if err := c.CheckInvariants(false); err != nil {
+			t.Fatalf("at %v: %v", at, err)
+		}
+		if at >= 14*sim.Millisecond && at%sim.Millisecond == 0 && swaps < 6 {
+			routes := c.Snapshot().cloneRoutes()
+			rt := routes[SvcPort(flow)]
+			rt.Host = []int{away, home}[swaps%2]
+			routes[SvcPort(flow)] = rt
+			if err := c.SwapSnapshot(NewSnapshot(c.Snapshot().Version+1, routes)); err != nil {
+				t.Fatal(err)
+			}
+			swaps++
+		}
+	})
+	if err := c.Run(20*sim.Millisecond, 2); err != nil {
+		t.Fatal(err)
+	}
+	var lost uint64
+	for _, sw := range c.switches() {
+		lost += sw.lost
+	}
+	crashRx, crashTx := c.CrashDrops()
+	terms := map[string]uint64{
+		"crash-rx":          crashRx,
+		"crash-tx":          crashTx,
+		"uplink flushes":    flushed,
+		"uplink down drops": c.torUp[1].DownDropped + c.spineDown[1].DownDropped,
+		"admission retries": c.RecoveryRetries(),
+		"epoch drops":       c.EpochDrops(),
+		"frames left to GC": lost,
+	}
+	for name, n := range terms {
+		if n == 0 {
+			t.Errorf("the run exercised no %s", name)
+		}
+	}
+	if err := c.Settle(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(true); err != nil {
+		t.Fatalf("settled: %v", err)
+	}
+	gets, puts, gone, held := c.bufLedger()
+	if held != 0 || gets != puts+gone {
+		t.Fatalf("settled ledger: %d gets, %d puts, %d left to the GC, %d held", gets, puts, gone, held)
+	}
+	t.Logf("%d checks, %d swaps; %d gets, %d puts, %d left to the GC; %v", checks, swaps, gets, puts, gone, terms)
+	c.Nodes[0].Bufs.Put(make([]byte, 256))
+	if err := c.CheckInvariants(true); err == nil || !strings.Contains(err.Error(), "wire buffer ledger broken") {
+		t.Fatalf("an extra Put went unnoticed: %v", err)
 	}
 }

@@ -309,6 +309,35 @@ func (s *Shard) inject(end sim.Time) {
 	}
 }
 
+// Tagged counts the frames the group holds on its links — in link
+// buffers, shard inboxes and due FIFOs — whose tag has a bit of mask set.
+// Call it only while the shards are quiescent (between Runs or at a
+// barrier); a due FIFO holds frames only when a Run stopped mid-window.
+func (g *Group) Tagged(mask uint32) int {
+	n := 0
+	count := func(d delivery) {
+		if d.tag&mask != 0 {
+			n++
+		}
+	}
+	for _, l := range g.links {
+		for _, b := range l.bufs {
+			for i := range b {
+				count(b[i].delivery)
+			}
+		}
+		for i := 0; i < l.due.Len(); i++ {
+			count(l.due.At(i))
+		}
+	}
+	for _, s := range g.shards {
+		for i := range s.inbox {
+			count(s.inbox[i].delivery)
+		}
+	}
+	return n
+}
+
 // compareMessages orders inbox messages by (at, src, seq).
 func compareMessages(a, b message) int {
 	if c := cmp.Compare(a.at, b.at); c != 0 {

@@ -149,6 +149,32 @@ func TestBurstyShardSilentWindows(t *testing.T) {
 	}
 }
 
+// TestTaggedCountsInFlight: Group.Tagged counts the messages still in
+// flight past the horizon, in a link buffer or the destination inbox, by
+// their tag bits; a delivered message no longer counts.
+func TestTaggedCountsInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := NewGroup()
+		a := g.Add("a", sim.NewEngine(1))
+		b := g.Add("b", sim.NewEngine(2))
+		l := g.Connect(a, b, 50, func(sim.Time, []byte, uint32) {})
+		a.Eng.At(950, func() {
+			l.Send(950, 50, nil, 1<<31) // delivered at the horizon
+			for i, tag := range []uint32{1, 1 | 1<<31, 1 << 31, 0} {
+				l.Send(950, sim.Time(60+i), nil, tag)
+			}
+		})
+		if err := g.Run(1000, workers); err != nil {
+			t.Fatal(err)
+		}
+		for mask, want := range map[uint32]int{1 << 31: 2, 1: 2, ^uint32(0): 3, 0: 0} {
+			if got := g.Tagged(mask); got != want {
+				t.Errorf("workers=%d: Tagged(%#x) = %d, want %d", workers, mask, got, want)
+			}
+		}
+	}
+}
+
 // TestWindowBoundaryMessage pins the barrier's half-open semantics: a
 // message landing exactly on a window boundary (delay == lookahead, the
 // legal minimum) belongs to the NEXT window, and one landing exactly at

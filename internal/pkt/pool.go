@@ -161,3 +161,75 @@ func (s *SKB) TakeFrame() *Frame {
 	s.frame = nil
 	return f
 }
+
+// WireBufs is a single-owner free list of wire buffers: plain byte slices
+// whose ownership travels with the slice, for frames that leave their
+// shard. A cluster node Gets a request or reply buffer from its list, a
+// cross-shard link carries the slice, and the node that terminates the
+// frame Puts it into its own list, so each list is only ever touched by
+// its owner. Get rounds up to FramePool's size classes and Put files a
+// buffer by its capacity, so any list takes back any list's buffers.
+// Lists that trade buffers drift apart — a node whose host drops requests
+// takes back more than it hands out — so each class keeps at most
+// wireFreeMax buffers; Put leaves the surplus, and any buffer whose
+// capacity is not a class, to the GC. Every Get and Put is counted, so
+// the gets minus the puts over all the lists that trade buffers is the
+// number held outside them. Build with -tags=pooldebug to poison put
+// buffers and panic on a second Put of one into the same list.
+type WireBufs struct {
+	free [len(frameClasses)][][]byte
+
+	gets uint64
+	puts uint64
+	// held records, under pooldebug only, the buffers on the free lists
+	// by their first byte.
+	held map[*byte]struct{}
+}
+
+// wireFreeMax bounds each size class of a WireBufs free list.
+const wireFreeMax = 32
+
+// Get returns an n-byte buffer, reusing a put one of the same size class
+// when there is one. The caller owns it until it Puts it somewhere.
+func (l *WireBufs) Get(n int) []byte {
+	l.gets++
+	for c, size := range frameClasses {
+		if n <= size {
+			if f := l.free[c]; len(f) > 0 {
+				b := f[len(f)-1]
+				f[len(f)-1] = nil
+				l.free[c] = f[:len(f)-1]
+				l.debugGet(b)
+				return b[:n]
+			}
+			return make([]byte, n, size)
+		}
+	}
+	return make([]byte, n)
+}
+
+// Put hands b back to the list; the caller must not touch it afterwards.
+func (l *WireBufs) Put(b []byte) {
+	l.puts++
+	b = b[:cap(b)]
+	poisonWire(b)
+	for c, size := range frameClasses {
+		if cap(b) == size && len(l.free[c]) < wireFreeMax {
+			l.debugPut(b)
+			l.free[c] = append(l.free[c], b)
+			return
+		}
+	}
+}
+
+// Counts reports how many buffers the list has handed out and taken back.
+func (l *WireBufs) Counts() (gets, puts uint64) { return l.gets, l.puts }
+
+// Free reports how many buffers are waiting on the list.
+func (l *WireBufs) Free() int {
+	n := 0
+	for _, f := range l.free {
+		n += len(f)
+	}
+	return n
+}

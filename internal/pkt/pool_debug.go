@@ -28,3 +28,25 @@ func poisonSKB(s *SKB) {
 	s.ID = ^uint64(0)
 	s.Stage = -1
 }
+
+// poisonWire fills a put wire buffer, its whole capacity.
+func poisonWire(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+// debugPut panics if b is on the list already: a second Put would hand
+// it to two owners.
+func (l *WireBufs) debugPut(b []byte) {
+	if l.held == nil {
+		l.held = make(map[*byte]struct{})
+	}
+	if _, dup := l.held[&b[0]]; dup {
+		panic("pkt: wire buffer double-put")
+	}
+	l.held[&b[0]] = struct{}{}
+}
+
+// debugGet forgets a buffer leaving the list.
+func (l *WireBufs) debugGet(b []byte) { delete(l.held, &b[0]) }

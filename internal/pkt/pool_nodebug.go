@@ -8,3 +8,9 @@ const PoolDebug = false
 func poisonFrame(*Frame) {}
 
 func poisonSKB(*SKB) {}
+
+func poisonWire([]byte) {}
+
+func (*WireBufs) debugPut([]byte) {}
+
+func (*WireBufs) debugGet([]byte) {}

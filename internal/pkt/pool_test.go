@@ -198,3 +198,90 @@ func TestAppendEncodersReuseBuffer(t *testing.T) {
 		t.Error("EncapUDPInto did not reuse the scratch buffer")
 	}
 }
+
+func TestWireBufsSizeClasses(t *testing.T) {
+	var l WireBufs
+	for _, tc := range []struct{ n, cap int }{{1, 128}, {128, 128}, {129, 256}, {1500, 2048}, {4096, 4096}, {5000, 5000}} {
+		if b := l.Get(tc.n); len(b) != tc.n || cap(b) != tc.cap {
+			t.Errorf("Get(%d): len %d cap %d, want len %d cap %d", tc.n, len(b), cap(b), tc.n, tc.cap)
+		}
+	}
+	if gets, puts := l.Counts(); gets != 6 || puts != 0 {
+		t.Errorf("counts %d/%d, want 6/0", gets, puts)
+	}
+}
+
+func TestWireBufsReuse(t *testing.T) {
+	var l, other WireBufs
+	b := l.Get(100)
+	backing := &b[0]
+	// A buffer goes back into whichever list its terminating owner holds.
+	other.Put(b)
+	if other.Free() != 1 || l.Free() != 0 {
+		t.Fatalf("free %d/%d after a Put into the other list, want 0/1", l.Free(), other.Free())
+	}
+	// Any request of the same class reuses it, at the requested length.
+	c := other.Get(60)
+	if &c[0] != backing || len(c) != 60 || cap(c) != 128 {
+		t.Errorf("Get after Put: reused %v, len %d, cap %d; want the put buffer at len 60, cap 128",
+			&c[0] == backing, len(c), cap(c))
+	}
+	// Another class does not.
+	if d := other.Get(200); cap(d) != 256 || other.Free() != 0 {
+		t.Errorf("Get(200): cap %d, %d free", cap(d), other.Free())
+	}
+	if gets, puts := other.Counts(); gets != 2 || puts != 1 {
+		t.Errorf("counts %d/%d, want 2/1", gets, puts)
+	}
+}
+
+func TestWireBufsSurplusLeftToGC(t *testing.T) {
+	var l WireBufs
+	for _, b := range [][]byte{make([]byte, 100), l.Get(5000), make([]byte, 64, 200)} {
+		l.Put(b)
+	}
+	if l.Free() != 0 {
+		t.Fatalf("%d foreign buffers kept, want none", l.Free())
+	}
+	// The Puts still count: the caller gave the buffers up.
+	if gets, puts := l.Counts(); gets != 1 || puts != 3 {
+		t.Errorf("counts %d/%d, want 1/3", gets, puts)
+	}
+	// A class capacity from anywhere is a wire buffer like any other.
+	l.Put(make([]byte, 10, 512))
+	if l.Free() != 1 || cap(l.Get(300)) != 512 {
+		t.Error("a 512-byte buffer was not filed under its class")
+	}
+	// A full class leaves the surplus to the GC.
+	for i := 0; i < wireFreeMax+5; i++ {
+		l.Put(make([]byte, 128))
+	}
+	if l.Free() != wireFreeMax {
+		t.Errorf("%d buffers kept after %d Puts, want the bound %d", l.Free(), wireFreeMax+5, wireFreeMax)
+	}
+}
+
+func TestWireBufsDoublePutPanics(t *testing.T) {
+	if !PoolDebug {
+		t.Skip("double-put detection needs -tags=pooldebug")
+	}
+	var l WireBufs
+	b := l.Get(60)
+	b[0] = 1
+	l.Put(b)
+	if b[0] != 0xDB || b[:cap(b)][127] != 0xDB { // pooldebug's poison byte
+		t.Error("Put did not poison the buffer")
+	}
+	// A buffer left to the GC is poisoned too.
+	foreign := []byte{1, 2, 3}
+	l.Put(foreign)
+	if foreign[0] != 0xDB {
+		t.Error("Put did not poison a buffer it left to the GC")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("double Put did not panic")
+		}
+	}()
+	l.Put(b)
+}

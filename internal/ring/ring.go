@@ -53,6 +53,15 @@ func (q *FIFO[T]) PopBack() T {
 	return v
 }
 
+// At returns the i-th element from the front without removing it. It
+// panics when i is out of range.
+func (q *FIFO[T]) At(i int) T {
+	if i < 0 || i >= q.n {
+		panic("ring: At out of range")
+	}
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
+}
+
 // Clear empties the queue, keeping its buffer.
 func (q *FIFO[T]) Clear() {
 	clear(q.buf)

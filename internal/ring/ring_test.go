@@ -8,7 +8,7 @@ import (
 
 // TestFIFOMatchesSlice drives the ring and the slice idiom it replaces
 // (q = q[1:] to pop the front, q = q[:len-1] to pop the back, append to
-// push) through the same random operation stream: the slice is the
+// push, q[i] to peek) through the same random operation stream: the slice is the
 // reference implementation, and every observable must agree.
 func TestFIFOMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -35,6 +35,11 @@ func TestFIFOMatchesSlice(t *testing.T) {
 		}
 		if q.Len() != len(ref) {
 			t.Fatalf("op %d: Len = %d, want %d", op, q.Len(), len(ref))
+		}
+		if len(ref) > 0 {
+			if i := rng.Intn(len(ref)); q.At(i) != ref[i] {
+				t.Fatalf("op %d: At(%d) = %d, want %d", op, i, q.At(i), ref[i])
+			}
 		}
 	}
 	var drained []int

@@ -137,6 +137,9 @@ func Compile(s *Scenario) (*Plan, error) {
 				})
 			}
 		}
+		if err := cluster.CheckScale(t.Hosts, cluster.HostCapacity(t.HostCap), len(cfg.Specs)); err != nil {
+			return nil, fmt.Errorf("scenario.topology: %w", err)
+		}
 		if f := s.Faults; f != nil {
 			// A fault section on a cluster arms the recovery controller:
 			// scripted kind entries lower to its failure script, rate

@@ -191,3 +191,33 @@ func TestCompileRejectsInfeasibleClusterScale(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRejectsInfeasibleCustomCluster: a custom cluster topology
+// whose workload its hosts cannot hold fails Compile with the same check,
+// under the topology's field path, instead of failing when the run builds
+// it. An unset host_cap is the cluster's default, and one beyond the
+// overlay's address space is the cap the cluster really applies.
+func TestCompileRejectsInfeasibleCustomCluster(t *testing.T) {
+	for topo, want := range map[string]string{
+		"hosts: 1\n  host_cap: 4":   "scenario.topology: cluster: 12 containers exceed cluster capacity 4 (1 hosts × 4)",
+		"hosts: 1\n  host_cap: 12":  "",
+		"hosts: 1\n  host_cap: 300": "",
+	} {
+		s := mustParse(t, "scenario: v1\ntopology:\n  split: cluster\n  "+topo+
+			"\nworkload:\n  - name: e\n    type: echo\n    rate: 10\n    count: 12\n")
+		_, err := Compile(s)
+		if want == "" && err != nil || want != "" && (err == nil || err.Error() != want) {
+			t.Errorf("%q: Compile error %v, want %q", topo, err, want)
+		}
+	}
+	for topo, want := range map[string]string{
+		"hosts: 1":                  "scenario.topology: cluster: 300 containers exceed cluster capacity 200 (1 hosts × 200)",
+		"hosts: 1\n  host_cap: 300": "scenario.topology: cluster: 300 containers exceed cluster capacity 248 (1 hosts × 248)",
+	} {
+		s := mustParse(t, "scenario: v1\ntopology:\n  split: cluster\n  "+topo+
+			"\nworkload:\n  - name: e\n    type: echo\n    rate: 10\n    count: 300\n")
+		if _, err := Compile(s); err == nil || err.Error() != want {
+			t.Errorf("%q with 300 containers: Compile error %v, want %q", topo, err, want)
+		}
+	}
+}

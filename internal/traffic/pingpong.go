@@ -38,11 +38,17 @@ type PingPong struct {
 	// frame with its departure and computed arrival time to the hook.
 	// The multi-host cluster routes it over the fabric, so the generator
 	// can run on its ingress host's shard while the target runs elsewhere.
-	// Each request gets its own exact-size frame, which the hook may keep
-	// (a link carries it; a deferred delivery holds it until arrival);
-	// the default path instead recycles one pooled buffer per request in
+	// Each request is encoded into a buffer from Wire, which then belongs
+	// to the hook: it may keep it (a deferred delivery holds it until
+	// arrival) or Put it into a wire buffer list once the frame is done.
+	// The default path instead recycles one pooled buffer per request in
 	// flight, because InjectFromWire only borrows the bytes.
 	Inject func(now, arrive sim.Time, frame []byte)
+	// Wire is the list the Inject path takes request buffers from. The
+	// multi-host cluster passes its ingress node's list, which the nodes
+	// that terminate the frames refill; nil gets a private list on the
+	// first send.
+	Wire *pkt.WireBufs
 
 	// OnSample, when set, observes every post-warmup latency sample in
 	// delivery order, keyed by the probe sequence number — the per-flow
@@ -201,15 +207,18 @@ func (p *PingPong) sendNext() {
 	now := p.Eng.Now()
 	var buf *pkt.Frame
 	var frame []byte
+	n := pkt.UDPFrameOverhead + p.PayloadLen
+	if p.Target != nil {
+		n += pkt.VXLANOverhead
+	}
 	if p.Inject != nil {
-		frame = p.encode(nil)
+		if p.Wire == nil {
+			p.Wire = new(pkt.WireBufs)
+		}
+		frame = p.encode(p.Wire.Get(n))
 	} else {
 		if p.pool == nil {
 			p.pool = new(pkt.FramePool)
-		}
-		n := pkt.UDPFrameOverhead + p.PayloadLen
-		if p.Target != nil {
-			n += pkt.VXLANOverhead
 		}
 		buf = p.pool.Get(n)
 		buf.B = p.encode(buf.B)
