@@ -15,6 +15,7 @@
 //	prismsim -exp cluster -listen :8080    # + live operator surface
 //	prismsim -exp failover                 # kill-and-recover grid
 //	prismsim -scenario scenarios/incast.yaml   # declarative scenario file
+//	prismsim -scenario scenarios/control.yaml -listen :8080   # + /capture
 //
 // Every -exp name is an entry of experiments.Experiments, the one table a
 // scenario file's experiment block also resolves against. -policy,
@@ -30,8 +31,11 @@
 // scenarios/ and internal/scenario) instead of -exp: the file picks the
 // topology, traffic mix, fault timeline and SLO assertions, and the run
 // exits non-zero when an assertion fails (1) or the file is malformed
-// (2, with a path-qualified error). -parallel still applies; every other
-// tuning flag comes from the file.
+// (2, with a path-qualified error). -parallel and the live-surface flags
+// (-listen, -checkpoint, -linger) still apply; every other tuning flag
+// comes from the file. scenarios/control.yaml drives the paper's procfs
+// control plane (§IV-A): rules added and deleted and batch/sync switches
+// at given virtual times, with per-phase latency metrics.
 //
 // -parallel N runs multi-point experiments (fig9, fig10, fig11, scaling,
 // and the sweeps) with up to N parameter points in flight, each on its own
@@ -48,7 +52,8 @@
 // /metrics (Prometheus exposition of the latest virtual-time checkpoint),
 // /capture (streaming pcap with container/priority selectors — pipe it
 // into Wireshark), /trace (Chrome trace events as NDJSON), and /status
-// (SSE run progress). The cluster and chaos experiments publish into it;
+// (SSE run progress). The cluster and chaos experiments and custom
+// scenario runs publish into it;
 // attaching the surface never changes results — the determinism gates
 // re-derive the golden digests with it enabled. -checkpoint sets the
 // snapshot cadence in virtual time; -linger keeps the server answering
@@ -56,10 +61,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -145,7 +152,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if !flagWasSet(fs, "parallel") {
 			parallel = nil
 		}
-		return runScenario(*scenarioFile, parallel, stdout, stderr)
+		return runScenario(*scenarioFile, parallel, func() (*live.Server, func(), bool) {
+			return serveLive(*listen, *checkpoint, *linger, stderr)
+		}, stdout, stderr)
 	}
 
 	// Export flags imply the instrumented experiment.
@@ -192,34 +201,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	p.BGBurst = *burst
 	p.Workers = *parallel
 
-	if *listen != "" {
-		lv := live.NewServer()
-		if iv := sim.Duration(*checkpoint); iv > 0 {
-			lv.Interval = iv
-		}
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		// The determinism gates diff stdout across runs; the bound address
-		// (often an ephemeral port) goes to stderr.
-		fmt.Fprintf(stderr, "live: listening on http://%s\n", ln.Addr())
-		go func() {
-			if err := lv.Serve(ln); err != nil {
-				fmt.Fprintln(stderr, "live:", err)
-			}
-		}()
-		p.Live = lv
-		defer func() {
-			lv.Finish()
-			if *linger > 0 {
-				fmt.Fprintf(stderr, "live: runs complete; serving snapshots for %v\n", *linger)
-				time.Sleep(*linger)
-			}
-			lv.Close()
-		}()
+	lv, done, ok := serveLive(*listen, *checkpoint, *linger, stderr)
+	if !ok {
+		return 1
 	}
+	defer done()
+	p.Live = lv
 
 	for _, e := range selected {
 		r := e.Run(p, args)
@@ -243,11 +230,47 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 	return set
 }
 
+// serveLive starts the live operator surface on addr; "" serves none (a
+// nil server). done marks the runs finished, keeps serving snapshots for
+// linger, then closes the server. ok is false, after the error, when addr
+// cannot be bound.
+func serveLive(addr string, checkpoint, linger time.Duration, stderr io.Writer) (lv *live.Server, done func(), ok bool) {
+	if addr == "" {
+		return nil, func() {}, true
+	}
+	lv = live.NewServer()
+	if iv := sim.Duration(checkpoint); iv > 0 {
+		lv.Interval = iv
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return nil, nil, false
+	}
+	// The determinism gates diff stdout across runs; the bound address
+	// (often an ephemeral port) goes to stderr.
+	fmt.Fprintf(stderr, "live: listening on http://%s\n", ln.Addr())
+	go func() {
+		if err := lv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(stderr, "live:", err)
+		}
+	}()
+	return lv, func() {
+		lv.Finish()
+		if linger > 0 {
+			fmt.Fprintf(stderr, "live: runs complete; serving snapshots for %v\n", linger)
+			time.Sleep(linger)
+		}
+		lv.Close()
+	}, true
+}
+
 // runScenario loads, compiles and executes a scenario file. Malformed
 // files exit 2 with the decoder's path-qualified error; a run whose SLO
 // assertions fail exits 1 after printing the measured values. A non-nil
-// parallel overrides the file's workers field.
-func runScenario(path string, parallel *int, stdout, stderr io.Writer) int {
+// parallel overrides the file's workers field. serve starts the live
+// surface once the file has compiled.
+func runScenario(path string, parallel *int, serve func() (*live.Server, func(), bool), stdout, stderr io.Writer) int {
 	s, err := scenario.Load(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "prismsim:", err)
@@ -261,6 +284,12 @@ func runScenario(path string, parallel *int, stdout, stderr io.Writer) int {
 	if parallel != nil {
 		plan.Params.Workers = *parallel
 	}
+	lv, done, ok := serve()
+	if !ok {
+		return 1
+	}
+	defer done()
+	plan.Params.Live = lv
 	res, err := plan.Run()
 	if err != nil {
 		fmt.Fprintf(stderr, "prismsim: %s: %v\n", path, err)

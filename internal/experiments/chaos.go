@@ -10,9 +10,7 @@ import (
 	"prism/internal/fault"
 	"prism/internal/obs"
 	"prism/internal/par"
-	"prism/internal/pkt"
 	"prism/internal/prio"
-	"prism/internal/sim"
 	"prism/internal/stats"
 	"prism/internal/testbed"
 )
@@ -119,19 +117,10 @@ func chaosPoint(p Params, v PolicyVariant, rate float64) ChaosRow {
 	}
 	r := NewRig(p, v.Mode, opts...)
 
-	// Attach the live operator surface, when one is listening. Chaos grid
-	// points fan out over p.Workers and publish concurrently — the server
-	// is thread-safe and the streams interleave (last writer labels the
-	// run) — while each point's own digests stay bit-identical: taps and
-	// checkpoints are pure observation.
-	if lv := p.Live; lv != nil {
-		lv.SetRun(label, p.Warmup+p.Duration)
-		lv.SetClassifier(chaosClassify)
-		r.Host.Tap = lv.HostTap(label)
-		streamer := obs.NewStreamer(lv, pipe)
-		r.SetCheckpoint(lv.Interval, func(at sim.Time) { streamer.Checkpoint(at) })
-	}
-
+	// Chaos grid points fan out over p.Workers and publish concurrently
+	// into one live surface, when one is listening: the server is
+	// thread-safe and the streams interleave (last writer labels the run).
+	detach := AttachTestbed(p.Live, r.Testbed, label, p.Warmup+p.Duration, chaosClassify)
 	srcs := r.start(p,
 		testbed.Flow{Kind: testbed.Echo, Container: "hi-srv", Hi: true, Port: PortHighPrio, Rate: p.HighRate},
 		testbed.Flow{Kind: testbed.Echo, Container: "lo-srv", Port: PortLowPrio, Client: 1, Rate: p.HighRate},
@@ -139,10 +128,7 @@ func chaosPoint(p Params, v PolicyVariant, rate float64) ChaosRow {
 	mustNoErr(r.Run(p))
 	util := r.Utilization()
 	mustNoErr(r.Settle())
-	if p.Live != nil {
-		r.SetCheckpoint(0, nil)
-		r.Host.Tap = nil
-	}
+	detach()
 
 	hi, lo := srcs[0].PP, srcs[1].PP
 	row := ChaosRow{
@@ -168,26 +154,13 @@ func chaosPoint(p Params, v PolicyVariant, rate float64) ChaosRow {
 }
 
 // chaosClassify resolves a chaos-rig wire frame to its workload for the
-// live capture selectors. The monolithic rig's three containers listen on
-// the experiment's well-known ports, so the inner flow's destination port
-// — or, for reply frames, its source port — names the workload.
-func chaosClassify(frame []byte) (container string, hi bool, ok bool) {
-	_, fl, err := pkt.InnerFlow(frame)
-	if err != nil {
-		return "", false, false
-	}
-	for _, port := range [2]uint16{fl.DstPort, fl.SrcPort} {
-		switch int(port) {
-		case PortHighPrio:
-			return "hi-srv", true, true
-		case PortLowPrio:
-			return "lo-srv", false, true
-		case PortBackgrnd:
-			return "bg-srv", false, true
-		}
-	}
-	return "", false, false
-}
+// live capture selectors: the rig's three containers listen on the
+// experiment's well-known ports.
+var chaosClassify = PortClassifier(map[uint16]PortWorkload{
+	PortHighPrio: {Name: "hi-srv", Hi: true},
+	PortLowPrio:  {Name: "lo-srv"},
+	PortBackgrnd: {Name: "bg-srv"},
+})
 
 func digest(b []byte) string {
 	sum := sha256.Sum256(b)

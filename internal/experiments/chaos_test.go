@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"prism/internal/fault"
+	"prism/internal/overlay"
 	"prism/internal/prio"
 	"prism/internal/traffic"
 )
@@ -176,5 +177,32 @@ func TestChaosInvariantsPerFaultClass(t *testing.T) {
 				t.Fatalf("no high-priority replies survived %s faults", tc.name)
 			}
 		})
+	}
+}
+
+// TestChaosClassifyByPort checks the port-table classifier the chaos rig
+// hands the live capture selectors: a frame to a known port names its
+// workload and priority, an unknown port or an unparsable frame none.
+func TestChaosClassifyByPort(t *testing.T) {
+	r := NewRig(Default(), prio.ModeSync)
+	ctr := r.Host.AddContainer("lo-srv")
+	for _, tc := range []struct {
+		port   uint16
+		name   string
+		hi, ok bool
+	}{
+		{PortHighPrio, "hi-srv", true, true},
+		{PortLowPrio, "lo-srv", false, true},
+		{PortBackgrnd, "bg-srv", false, true},
+		{9, "", false, false},
+	} {
+		frame := overlay.EncapToServer(clientSrc(0), ctr, tc.port, make([]byte, 16))
+		name, hi, ok := chaosClassify(frame)
+		if name != tc.name || hi != tc.hi || ok != tc.ok {
+			t.Errorf("port %d: got (%q, %v, %v), want (%q, %v, %v)", tc.port, name, hi, ok, tc.name, tc.hi, tc.ok)
+		}
+	}
+	if _, _, ok := chaosClassify([]byte{1, 2, 3}); ok {
+		t.Error("a truncated frame was classified")
 	}
 }

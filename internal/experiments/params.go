@@ -11,6 +11,7 @@ import (
 	"prism/internal/live"
 	"prism/internal/nic"
 	"prism/internal/obs"
+	"prism/internal/pkt"
 	"prism/internal/prio"
 	"prism/internal/sim"
 	"prism/internal/testbed"
@@ -199,6 +200,54 @@ func (r *Rig) start(p Params, flows ...testbed.Flow) []*testbed.Source {
 	srcs, err := r.Start(p.Warmup, p.EchoCost, p.SinkCost, flows...)
 	mustNoErr(err)
 	return srcs
+}
+
+// AttachTestbed attaches the live operator surface lv, when one is
+// listening, to the single-host run named run — the testbed counterpart
+// of the cluster's attachLive: the host's frame tap feeds /capture
+// (classified by classify), and a virtual-time checkpoint streams the
+// host pipeline's metric snapshots and trace deltas. Taps and checkpoints
+// are pure observation, so the run's results stay bit-identical either
+// way. Call before Run; the returned detach removes both hooks.
+func AttachTestbed(lv *live.Server, tb *testbed.Testbed, run string, horizon sim.Time, classify live.Classify) (detach func()) {
+	if lv == nil {
+		return func() {}
+	}
+	lv.SetRun(run, horizon)
+	lv.SetClassifier(classify)
+	tb.Host.Tap = lv.HostTap(run)
+	streamer := obs.NewStreamer(lv, tb.Pipe)
+	tb.SetCheckpoint(lv.Interval, streamer.Checkpoint)
+	return func() {
+		tb.SetCheckpoint(0, nil)
+		tb.Host.Tap = nil
+	}
+}
+
+// PortWorkload is the workload a single-host server port belongs to, as
+// the live capture selectors name it.
+type PortWorkload struct {
+	Name string
+	Hi   bool
+}
+
+// PortClassifier resolves a single-host wire frame to its workload for the
+// live capture selectors. Every server container listens on its own port,
+// so the inner flow's destination port — or, for reply frames, its source
+// port — looks the workload up in ports.
+func PortClassifier(ports map[uint16]PortWorkload) live.Classify {
+	return func(frame []byte) (string, bool, bool) {
+		_, fl, err := pkt.InnerFlow(frame)
+		if err != nil {
+			return "", false, false
+		}
+		for _, port := range [2]uint16{fl.DstPort, fl.SrcPort} {
+			if w, ok := ports[port]; ok {
+				return w.Name, w.Hi, true
+			}
+		}
+		return "", false, false
+	}
 }
 
 // bgFlood is the calibrated background load: a PortBackgrnd flood into

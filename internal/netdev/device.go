@@ -62,8 +62,8 @@ const (
 	// VerdictForward hands the packet to Result.Next's input queue — the
 	// stage transition (gro_cells_receive / netif_rx analogue).
 	VerdictForward Verdict = iota + 1
-	// VerdictDeliver copies the payload to the application: Result.Deliver
-	// runs at the packet's completion time.
+	// VerdictDeliver copies the payload to the application: Result.Sink
+	// receives the packet at its completion time.
 	VerdictDeliver
 	// VerdictDrop discards the packet (no destination, parse failure).
 	VerdictDrop
@@ -93,11 +93,6 @@ type Result struct {
 	// is VerdictDeliver — the allocation-free delivery path. It takes SKB
 	// ownership.
 	Sink Sink
-	// Deliver is the legacy closure form of VerdictDeliver, used where a
-	// per-packet callback is genuinely needed (synthetic test handlers).
-	// Ignored when Sink is set. The callback must not reenter the engine
-	// synchronously; it may schedule events.
-	Deliver func(now sim.Time)
 }
 
 // Handler is a stage's packet processor: the protocol work a device's poll

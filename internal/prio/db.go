@@ -2,7 +2,8 @@
 // paper): a runtime-configurable database of high-priority flows matched
 // by IP address and port, plus the global mode switch. The paper exposes
 // this through procfs; here it is a concurrency-safe API with a textual
-// command interface (cmd/prismctl) that mirrors the procfs writes.
+// rule syntax (ParseRule) that mirrors the procfs writes — a scenario
+// file's control: list (internal/scenario) schedules them at run time.
 package prio
 
 import (
@@ -95,7 +96,7 @@ func (r Rule) matchEndpoint(ip pkt.IPv4, port uint16) bool {
 
 // DB is the global high-priority flow database. It is safe for concurrent
 // use: the simulation reads it from the NIC classification path while
-// control-plane code (prismctl, tests, examples) mutates it.
+// control-plane code (scenario control ops, tests, examples) mutates it.
 //
 // Reads go through an immutable snapshot published with an atomic pointer,
 // so the per-packet classification path costs one atomic load and a scan

@@ -169,7 +169,7 @@ func TestScenarioCorpusGoldenDatasets(t *testing.T) {
 // workers and requires the full marshaled Result — metrics, digests, SLO
 // verdicts — to match the single-worker bytes.
 func TestScenarioWorkerDeterminism(t *testing.T) {
-	for _, name := range []string{"stages.yaml", "policies.yaml"} {
+	for _, name := range []string{"stages.yaml", "policies.yaml", "control.yaml"} {
 		name := name
 		t.Run(strings.TrimSuffix(name, ".yaml"), func(t *testing.T) {
 			base, err := json.Marshal(runCorpus(t, name, 1))

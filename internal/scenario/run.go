@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"prism/internal/cluster"
 	"prism/internal/experiments"
 	"prism/internal/obs"
+	"prism/internal/sim"
+	"prism/internal/stats"
 	"prism/internal/testbed"
 )
 
@@ -156,7 +159,7 @@ func workloadFlows(groups []Group) []testbed.Flow {
 }
 
 // runCustom wires and runs a single-machine topology from the declared
-// workload groups.
+// workload groups and control script.
 func (p *Plan) runCustom() (*Result, error) {
 	s := p.Scenario
 	pm := p.Params
@@ -168,13 +171,21 @@ func (p *Plan) runCustom() (*Result, error) {
 	spec.Pipe = obs.NewPipeline(name)
 	tb := testbed.New(spec)
 
-	srcs, err := tb.Start(pm.Warmup, pm.EchoCost, pm.SinkCost, workloadFlows(s.Workload)...)
+	flows := workloadFlows(s.Workload)
+	ports := map[uint16]experiments.PortWorkload{}
+	for i, f := range flows {
+		ports[f.Port] = experiments.PortWorkload{Name: f.Container, Hi: s.Workload[i].Priority == "hi"}
+	}
+	detach := experiments.AttachTestbed(pm.Live, tb, name, pm.Warmup+pm.Duration, experiments.PortClassifier(ports))
+	srcs, err := tb.Start(pm.Warmup, pm.EchoCost, pm.SinkCost, flows...)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	phases := scheduleControl(tb, s.Control, s.Workload, srcs)
 	if err := tb.Run(pm.Warmup, pm.Duration); err != nil {
 		return nil, err
 	}
+	detach()
 
 	now := tb.Eng.Now()
 	m := map[string]float64{"util": tb.Host.ProcCore.Utilization(now), "shed": float64(tb.Shed())}
@@ -186,6 +197,9 @@ func (p *Plan) runCustom() (*Result, error) {
 			m[k+"_kernel_p99_us"] = src.PP.KernelHist.Summarize().P99.Micros()
 			m[k+"_sent"] = float64(src.PP.Sent)
 			m[k+"_recv"] = float64(src.PP.Received)
+			for ph, h := range phases[i] {
+				experiments.AddSummary(m, fmt.Sprintf("%s_phase%d", k, ph), h.Summarize())
+			}
 			continue
 		case src.TCP != nil:
 			m[k+"_sent_pkts"] = float64(src.TCP.SentPkts)
@@ -217,6 +231,57 @@ func (p *Plan) runCustom() (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// scheduleControl arms the control script on the host's priority
+// database as engine events: add and del write a rule (a group names its
+// flow's own rule, the one priority: hi adds at start) and mode switches
+// the PRISM mode. With a script, every echo group's samples are also
+// split into phases at the op times — phase k holds the samples delivered
+// once k ops have run. The histograms are indexed [group][phase]; a group
+// that is not an echo, or a run without a script, has none.
+func scheduleControl(tb *testbed.Testbed, ops []ControlOp, groups []Group, srcs []*testbed.Source) [][]*stats.Histogram {
+	phases := make([][]*stats.Histogram, len(srcs))
+	if len(ops) == 0 {
+		return phases
+	}
+	db := tb.Host.DB
+	ats := make([]sim.Time, len(ops))
+	for i, c := range ops {
+		ats[i] = c.At
+		if c.Op == "mode" {
+			m := modeNames[c.Arg]
+			tb.Eng.At(c.At, func() { db.SetMode(m) })
+			continue
+		}
+		r := c.Rule
+		if r == nil {
+			r = &srcs[slices.IndexFunc(groups, func(g Group) bool { return g.Name == c.Arg })].Rule
+		}
+		if rule := *r; c.Op == "add" {
+			tb.Eng.At(c.At, func() { db.Add(rule) })
+		} else {
+			tb.Eng.At(c.At, func() { db.Remove(rule) })
+		}
+	}
+	for i, src := range srcs {
+		if src.PP == nil {
+			continue
+		}
+		hs := make([]*stats.Histogram, len(ops)+1)
+		for k := range hs {
+			hs[k] = stats.NewHistogram()
+		}
+		src.PP.OnSample = func(_ uint64, lat sim.Time) {
+			k, now := 0, tb.Eng.Now()
+			for k < len(ats) && ats[k] <= now {
+				k++
+			}
+			hs[k].Record(lat)
+		}
+		phases[i] = hs
+	}
+	return phases
 }
 
 // runCustomCluster runs a declared multi-host topology through the

@@ -9,6 +9,7 @@ import (
 
 	"prism/internal/experiments"
 	"prism/internal/fault"
+	"prism/internal/prio"
 	"prism/internal/sim"
 	"prism/internal/testbed"
 )
@@ -43,6 +44,10 @@ type Scenario struct {
 	// Faults is the deterministic fault plane configuration, including
 	// start/stop windows (custom monolithic runs only).
 	Faults *Faults
+	// Control is the run-time control-plane script: priority rules added
+	// and deleted and PRISM mode switches, in time order (custom
+	// monolithic runs only).
+	Control []ControlOp
 	// SLOs are the declarative assertions checked after the run.
 	SLOs []SLO
 	// Conservation requires the post-run packet-conservation / zero-leak
@@ -161,6 +166,21 @@ type FaultPhase struct {
 	Tor  int
 }
 
+// ControlOp is one timed write to the host's priority database — the
+// paper's procfs interface (§IV-A).
+type ControlOp struct {
+	At sim.Time
+	Op string // add | del | mode
+	// Arg is the operand as written: for add and del a workload group
+	// name (its container IP and port, as priority: hi marks it) or an
+	// ip:port[@level] rule with * wildcards; for mode prism-batch or
+	// prism-sync.
+	Arg string
+	// Rule is Arg parsed, when add or del names a rule rather than a
+	// group.
+	Rule *prio.Rule
+}
+
 var groupNameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // Load reads and decodes a scenario file. Errors are prefixed with the
@@ -227,6 +247,7 @@ func decodeScenario(root *obj) *Scenario {
 	s.Workload = decodeWorkload(root)
 	s.Link = decodeLink(root)
 	s.Faults = decodeFaults(root)
+	s.Control = decodeControl(root)
 	s.SLOs = decodeSLOs(root)
 	s.Conservation = root.enum("conservation", "", "", "required") == "required"
 	root.finish()
@@ -468,6 +489,31 @@ func decodeFaults(root *obj) *Faults {
 	return f
 }
 
+func decodeControl(root *obj) []ControlOp {
+	items := root.children("control")
+	ops := make([]ControlOp, len(items))
+	for i, o := range items {
+		c := ControlOp{
+			At:  o.duration("at", 0),
+			Op:  o.enum("op", "", "add", "del", "mode"),
+			Arg: o.strRequired("arg"),
+		}
+		o.finish()
+		switch {
+		case c.Op == "mode":
+			o.dec.check(c.Arg != "prism-batch" && c.Arg != "prism-sync", "%s: unknown mode %q (valid: prism-batch, prism-sync)", o.fieldPath("arg"), c.Arg)
+		case strings.Contains(c.Arg, ":"):
+			r, err := prio.ParseRule(c.Arg)
+			if err != nil {
+				o.dec.fail(fmt.Errorf("%s: %w", o.fieldPath("arg"), err))
+			}
+			c.Rule = &r
+		}
+		ops[i] = c
+	}
+	return ops
+}
+
 func decodeSLOs(root *obj) []SLO {
 	items := root.strList("slo")
 	if items == nil {
@@ -491,6 +537,7 @@ func validate(d *decoder, s *Scenario) {
 		d.check(s.Faults != nil, "scenario.faults: the chaos experiment derives its planes from rates; faults is for custom topologies")
 		d.check(s.Link != nil, "scenario.link: link overrides need a custom topology (experiments pin the paper's cost model)")
 		d.check(s.Conservation && e.Kind != "chaos" && e.Kind != "cluster", "scenario.conservation: only chaos, cluster and custom runs drain to the invariant check")
+		d.check(len(s.Control) > 0, "scenario.control[0]: control ops need a custom split: monolithic topology (experiments script their own runs)")
 		return
 	}
 	t := s.Topology
@@ -498,6 +545,7 @@ func validate(d *decoder, s *Scenario) {
 		d.fail(fmt.Errorf("scenario: exactly one of experiment / topology is required"))
 		return
 	}
+	validateControl(d, s)
 
 	// Custom topology rules.
 	cluster := t.Split == "cluster"
@@ -546,5 +594,25 @@ func validate(d *decoder, s *Scenario) {
 			d.check(racks < 2, "scenario.faults.phases[%d]: tor_link_down needs a multi-rack fabric (set topology.racks >= 2)", i)
 			d.check(ph.Tor < 0 || ph.Tor >= racks, "scenario.faults.phases[%d].tor: rack %d outside the %d-rack fabric", i, ph.Tor, racks)
 		}
+	}
+}
+
+// validateControl checks the control script against the topology and
+// the workload: one host's priority database, group names that exist,
+// times inside the run, and mode switches only on a PRISM engine.
+func validateControl(d *decoder, s *Scenario) {
+	groups := map[string]bool{}
+	for _, g := range s.Workload {
+		groups[g.Name] = true
+	}
+	var prev sim.Time
+	for i, c := range s.Control {
+		path := fmt.Sprintf("scenario.control[%d]", i)
+		d.check(s.Topology.Split != "monolithic", "%s: control ops need split: monolithic (a cluster has one priority database per host)", path)
+		d.check(c.At < prev, "%s.at: %v is before the previous op's %v (control ops run in time order)", path, c.At, prev)
+		d.check(c.At > s.Warmup+s.Duration, "%s.at: past the run horizon", path)
+		d.check(c.Op == "mode" && s.Topology.Mode == "vanilla", "%s.op: mode switches need a PRISM engine (topology.mode vanilla is fixed at construction)", path)
+		d.check(c.Op != "mode" && c.Rule == nil && !groups[c.Arg], "%s.arg: unknown workload group %q (a rule is ip:port[@level])", path, c.Arg)
+		prev = c.At
 	}
 }

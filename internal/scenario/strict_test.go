@@ -598,6 +598,46 @@ func hostileInputs() []hostileInput {
 			"scenario: v1\ntopology:\n  split: cluster\n  hosts: 16\n  racks: 2\n" + echo + "faults:\n  phases:\n    - from: 1ms\n      kind: tor_link_down\n      tor: 5\n",
 			[]string{"scenario.faults.phases[0].tor: rack 5 outside the 2-rack fabric"},
 		},
+		{
+			"unknown control op",
+			mono + echo + "control:\n  - at: 1ms\n    op: set\n    arg: a\n",
+			[]string{`scenario.control[0].op: unknown value "set" (valid: add, del, mode)`},
+		},
+		{
+			"malformed control rule",
+			mono + echo + "control:\n  - at: 1ms\n    op: add\n    arg: 10.0.0.2:99999\n",
+			[]string{"scenario.control[0].arg: prio: port out of range"},
+		},
+		{
+			"unknown control group",
+			mono + echo + "control:\n  - at: 1ms\n    op: del\n    arg: b\n",
+			[]string{`scenario.control[0].arg: unknown workload group "b"`},
+		},
+		{
+			"control ops out of order",
+			mono + echo + "control:\n  - at: 5ms\n    op: add\n    arg: a\n  - at: 2ms\n    op: del\n    arg: a\n",
+			[]string{"scenario.control[1].at: 2.00ms is before the previous op's 5.00ms"},
+		},
+		{
+			"control op past horizon",
+			"scenario: v1\nwarmup: 1ms\nduration: 10ms\ntopology:\n  split: monolithic\n" + echo + "control:\n  - at: 50ms\n    op: add\n    arg: a\n",
+			[]string{"scenario.control[0].at: past the run horizon"},
+		},
+		{
+			"mode switch on vanilla",
+			mono + "  mode: vanilla\n" + echo + "control:\n  - at: 1ms\n    op: mode\n    arg: prism-sync\n",
+			[]string{"scenario.control[0].op: mode switches need a PRISM engine"},
+		},
+		{
+			"control with an experiment",
+			exp + "  kind: fig3\ncontrol:\n  - at: 1ms\n    op: mode\n    arg: prism-sync\n",
+			[]string{"scenario.control[0]: control ops need a custom split: monolithic topology"},
+		},
+		{
+			"control on a cluster",
+			clus + echo + "control:\n  - at: 1ms\n    op: add\n    arg: a\n",
+			[]string{"scenario.control[0]: control ops need split: monolithic"},
+		},
 	}
 }
 

@@ -416,14 +416,8 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 		case netdev.VerdictDeliver:
 			skb.Delivered = t
 			e.stats.Delivered++
-			if res.Sink != nil {
-				// Ownership transfers to the sink, which frees the SKB.
-				e.eng.CallAt(t, runSink, res.Sink, skb)
-			} else if res.Deliver != nil {
-				deliver := res.Deliver
-				done := t
-				e.eng.At(done, func() { deliver(done) })
-			}
+			// Ownership transfers to the sink, which frees the SKB.
+			e.eng.CallAt(t, runSink, res.Sink, skb)
 			return t
 		case netdev.VerdictDrop:
 			e.stats.Dropped++

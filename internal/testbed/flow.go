@@ -69,6 +69,10 @@ type RatePhase struct {
 
 // Source is one started Flow's generators.
 type Source struct {
+	// Rule is the priority rule that marks the flow high priority: its
+	// container's IP and its port (the port alone on the host network).
+	// Start adds it when the flow is Hi.
+	Rule prio.Rule
 	// PP is an echo flow's ping-pong.
 	PP *traffic.PingPong
 	// Floods are a flood's senders; Floods[0] owns the shared sink.
@@ -127,13 +131,13 @@ func (t *Testbed) start(warmup, echoCost, sinkCost sim.Time, f Flow) (*Source, e
 		ctr = host.AddContainer(f.Container)
 		ip = ctr.IP
 	}
+	src := &Source{Rule: prio.Rule{IP: ip, Port: f.Port}}
 	if f.Hi {
-		host.DB.Add(prio.Rule{IP: ip, Port: f.Port})
+		host.DB.Add(src.Rule)
 	}
 	client := func(k int) overlay.RemoteEndpoint {
 		return overlay.ClientContainer(f.Client+k, uint16(40000+f.Client+k))
 	}
-	src := &Source{}
 	switch f.Kind {
 	case Echo:
 		pp := traffic.NewPingPong(eng, host, ctr, client(0), f.Port, f.Rate)

@@ -28,17 +28,13 @@ type Delivery struct {
 	At  sim.Time
 }
 
-// NewChain builds the synthetic pipeline. Packets flow eth→br→veth and are
-// recorded on delivery. Each stage charges stageCost per packet.
+// NewChain builds the synthetic pipeline. Packets flow eth→br→veth and the
+// chain itself is the veth stage's sink, recording each delivery. Each stage charges stageCost per packet.
 func NewChain(stageCost sim.Time, queueCap int) *Chain {
 	c := &Chain{StageCost: stageCost}
 	c.Veth = netdev.NewDevice("veth", netdev.DriverBacklog, netdev.HandlerFunc(
 		func(now sim.Time, s *pkt.SKB) netdev.Result {
-			return netdev.Result{
-				Verdict: netdev.VerdictDeliver,
-				Cost:    stageCost,
-				Deliver: func(at sim.Time) { c.Delivered = append(c.Delivered, Delivery{SKB: s, At: at}) },
-			}
+			return netdev.Result{Verdict: netdev.VerdictDeliver, Cost: stageCost, Sink: c}
 		}), queueCap)
 	c.Br = netdev.NewDevice("br", netdev.DriverGroCells, netdev.HandlerFunc(
 		func(now sim.Time, s *pkt.SKB) netdev.Result {
@@ -49,6 +45,13 @@ func NewChain(stageCost sim.Time, queueCap int) *Chain {
 			return netdev.Result{Verdict: netdev.VerdictForward, Cost: stageCost, Next: c.Br}
 		}), queueCap)
 	return c
+}
+
+// DeliverSKB implements netdev.Sink: it records the packet and its
+// completion time. The chain keeps the SKB for the test to inspect, so it
+// must not be pooled (Inject builds plain ones).
+func (c *Chain) DeliverSKB(at sim.Time, s *pkt.SKB) {
+	c.Delivered = append(c.Delivered, Delivery{SKB: s, At: at})
 }
 
 // Inject places n packets into the eth ring with the given priority flag

@@ -23,10 +23,10 @@ func TestChainWiring(t *testing.T) {
 		t.Fatalf("br result = %+v", res)
 	}
 	res = c.Veth.Handler.HandlePacket(0, skb)
-	if res.Verdict != netdev.VerdictDeliver || res.Deliver == nil {
+	if res.Verdict != netdev.VerdictDeliver || res.Sink != netdev.Sink(c) {
 		t.Fatalf("veth result = %+v", res)
 	}
-	res.Deliver(500)
+	res.Sink.DeliverSKB(500, skb)
 	if len(c.Delivered) != 1 || c.Delivered[0].SKB != skb || c.Delivered[0].At != 500 {
 		t.Fatalf("delivered = %+v", c.Delivered)
 	}

@@ -30,10 +30,8 @@ import (
 	"io"
 	"time"
 
-	"prism/internal/cpu"
 	"prism/internal/experiments"
 	"prism/internal/netdev"
-	"prism/internal/nic"
 	"prism/internal/overlay"
 	"prism/internal/pcap"
 	"prism/internal/pkt"
@@ -87,52 +85,45 @@ type (
 // (Xeon Silver 4114, ConnectX-5 100 GbE, Linux 5.4).
 func DefaultCosts() *Costs { return netdev.DefaultCosts() }
 
-// Option configures a Simulation.
-type Option func(*config)
-
-type config struct {
-	mode    Mode
-	seed    uint64
-	costs   *netdev.Costs
-	cstates []cpu.CState
-	nic     nic.Config
-	policy  string
-}
+// Option configures a Simulation by editing the testbed it is built from.
+type Option func(*testbed.Spec)
 
 // WithMode selects the receive engine (default ModeVanilla).
-func WithMode(m Mode) Option { return func(c *config) { c.mode = m } }
+func WithMode(m Mode) Option { return func(s *testbed.Spec) { s.Mode = m } }
 
 // WithSeed sets the deterministic random seed (default 42).
-func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
+func WithSeed(seed uint64) Option { return func(s *testbed.Spec) { s.Seed = seed } }
 
 // WithCosts overrides the CPU cost model.
-func WithCosts(costs *Costs) Option { return func(c *config) { c.costs = costs } }
+func WithCosts(costs *Costs) Option { return func(s *testbed.Spec) { s.Costs = costs } }
 
 // WithoutPowerManagement disables C-states (always-on cores).
-func WithoutPowerManagement() Option { return func(c *config) { c.cstates = nil } }
+func WithoutPowerManagement() Option {
+	return func(s *testbed.Spec) { s.CStates, s.AppCStates = nil, nil }
+}
 
 // WithNICModeration sets static interrupt moderation (rx-usecs/rx-frames).
 func WithNICModeration(usecs time.Duration, frames int) Option {
-	return func(c *config) {
-		c.nic.RxUsecs = sim.Duration(usecs)
-		c.nic.RxFrames = frames
+	return func(s *testbed.Spec) {
+		s.NIC.RxUsecs = sim.Duration(usecs)
+		s.NIC.RxFrames = frames
 	}
 }
 
 // WithoutGRO disables generic receive offload at the NIC.
-func WithoutGRO() Option { return func(c *config) { c.nic.GRO = false } }
+func WithoutGRO() Option { return func(s *testbed.Spec) { s.NIC.GRO = false } }
 
 // WithDriverPriority enables the §VII-1 extension: NIC-level priority
 // rings (hardware flow steering), which remove the stage-1 limitation.
 // Effective only with PRISM modes; vanilla cannot use the extra ring.
-func WithDriverPriority() Option { return func(c *config) { c.nic.PriorityRings = true } }
+func WithDriverPriority() Option { return func(s *testbed.Spec) { s.NIC.PriorityRings = true } }
 
 // WithPolicy overrides the softirq poll policy by registry name
 // ("vanilla", "prism", or an ablation such as "headonly" or "dualq").
 // By default the policy is derived from the mode; the override lets the
 // paper's mechanisms be enabled one at a time. Panics at NewSimulation if
 // the name is not registered (see Policies).
-func WithPolicy(name string) Option { return func(c *config) { c.policy = name } }
+func WithPolicy(name string) Option { return func(s *testbed.Spec) { s.Policy = name } }
 
 // Policies returns the registered softirq poll policy names, sorted.
 func Policies() []string { return softirq.Policies() }
@@ -146,31 +137,16 @@ type Simulation struct {
 	nextClientIdx int
 }
 
-// NewSimulation builds the paper's server machine with the given options.
+// NewSimulation builds the paper's server machine — the experiment
+// harnesses' testbed (experiments.BaseSpec: 8 µs / 32-frame adaptive
+// interrupt moderation, GRO, C1-pinned cores) with seed 42 — then applies
+// the options.
 func NewSimulation(opts ...Option) *Simulation {
-	cfg := config{
-		mode:    ModeVanilla,
-		seed:    42,
-		cstates: cpu.C1,
-		nic: nic.Config{
-			RxUsecs:      8 * sim.Microsecond,
-			RxFrames:     32,
-			AdaptiveIdle: 100 * sim.Microsecond,
-			GRO:          true,
-		},
-	}
+	spec := experiments.BaseSpec(experiments.Default(), ModeVanilla)
 	for _, opt := range opts {
-		opt(&cfg)
+		opt(&spec)
 	}
-	tb := testbed.New(testbed.Spec{
-		Seed:       cfg.seed,
-		Mode:       cfg.mode,
-		Policy:     cfg.policy,
-		Costs:      cfg.costs,
-		CStates:    cfg.cstates,
-		AppCStates: cfg.cstates,
-		NIC:        cfg.nic,
-	})
+	tb := testbed.New(spec)
 	return &Simulation{eng: tb.Eng, host: tb.Host, client: tb.Client}
 }
 
@@ -200,7 +176,8 @@ func (s *Simulation) MarkPriorityLevel(ip IPv4, port uint16, level int) {
 func (s *Simulation) SetMode(m Mode) { s.host.DB.SetMode(m) }
 
 // ApplyRule parses a textual "ip:port" rule (with "*" wildcards) and adds
-// ("add") or removes ("del") it — the procfs write path of cmd/prismctl.
+// ("add") or removes ("del") it — the procfs write path a scenario file's
+// control: list also takes.
 func (s *Simulation) ApplyRule(op, rule string) error {
 	r, err := prio.ParseRule(rule)
 	if err != nil {
